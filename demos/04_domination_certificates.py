@@ -6,11 +6,11 @@ and a constant C with
 
     |T f|  <=  C * mixture_norm(f)        for every f,
 
-alternating a dense LP over mixture masses (max-min slack against the
-current witness functions) with an oracle that searches the domain sphere
-for the most violating function.  Certificates carry the mixture, the
-constant, the oracle residual and all witnesses, and can be re-verified on
-fresh samples.
+alternating a dense LP over mixture masses (the smallest constant that
+covers the current witness functions) with an oracle that searches the
+domain sphere for the most violating function.  Certificates carry the
+mixture, the constant, the oracle residual and all witnesses, and can be
+re-verified on fresh samples.
 
 Run:  python3 demos/04_domination_certificates.py
 """

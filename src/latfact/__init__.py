@@ -18,8 +18,8 @@ from .estimates import ConstantEstimate
 from .factorization import (DominationCertificate, SolverConvergenceError,
                             collapse_weight, default_domination_grid,
                             extension_norm_estimate, find_domination_measure,
-                            kakutani_equivalence, minimal_certified_constant,
-                            verify_domination, violation_oracle)
+                            kakutani_equivalence, verify_domination,
+                            violation_oracle)
 from .simplex import MaxMinSolution, SimplexError, solve_max_min
 from .snorm import (DiscreteRadonMeasure, SNormSpace, UnsaturatedSpaceError,
                     dirac_space, inclusion_bound_check, partition_space,

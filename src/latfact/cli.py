@@ -8,8 +8,7 @@ Commands: check-space, constants, snorm-demo, factorize, kakutani,
 lemma-verify.  Exit status 0 when every check passes, 1 on a failed
 assertion or non-converged solve, 2 on input errors.  Reports contain no
 wall-clock data, so identical scenarios and seeds produce byte-identical
-JSON.  The environment variable LATFACT_THREADS caps concurrent search
-restarts (results are reduced in restart order either way).
+JSON.
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import indexed_map
-
 __all__ = ["ConstantEstimate", "family_search", "ratio_objective", "seed_list"]
 
 
@@ -175,7 +173,7 @@ def family_search(ratio: Callable[[np.ndarray], float], n: int, *,
         F = _initial_family(rng, m, n, k % 3)
         return _polish_family(ratio, F, sweeps)
 
-    results = indexed_map(run, range(budget))
+    results = [run(k) for k in range(budget)]
     best_val = 0.0
     best_F = np.zeros((0, n))
     for val, F in results:

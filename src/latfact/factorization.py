@@ -6,16 +6,19 @@ dual-ball weights and a constant ``C`` such that
 
     ‖T f‖  <=  C * ( sum_k mass_k (∫ |f|^p h_k dμ)^{q/p} )^{1/q}    for all f.
 
-The search is a cutting-plane loop: an inner dense LP maximizes the
-minimum slack of the current witness functions over mixtures supported on
-a dual-ball grid, and a violation oracle hunts for a new function that
-breaks the current mixture.  When the LP itself certifies that no grid
-mixture works, the grid is enriched with the attainment weight of the
-LP's adversarial witness combination; if that cannot help either, the
-target constant was below the achievable one and it is re-estimated from
-the offending family.  Certificates store the mixture, the constant, the
-relative residual at termination and every witness generated, so they can
-be replayed and independently re-verified on fresh samples.
+With witness functions ``f_j``, ``b_j = ‖T f_j‖^q`` and a dual-ball grid
+of weights ``h_k``, the smallest constant any grid mixture achieves is
+``C^q = 1/t`` with ``t = max_xi min_j (Phi xi)_j / b_j`` and
+``Phi[j, k] = (∫ |f_j|^p h_k dμ)^{q/p}``: one dense LP (Dinkelbach's
+linearisation of the fractional program).  The solver wraps it in a
+Kelley cutting-plane loop on both sides: the attainment weight of the
+LP's adversarial witness combination enriches the grid while it beats the
+LP value, and a violation oracle hunts for a function that breaks the
+mixture at ``C (1 + tol)``.  No starting constant is guessed; the loop
+returns the grid-minimal one.  Certificates store the mixture, the
+constant, the relative residual at termination and every witness
+generated, so they can be replayed and independently re-verified on
+fresh samples.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (LinearOperator, attainment_point, identity_operator,
-                        operator_norm_estimate, pq_concavity_estimate,
-                        pq_concavity_ratio)
+from .constants import (LinearOperator, _image_grad_rows,
+                        _unit_rows_or_uniform, attainment_point,
+                        identity_operator, operator_norm_estimate)
 from .estimates import seed_list
 from .search import projected_ascent, sign_patterns, sphere_starts
 from .simplex import solve_max_min
@@ -46,8 +49,10 @@ __all__ = [
     "collapse_weight",
     "extension_norm_estimate",
     "kakutani_equivalence",
-    "minimal_certified_constant",
 ]
+
+# Kelley's tail on curved q > p instances takes a few hundred LP solves
+_MAX_LP_SOLVES = 2000
 
 
 class SolverConvergenceError(RuntimeError):
@@ -62,8 +67,9 @@ class DominationCertificate:
     ``(‖Tf‖^q - C^q s(f)^q) / C^q`` found by the oracle at termination
     (at most the solve tolerance when ``converged``).  ``witnesses`` are
     the unit-sphere functions generated during the solve, replayable
-    against the stored mixture.  ``lp_values`` records the inner LP's
-    optimal slack after each witness was added (nonincreasing).
+    against the stored mixture.  ``lp_values`` records the LP value
+    ``t = C_lp^{-q}`` after each solve: it never rises when a witness is
+    added and rises when the grid is enriched.
     """
 
     xi: DiscreteRadonMeasure
@@ -111,16 +117,6 @@ def _phi_matrix(X: LatticeNorm, e: ExponentTriple, F: np.ndarray,
     return np.maximum(P @ H.T, 0.0) ** e.t
 
 
-def _unit_rows(X: LatticeNorm, A: np.ndarray) -> np.ndarray:
-    norms = X.norm_rows(A)
-    bad = norms <= 0.0
-    if np.any(bad):
-        A = A.copy()
-        A[bad] = 1.0
-        norms = X.norm_rows(A)
-    return A / norms[:, None]
-
-
 def _snorm_q_grad_rows(S: SNormSpace, F: np.ndarray) -> np.ndarray:
     """Row-wise gradient of the q-th power of the mixture seminorm."""
     p, q, t = S.e.p, S.e.q, S.e.t
@@ -129,11 +125,6 @@ def _snorm_q_grad_rows(S: SNormSpace, F: np.ndarray) -> np.ndarray:
     inner = np.maximum((np.abs(F) ** p * mu) @ H.T, 0.0)
     W = S.xi.masses * inner ** (t - 1.0)
     return q * np.sign(F) * np.abs(F) ** (p - 1.0) * mu * (W @ H)
-
-
-def _image_norm_grad_rows(T: LinearOperator, U: np.ndarray) -> np.ndarray:
-    from .constants import _image_grad_rows
-    return _image_grad_rows(T, U)
 
 
 def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
@@ -163,12 +154,13 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
         U = F @ T.matrix.T
         img = T.codomain_norm_rows(U)
         img_pow = np.where(img > 0.0, img ** (q - 1.0), 0.0)
-        g1 = q * img_pow[:, None] * (_image_norm_grad_rows(T, U) @ T.matrix)
+        g1 = q * img_pow[:, None] * (_image_grad_rows(T, U) @ T.matrix)
         return g1 - Cq * _snorm_q_grad_rows(S, F)
 
     A, vals = projected_ascent(value_rows, grad_rows,
-                               lambda B: _unit_rows(X, B), A0, iters=50,
-                               nonneg=False, radial_rows=X.norm_grad_rows)
+                               lambda B: _unit_rows_or_uniform(X, B), A0,
+                               iters=50, nonneg=False,
+                               radial_rows=X.norm_grad_rows)
     best = int(np.argmax(vals))
     return A[best].copy(), float(vals[best])
 
@@ -195,26 +187,28 @@ def _compress_by_dominance(H: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _grid_distance(h: np.ndarray, H: np.ndarray) -> float:
-    if H.size == 0:
-        return math.inf
-    return float(np.min(np.abs(H - h).max(axis=1)))
-
-
 def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
                             tol: float = 1e-6, budget: int = 40, seed=0,
-                            C: float | None = None, oracle_budget: int = 16,
-                            estimate_budget: int = 16,
-                            max_constant_resets: int = 3) -> DominationCertificate:
+                            C: float | None = None,
+                            oracle_budget: int = 16) -> DominationCertificate:
     """Cutting-plane search for a dominating probability mixture.
 
-    ``C`` defaults to the strong-concavity estimate (floored by the
-    operator-norm estimate) inflated by ``1 + tol``; fixing ``C`` keeps the
-    inner problem a pure LP over mixture masses.  ``budget`` bounds oracle
-    calls.  On success the returned mixture is a probability measure that
-    passes the saturation check: boundary-supported solutions are repaired
-    by mixing in ``tol`` mass of a strictly positive dual weight, paying a
-    ``(1 + tol)^{1/q}`` inflation of the constant.
+    With witnesses ``f_j``, ``b_j = ‖T f_j‖^q`` and grid weights ``h_k``,
+    the smallest constant a grid mixture achieves is ``C_lp = t^{-1/q}``
+    where ``t = max_xi min_j (Phi xi)_j / b_j``.  Each round solves that LP
+    on unit-scaled data; adds the attainment point of the LP's dual witness
+    combination to the grid while it beats the LP value by more than
+    ``tol / 2``; and otherwise runs the violation oracle at
+    ``C_lp * (1 + tol)``, adding the violating function as a witness.  The
+    returned constant is therefore the grid-minimal one, up to ``1 + tol``.
+
+    Given ``C``, the same loop answers the feasibility query: it stops
+    unconverged as soon as ``C_lp > C`` and otherwise runs the oracle at
+    ``C``.  ``budget`` bounds oracle calls.  On success the returned
+    mixture is a probability measure that passes the saturation check:
+    boundary-supported solutions are repaired by mixing in ``tol`` mass of
+    a strictly positive dual weight, paying a ``(1 + tol)^{1/q}`` inflation
+    of the constant.
     """
     X = T.domain
     if not X.is_p_convex_one(e.p):
@@ -226,96 +220,81 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
     grid = list(grid)
     H = np.vstack([g.h for g in grid])
 
-    if C is None:
-        est = pq_concavity_estimate(T, e, budget=estimate_budget,
-                                    seed=base + [11])
-        opn = operator_norm_estimate(T, budget=max(8, estimate_budget // 2),
-                                     seed=base + [13])
-        C = max(est.value, opn.value) * (1.0 + tol)
-    C = float(C)
-
     # initial witnesses: the operator-norm direction plus seeded sphere points
     opn_seed = operator_norm_estimate(T, budget=8, seed=base + [17])
     rng = np.random.default_rng(base + [19])
     seeds = list(opn_seed.witness)
-    seeds.extend(_unit_rows(X, rng.normal(size=(2, T.n))))
-    W = _unit_rows(X, np.vstack(seeds)) if seeds else _unit_rows(
-        X, rng.normal(size=(1, T.n)))
+    seeds.extend(_unit_rows_or_uniform(X, rng.normal(size=(2, T.n))))
+    W = _unit_rows_or_uniform(X, np.vstack(seeds))
     bvec = T.codomain_norm_rows(T.apply_rows(W)) ** e.q
     Phi = _phi_matrix(X, e, W, H)
 
     lp_values: list[float] = []
-    prev_value = math.inf
-    monotone_armed = False  # set when only a witness row changed since last solve
+    t = witness_cap = math.inf  # witness_cap: the LP value before a witness
     oracle_calls = 0
-    resets = 0
     converged = False
     residual = math.inf
-    last_violation: float | None = None
     xi_weights = np.full(H.shape[0], 1.0 / H.shape[0])
-    scale = max(1.0, float(np.max(bvec, initial=0.0)))
-    slack_tol = 1e-11 * scale
+    C_lp = 0.0
 
-    total_rounds = 0
-    while oracle_calls < budget and total_rounds < 4 * budget + 8:
-        total_rounds += 1
-        Cq = C ** e.q
-        sol = solve_max_min(Cq * Phi, bvec)
-        lp_values.append(float(sol.value))
-        if monotone_armed and sol.value > prev_value + 1e-9 * scale:
-            raise AssertionError(
-                "inner LP slack increased after adding a witness")
-        prev_value = sol.value
-        monotone_armed = False
-        if sol.value < -slack_tol:
-            # no grid mixture absorbs the current witnesses: enrich the grid
-            # with the attainment weight of the adversarial combination
-            lam = sol.duals
-            active = lam > 1e-12
-            M = (lam[active] ** (1.0 / e.q))[:, None] * W[active]
-            h_star = attainment_point(X, e, M)
-            if _grid_distance(h_star.h, H) > 1e-10:
+    for _ in range(_MAX_LP_SOLVES):
+        if oracle_calls >= budget:
+            break
+        pos = np.where(bvec > 0.0)[0]
+        if pos.size:
+            R = Phi[pos] / bvec[pos, None]
+            kappa = float(R.max()) or 1.0
+            sol = solve_max_min(R / kappa, np.zeros(pos.size))
+            t = sol.value * kappa
+            if t > witness_cap * (1.0 + 1e-9):
+                raise AssertionError(
+                    "inner LP value increased after adding a witness")
+            witness_cap = math.inf
+            lp_values.append(t)
+            xi_weights = sol.weights
+            C_lp = t ** (-1.0 / e.q) if t > 0.0 else math.inf
+            # Kelley step on the dual ball: the attainment point of the
+            # adversarial witness combination, if it beats every grid column
+            active = sol.duals > 1e-12
+            rows = pos[active]
+            lam = sol.duals[active] / (bvec[rows] * kappa)
+            h_star = attainment_point(X, e,
+                                      lam[:, None] ** (1.0 / e.q) * W[rows])
+            column = _phi_matrix(X, e, W, h_star.h[None, :])
+            if float(lam @ column[rows, 0]) > sol.value * (1.0 + 0.5 * tol):
                 grid.append(h_star)
                 H = np.vstack([H, h_star.h])
-                Phi = np.hstack([Phi, _phi_matrix(X, e, W, h_star.h[None, :])])
+                Phi = np.hstack([Phi, column])
                 continue
-            # grid already contains the attainment point: C is below what
-            # this family requires, so re-target it from the family ratio
-            resets += 1
-            if resets > max_constant_resets:
-                residual = -sol.value / max(Cq, 1e-300)
-                break
-            required = pq_concavity_ratio(T, e, M)
-            C = max(required * (1.0 + tol), C * (1.0 + tol))
-            continue
 
-        xi_weights = sol.weights
+        if C is not None and C_lp > C:
+            # no grid mixture reaches C even on the witnesses found so far
+            Cq = max(float(C) ** e.q, 1e-300)
+            residual = float(np.max(bvec / Cq - Phi @ xi_weights))
+            break
+        target = C_lp * (1.0 + tol) if C is None else float(C)
         keep = xi_weights > 1e-14
         masses = xi_weights[keep] / xi_weights[keep].sum()
         measure = DiscreteRadonMeasure.from_pairs(
             [(grid[k], m) for k, m in zip(np.where(keep)[0], masses)],
             normalized=True)
         S = SNormSpace(base=X, e=e, xi=measure)
-        f_star, violation = violation_oracle(
-            T, S, C, budget=oracle_budget, seed=base + [211 + oracle_calls])
+        f_star, violation = violation_oracle(T, S, target, budget=oracle_budget,
+                                             seed=base + [211 + oracle_calls])
         oracle_calls += 1
-        last_violation = violation
-        Cq = C ** e.q
+        Cq = target ** e.q
+        residual = max(violation, 0.0) / max(Cq, 1e-300)
         if violation <= tol * max(Cq, 1e-300):
             converged = True
-            residual = max(violation, 0.0) / max(Cq, 1e-300)
             break
         # record the violating function as a new witness
         W = np.vstack([W, f_star])
         bvec = np.append(bvec, T.codomain_norm_rows(
             T.apply_rows(f_star[None, :])) ** e.q)
         Phi = np.vstack([Phi, _phi_matrix(X, e, f_star[None, :], H)])
-        monotone_armed = True
-        scale = max(scale, float(np.max(bvec)))
+        witness_cap = t
 
-    if not converged and math.isinf(residual):
-        if last_violation is not None:
-            residual = max(last_violation, 0.0) / max(C ** e.q, 1e-300)
+    C = C_lp * (1.0 + tol) if C is None else float(C)
 
     # post-processing on the final mixture
     keep = xi_weights > 1e-14
@@ -363,7 +342,7 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     S = SNormSpace(base=X, e=e, xi=cert.xi)
     rng = np.random.default_rng([83, *seed_list(seed)])
     F = rng.normal(size=(int(sample_count), T.n))
-    F = _unit_rows(X, F)
+    F = _unit_rows_or_uniform(X, F)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     image = T.codomain_norm_rows(T.apply_rows(F))
@@ -407,7 +386,7 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
 
     def grad_rows(F: np.ndarray) -> np.ndarray:
         U = F @ T.matrix.T
-        return _image_norm_grad_rows(T, U) @ T.matrix
+        return _image_grad_rows(T, U) @ T.matrix
 
     _, vals = projected_ascent(value_rows, grad_rows, normalize, A0, iters=50,
                                nonneg=False, radial_rows=S.norm_grad_rows)
@@ -434,33 +413,8 @@ def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple, grid=None,
     S = SNormSpace(base=X, e=e, xi=cert.xi)
     rng = np.random.default_rng([97, *seed_list(seed)])
     F = rng.normal(size=(int(samples), X.n))
-    F = _unit_rows(X, F)
+    F = _unit_rows_or_uniform(X, F)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     ratios = X.norm_rows(F) / S.seminorm_rows(F)
     return cert.xi, float(np.min(ratios)), float(np.max(ratios))
-
-
-def minimal_certified_constant(T: LinearOperator, e: ExponentTriple, *,
-                               steps: int = 12, tol: float = 1e-6,
-                               budget: int = 40, seed=0) -> DominationCertificate:
-    """Bisect the constant down to the smallest one the solver certifies."""
-    base = seed_list(seed)
-    cert = find_domination_measure(T, e, tol=tol, budget=budget, seed=seed)
-    if not cert.converged:
-        return cert
-    lo = operator_norm_estimate(T, budget=8, seed=base + [23]).value
-    hi = cert.C
-    best = cert
-    for _ in range(steps):
-        if hi - lo <= tol * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        trial = find_domination_measure(T, e, tol=tol, budget=budget,
-                                        seed=seed, C=mid,
-                                        max_constant_resets=0)
-        if trial.converged:
-            best, hi = trial, trial.C
-        else:
-            lo = mid
-    return best

@@ -4,11 +4,12 @@ import pytest
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      collapse_weight, dirac_space, extension_norm_estimate,
                      find_domination_measure, identity_operator,
-                     kakutani_equivalence, minimal_certified_constant,
-                     operator_norm_estimate, pq_concavity_estimate, s_norm,
+                     kakutani_equivalence, operator_norm_estimate,
+                     pq_concavity_estimate, pq_concavity_ratio, s_norm,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import DualVector
+from latfact.suite import random_operator
 from conftest import make_space
 
 
@@ -70,7 +71,11 @@ class TestFindDominationMeasure:
                            codomain=EuclideanNorm(dim=3))
         cert = find_domination_measure(T, E12, seed=2)
         assert cert.converged
-        assert len(cert.lp_values) >= 1
+        # s = p: the all-ones weight attains every combination, so no grid
+        # enrichment runs and every solve after the first follows a witness
+        t = np.array(cert.lp_values)
+        assert t.size >= 1
+        assert np.all(t[1:] <= t[:-1] * (1.0 + 1e-9))
 
     def test_certificate_replay_on_witnesses(self):
         rng = np.random.default_rng(13)
@@ -89,10 +94,50 @@ class TestFindDominationMeasure:
         X = make_space([1, 1], 1)
         T = LinearOperator(matrix=np.array([[1.0, 1.0]]), domain=X,
                            codomain=EuclideanNorm(dim=1))
-        cert = find_domination_measure(T, E12, seed=0, C=0.5,
-                                       max_constant_resets=0)
+        cert = find_domination_measure(T, E12, seed=0, C=0.5)
         assert not cert.converged
         assert cert.residual > 0.0
+
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8])
+    def test_scaling_the_operator_scales_the_constant(self, c):
+        T = random_operator(3, 3, [1], s=1.0)
+        cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
+                            codomain=T.codomain)
+        cert = find_domination_measure(cT, E12, tol=1e-6, budget=40, seed=0)
+        ref = find_domination_measure(T, E12, tol=1e-6, budget=40, seed=0)
+        assert cert.converged
+        assert cert.C / c == pytest.approx(ref.C, rel=1e-9)
+
+
+class TestCurvedRegime:
+    """s > p and q > p: the optimal mixture has several atoms."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(1)
+        out = []
+        for n, s, p, q in ((3, 2.0, 1.0, 2.0), (3, 1.5, 1.0, 2.0),
+                           (2, 1.5, 1.0, 2.0), (3, 3.0, 2.0, 4.0),
+                           (4, 2.0, 1.0, 3.0)):
+            X = make_space(rng.uniform(0.5, 2.0, n), s)
+            T = LinearOperator(matrix=rng.normal(size=(n, n)), domain=X,
+                               codomain=EuclideanNorm(dim=n))
+            out.append((T, ExponentTriple(p=p, q=q)))
+        return out
+
+    def test_multi_atom_certificate_is_two_sided(self):
+        T, e = self.instances()[-1]
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        assert len(cert.xi) > 1
+        ok, _ = xi_saturation_check(SNormSpace(base=T.domain, e=e, xi=cert.xi))
+        assert ok
+        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+        # the strong (p,q)-concavity ratio of the witnesses bounds the
+        # domination constant from below
+        assert pq_concavity_ratio(T, e, cert.witnesses) <= cert.C * (1.0 + tol)
 
 
 class TestViolationOracle:
@@ -233,7 +278,6 @@ class TestKakutani:
 class TestMinimalConstant:
     def test_identity_minimal_constant_is_one(self):
         X = make_space([1, 1], 1)
-        cert = minimal_certified_constant(identity_operator(X), E12, steps=8,
-                                          seed=0)
+        cert = find_domination_measure(identity_operator(X), E12, seed=0)
         assert cert.converged
         assert cert.C == pytest.approx(1.0, abs=1e-4)
