@@ -23,9 +23,9 @@ import numpy as np
 
 from . import schemas
 from .constants import (brute_force_family_sup, constant_chain_report,
-                        family_sup_rhs, attainment_point)
-from .factorization import (find_domination_measure, verify_domination,
-                            collapse_weight)
+                        family_sup_rhs, attainment_point, identity_operator)
+from .factorization import (_equivalence_range, find_domination_measure,
+                            verify_domination, collapse_weight)
 from .snorm import (SNormSpace, dirac_space, inclusion_bound_check,
                     partition_space, s_norm, xi_saturation_check)
 from .spaces import (ExponentTriple, extreme_dual_vectors,
@@ -199,22 +199,14 @@ def _run_kakutani(sc: Scenario):
     measure = schemas.build_measure(sc.instance)
     X = schemas.build_space(sc.instance, measure)
     e = schemas.build_exponents(sc.instance)
-    from .constants import identity_operator
-    T = identity_operator(X)
-    cert = find_domination_measure(T, e, tol=sc.tol, budget=sc.budget,
-                                   seed=sc.seed)
+    cert = find_domination_measure(identity_operator(X), e, tol=sc.tol,
+                                   budget=sc.budget, seed=sc.seed)
     checks = [_check("solver-converged", cert.converged,
                      residual=cert.residual)]
     report = {"certificate": cert.to_jsonable()}
     if cert.converged:
-        S = SNormSpace(base=X, e=e, xi=cert.xi)
-        rng = np.random.default_rng([97, sc.seed])
         samples = int(sc.instance.get("samples", 2048))
-        F = rng.normal(size=(samples, X.n))
-        norms = X.norm_rows(F)
-        F = F[norms > 0] / norms[norms > 0, None]
-        ratios = X.norm_rows(F) / S.seminorm_rows(F)
-        lower, upper = float(ratios.min()), float(ratios.max())
+        lower, upper = _equivalence_range(cert, X, samples, sc.seed)
         checks.append(_check("lower-constant", lower >= 1.0 - 1e-9, value=lower))
         checks.append(_check("upper-constant",
                              upper <= cert.C * (1.0 + sc.tol) * (1.0 + 1e-9),

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import ConstantEstimate, family_search, ratio_objective, seed_list
-from .search import projected_ascent, sign_patterns, sphere_starts
+from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
 from .spaces import (DualVector, ExponentTriple, LatticeNorm,
                      WeightedLebesgue, as_vector, extreme_dual_vectors,
-                     power_mean, power_mean_rows)
+                     kothe_dual_norm, power_mean, power_mean_rows)
 
 __all__ = [
     "EuclideanNorm",
@@ -168,9 +168,11 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
 
     Curved-ball case (``s > p``): the first-order condition is the fixed
     point ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``, iterated from canonical
-    and seeded starts.  Every iterate is feasible, so the best value seen is
-    a certified lower bound; at these sizes the multistart is empirically
-    exact and is validated against the brute-force scaled-family side.
+    and seeded starts; :func:`search.projected_ascent` then polishes the
+    best iterate along the dual sphere.  Every iterate is feasible, so the
+    best value seen is a certified lower bound; at these sizes the
+    multistart is empirically exact and is validated against the
+    brute-force scaled-family side.
     """
     mu = X.space.weights
     n = X.n
@@ -179,18 +181,16 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     sigma_dual = sigma / (sigma - 1.0)
     G = np.abs(F) ** p
     P = G * mu
-    plain_norms = sigma_dual <= 64.0  # scaled power mean only for huge exponents
+
+    if sigma_dual <= 64.0:  # scaled power mean only for huge exponents
+        def dual_norms(H: np.ndarray) -> np.ndarray:
+            return (H ** sigma_dual @ mu) ** (1.0 / sigma_dual)
+    else:
+        def dual_norms(H: np.ndarray) -> np.ndarray:
+            return power_mean_rows(H, sigma_dual, mu)
 
     def dual_sphere(H: np.ndarray) -> np.ndarray:
-        H = np.maximum(H, 0.0)
-        if np.any(~H.any(axis=1)):
-            H = H.copy()
-            H[~H.any(axis=1)] = 1.0
-        if plain_norms:
-            norms = (H ** sigma_dual @ mu) ** (1.0 / sigma_dual)
-        else:
-            norms = power_mean_rows(H, sigma_dual, mu)
-        return H / norms[:, None]
+        return unit_rows(H, dual_norms)
 
     starts = [np.ones(n)]
     for g in G:
@@ -232,34 +232,20 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
         best_val = float(vals[top])
         best_h = H[top].copy()
 
-    # tangential line-search polish of the best weight: the fixed point can
-    # circle a basin at the 1e-7 level, and this closes the last stretch
-    h = best_h.copy()
-    etas = np.geomspace(1e-12, 0.5, 24)
-    stall = 0
-    for _ in range(60):
-        c = np.maximum(P @ h, 0.0)
-        grad = t * mu * ((c ** (t - 1.0)) @ G)
-        radial = h ** (sigma_dual - 1.0) * mu
-        rn = float(np.dot(radial, radial))
-        if rn > 0.0:
-            grad = grad - (float(np.dot(grad, radial)) / rn) * radial
-        gn = float(np.linalg.norm(grad))
-        if gn == 0.0:
-            break
-        cands = dual_sphere(np.maximum(h[None, :] + etas[:, None]
-                                       * (grad / gn)[None, :], 0.0))
-        cvals = _psi_rows(cands, P, t)
-        pick = int(np.argmax(cvals))
-        if cvals[pick] > best_val + 1e-16 * (1.0 + best_val):
-            best_val = float(cvals[pick])
-            h = cands[pick]
-            best_h = h.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
+    # the fixed point can circle a basin at the 1e-7 level; a tangential
+    # ascent from the best weight closes the last stretch
+    def grad_rows(H: np.ndarray) -> np.ndarray:
+        c = np.maximum(H @ P.T, 0.0)
+        return t * mu * (c ** (t - 1.0) @ G)
+
+    def radial_rows(H: np.ndarray) -> np.ndarray:
+        return H ** (sigma_dual - 1.0) * mu
+
+    h, val = projected_ascent(lambda H: _psi_rows(H, P, t), grad_rows,
+                              dual_sphere, best_h[None, :], iters=60,
+                              radial_rows=radial_rows)
+    if val[0] > best_val:
+        best_val, best_h = float(val[0]), h[0]
     return best_val ** (1.0 / q), best_h
 
 
@@ -547,33 +533,17 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16, seed=0) -> float:
             return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
     # multistart ascent over the signed dual sphere
-    if isinstance(X, WeightedLebesgue):
-        if X.s == 1.0:
-            def dual_normalize(H: np.ndarray) -> np.ndarray:
-                m = np.abs(H).max(axis=1)
-                m[m == 0.0] = 1.0
-                return H / m[:, None]
-        else:
-            s_dual = X.conjugate_exponent()
-            mu = X.space.weights
-
-            def dual_normalize(H: np.ndarray) -> np.ndarray:
-                norms = power_mean_rows(H, s_dual, mu)
-                bad = norms <= 0.0
-                if np.any(bad):
-                    H = H.copy()
-                    H[bad] = 1.0
-                    norms = power_mean_rows(H, s_dual, mu)
-                return H / norms[:, None]
+    radial_rows = None
+    if isinstance(X, WeightedLebesgue) and X.s > 1.0:
+        dual_space = WeightedLebesgue(space=X.space, s=X.conjugate_exponent())
+        dual_norms = dual_space.norm_rows
+        radial_rows = dual_space.norm_grad_rows
+    elif isinstance(X, WeightedLebesgue):
+        def dual_norms(H: np.ndarray) -> np.ndarray:
+            return np.abs(H).max(axis=1)
     else:
-        from .spaces import kothe_dual_norm
-
-        def dual_normalize(H: np.ndarray) -> np.ndarray:
-            out = H.copy()
-            for i, row in enumerate(out):
-                nrm = kothe_dual_norm(X, np.abs(row))
-                out[i] = row / nrm if nrm > 0 else np.ones(n)
-            return out
+        def dual_norms(H: np.ndarray) -> np.ndarray:
+            return np.array([kothe_dual_norm(X, row) for row in H])
 
     def value_rows(H: np.ndarray) -> np.ndarray:
         return _lq_rows(H @ A.T, q)
@@ -585,11 +555,6 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16, seed=0) -> float:
         W = np.sign(U) * np.abs(U) ** (q - 1.0)
         return (W @ A) / V[:, None] ** (q - 1.0)
 
-    radial_rows = None
-    if isinstance(X, WeightedLebesgue) and X.s > 1.0:
-        dual_space = WeightedLebesgue(space=X.space, s=X.conjugate_exponent())
-        radial_rows = dual_space.norm_grad_rows
-
     rng = np.random.default_rng(seed_list(seed) + [3])
     starts = [np.ones(n)]
     starts.extend(np.eye(n))
@@ -600,9 +565,10 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16, seed=0) -> float:
         pass
     for _ in range(max(4, int(budget))):
         starts.append(rng.normal(size=n))
-    H0 = dual_normalize(np.vstack(starts))
-    _, vals = projected_ascent(value_rows, grad_rows, dual_normalize, H0,
-                               iters=60, nonneg=False, radial_rows=radial_rows)
+    _, vals = projected_ascent(value_rows, grad_rows,
+                               lambda H: unit_rows(H, dual_norms),
+                               np.vstack(starts), iters=60, nonneg=False,
+                               radial_rows=radial_rows)
     return float(vals.max())
 
 
@@ -639,16 +605,6 @@ def q_summing_ratio(T: LinearOperator, q: float, F, budget: int = 16,
                        weak_q_norm(T.domain, F, q, budget=budget, seed=seed))
 
 
-def _unit_rows_or_uniform(X: LatticeNorm, A: np.ndarray) -> np.ndarray:
-    norms = X.norm_rows(A)
-    bad = norms <= 0.0
-    if np.any(bad):
-        A = A.copy()
-        A[bad] = 1.0
-        norms = X.norm_rows(A)
-    return A / norms[:, None]
-
-
 def _image_grad_rows(T: LinearOperator, U: np.ndarray) -> np.ndarray:
     """Row-wise gradient of the codomain norm at the images ``U``."""
     target = T.codomain
@@ -683,7 +639,7 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
         return _image_grad_rows(T, U) @ T.matrix
 
     A, vals = projected_ascent(value_rows, grad_rows,
-                               lambda B: _unit_rows_or_uniform(X, B), A0,
+                               lambda B: unit_rows(B, X.norm_rows), A0,
                                iters=50, nonneg=False,
                                radial_rows=X.norm_grad_rows)
     best = int(np.argmax(vals))

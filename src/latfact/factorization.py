@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (LinearOperator, _image_grad_rows,
-                        _unit_rows_or_uniform, attainment_point,
+from .constants import (LinearOperator, _image_grad_rows, attainment_point,
                         identity_operator, operator_norm_estimate)
 from .estimates import seed_list
-from .search import projected_ascent, sign_patterns, sphere_starts
+from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, NotPConvexError,
@@ -158,7 +157,7 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
         return g1 - Cq * _snorm_q_grad_rows(S, F)
 
     A, vals = projected_ascent(value_rows, grad_rows,
-                               lambda B: _unit_rows_or_uniform(X, B), A0,
+                               lambda B: unit_rows(B, X.norm_rows), A0,
                                iters=50, nonneg=False,
                                radial_rows=X.norm_grad_rows)
     best = int(np.argmax(vals))
@@ -224,8 +223,8 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
     opn_seed = operator_norm_estimate(T, budget=8, seed=base + [17])
     rng = np.random.default_rng(base + [19])
     seeds = list(opn_seed.witness)
-    seeds.extend(_unit_rows_or_uniform(X, rng.normal(size=(2, T.n))))
-    W = _unit_rows_or_uniform(X, np.vstack(seeds))
+    seeds.extend(unit_rows(rng.normal(size=(2, T.n)), X.norm_rows))
+    W = unit_rows(np.vstack(seeds), X.norm_rows)
     bvec = T.codomain_norm_rows(T.apply_rows(W)) ** e.q
     Phi = _phi_matrix(X, e, W, H)
 
@@ -342,7 +341,7 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     S = SNormSpace(base=X, e=e, xi=cert.xi)
     rng = np.random.default_rng([83, *seed_list(seed)])
     F = rng.normal(size=(int(sample_count), T.n))
-    F = _unit_rows_or_uniform(X, F)
+    F = unit_rows(F, X.norm_rows)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     image = T.codomain_norm_rows(T.apply_rows(F))
@@ -372,15 +371,6 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
     starts = sphere_starts(n, max(4, int(budget)), seed)
     A0 = (patterns[:, None, :] * starts[None, :, :]).reshape(-1, n)
 
-    def normalize(F: np.ndarray) -> np.ndarray:
-        norms = S.seminorm_rows(F)
-        bad = norms <= 0.0
-        if np.any(bad):
-            F = F.copy()
-            F[bad] = 1.0
-            norms = S.seminorm_rows(F)
-        return F / norms[:, None]
-
     def value_rows(F: np.ndarray) -> np.ndarray:
         return T.codomain_norm_rows(F @ T.matrix.T)
 
@@ -388,8 +378,10 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
         U = F @ T.matrix.T
         return _image_grad_rows(T, U) @ T.matrix
 
-    _, vals = projected_ascent(value_rows, grad_rows, normalize, A0, iters=50,
-                               nonneg=False, radial_rows=S.norm_grad_rows)
+    _, vals = projected_ascent(value_rows, grad_rows,
+                               lambda F: unit_rows(F, S.seminorm_rows), A0,
+                               iters=50, nonneg=False,
+                               radial_rows=S.norm_grad_rows)
     return float(np.max(vals))
 
 
@@ -410,11 +402,19 @@ def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple, grid=None,
         raise SolverConvergenceError(
             "identity domination solve did not converge; "
             f"relative residual {cert.residual:.3e}")
-    S = SNormSpace(base=X, e=e, xi=cert.xi)
+    return (cert.xi, *_equivalence_range(cert, X, samples, seed))
+
+
+def _equivalence_range(cert: DominationCertificate, X: LatticeNorm,
+                       samples: int, seed) -> tuple[float, float]:
+    """Least and largest ``‖f‖_X / s(f)`` for the certificate's mixture.
+
+    Taken over seeded unit-sphere samples and the certificate's witnesses.
+    """
+    S = SNormSpace(base=X, e=cert.exponents, xi=cert.xi)
     rng = np.random.default_rng([97, *seed_list(seed)])
-    F = rng.normal(size=(int(samples), X.n))
-    F = _unit_rows_or_uniform(X, F)
+    F = unit_rows(rng.normal(size=(int(samples), X.n)), X.norm_rows)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     ratios = X.norm_rows(F) / S.seminorm_rows(F)
-    return cert.xi, float(np.min(ratios)), float(np.max(ratios))
+    return float(np.min(ratios)), float(np.max(ratios))

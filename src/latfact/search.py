@@ -5,6 +5,18 @@ matter through the operator image, while the lattice side depends on
 absolute values, so the search enumerates sign patterns (2^(n-1) for small
 n) and ascends over nonnegative magnitudes on a unit sphere.  Batches put
 restarts in rows so the whole search is a handful of dense numpy ops.
+
+:func:`projected_ascent` is the one sphere ascent of the package.  It runs
+the image ratio of ``constants.operator_norm_estimate``, the violation of
+``factorization.violation_oracle``, the extended norm of
+``factorization.extension_norm_estimate``, the dual-sphere suprema of
+``constants.weak_q_norm`` and the polish of ``constants._curved_dual_sup``,
+and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
+numeric Köthe duals.  :func:`unit_rows` is the one sphere normaliser.
+``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
+it is the independent oracle of acceptance criterion 1, against which the
+duality reduction is checked.  ``estimates._polish_family`` still runs its
+own finite-difference line search over whole families.
 """
 
 from __future__ import annotations
@@ -13,7 +25,10 @@ import itertools
 
 import numpy as np
 
-__all__ = ["sign_patterns", "projected_ascent", "sphere_starts"]
+__all__ = ["sign_patterns", "projected_ascent", "sphere_starts", "unit_rows"]
+
+# step ladder of the line search along the unit ascent direction
+_ETAS = np.geomspace(1e-10, 1.0, 18)
 
 
 def sign_patterns(n: int, cap: int = 12, limit: int | None = None,
@@ -47,16 +62,32 @@ def sphere_starts(n: int, restarts: int, seed) -> np.ndarray:
     return np.vstack(rows)
 
 
+def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
+    """Scale each row of ``A`` onto the unit sphere of ``norm_rows``.
+
+    A row of norm zero first becomes the all-ones row, so every returned
+    row lies on the sphere.
+    """
+    norms = norm_rows(A)
+    bad = norms <= 0.0
+    if bad.any():
+        A = np.array(A, dtype=float)
+        A[bad] = 1.0
+        norms = norm_rows(A)
+    return A / norms[:, None]
+
+
 def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
                      iters: int = 40, nonneg: bool = True,
-                     radial_rows=None, n_etas: int = 18
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     radial_rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gradient ascent with a geometric line search on the sphere.
 
     Each iteration evaluates every row at a ladder of step sizes along its
-    (optionally tangentially projected) gradient and keeps the best
+    (optionally tangentially projected) unit gradient and keeps the best
     improvement, so progress per iteration is scale-free and rows cannot
-    crawl.  Monotone per row, hence a certified lower bound per start;
+    crawl.  A step counts as a gain only above ``1e-15`` times the largest
+    starting value, so rescaling the objective rescales nothing else.
+    Monotone per row, hence a certified lower bound per start;
     deterministic.  ``radial_rows``, when given, returns the row-wise
     gradient of the normalization, which is projected out of the ascent
     direction.
@@ -64,34 +95,31 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
     A = normalize_rows(np.maximum(A0, 0.0) if nonneg else A0)
     R, n = A.shape
     val = value_rows(A)
-    etas = np.geomspace(1e-10, 1.0, n_etas)
+    gain = 1e-15 * float(np.abs(val).max(initial=0.0))
     stall = np.zeros(R, dtype=int)
+    rows = np.arange(R)
     for _ in range(iters):
         G = grad_rows(A)
         if radial_rows is not None:
             U = radial_rows(A)
-            un2 = np.sum(U * U, axis=1)
+            un2 = np.einsum("ij,ij->i", U, U)
             un2[un2 == 0.0] = 1.0
-            G = G - (np.sum(G * U, axis=1) / un2)[:, None] * U
-        gn = np.linalg.norm(G, axis=1)
+            G = G - (np.einsum("ij,ij->i", G, U) / un2)[:, None] * U
+        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
         gn[gn == 0.0] = 1.0
-        G = G / gn[:, None]
-        cand = A[:, None, :] + etas[None, :, None] * G[:, None, :]
-        cand = cand.reshape(R * n_etas, n)
+        cand = (A[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]
+                ).reshape(-1, n)
         if nonneg:
-            cand = np.maximum(cand, 0.0)
+            np.maximum(cand, 0.0, out=cand)
         cand = normalize_rows(cand)
-        cval = value_rows(cand).reshape(R, n_etas)
-        pick = np.argmax(cval, axis=1)
-        cbest = cval[np.arange(R), pick]
-        better = cbest > val + 1e-15
-        rows = np.where(better)[0]
-        if rows.size:
-            chosen = cand.reshape(R, n_etas, n)[rows, pick[rows]]
-            A[rows] = chosen
-            val[rows] = cbest[rows]
-        stall[better] = 0
-        stall[~better] += 1
-        if np.all(stall >= 3):
+        cval = value_rows(cand).reshape(R, _ETAS.size)
+        pick = cval.argmax(axis=1)
+        cbest = cval[rows, pick]
+        better = cbest > val + gain
+        if better.any():
+            A[better] = cand.reshape(R, _ETAS.size, n)[better, pick[better]]
+            val[better] = cbest[better]
+        stall = np.where(better, 0, stall + 1)
+        if stall.min() >= 3:
             break
     return A, val

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import ConstantEstimate, family_search, ratio_objective
+from .search import projected_ascent, unit_rows
 
 __all__ = [
     "DUAL_CERT_SLACK",
@@ -150,15 +151,6 @@ class LatticeNorm:
     def is_p_convex_one(self, p: float) -> bool:
         # the triangle inequality is exactly 1-convexity
         return p <= 1.0 + 1e-12
-
-    def unit_rows(self, F) -> np.ndarray:
-        """Scale each row to the unit sphere; zero rows are left at zero."""
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        norms = self.norm_rows(F)
-        out = F.copy()
-        nz = norms > 0
-        out[nz] = out[nz] / norms[nz, None]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,85 +294,48 @@ def pth_power_norm(X: LatticeNorm, p: float, f) -> float:
     return X.norm(np.abs(f) ** (1.0 / p)) ** p
 
 
-def _linear_sup_over_ball(norm_fn, n: int, g: np.ndarray, *, restarts: int = 8,
-                          iters: int = 200, seed=0,
-                          weights: np.ndarray | None = None) -> float:
-    """sup of ``g . f`` over ``{f >= 0 : norm_fn(f) <= 1}``.
+def _linear_sup_over_ball(norm_rows, h: np.ndarray, weights: np.ndarray,
+                          seed=0) -> float:
+    """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖ <= 1}``, norms by rows.
 
     Candidates: every indicator (corner attainment, exact for sup-norm
-    duals), the power profiles ``g^c`` (which contain the exact conjugate
-    attainment for every Lebesgue exponent), and seeded random directions;
-    the best few are polished by projected ascent.  Linear objective over a
-    convex ball, so every evaluation is a certified lower bound; tight to
-    about 1e-9 on the norms exercised here.
+    duals), the power profiles of ``|h| μ`` and ``|h|`` (which contain the
+    exact conjugate attainment for every Lebesgue exponent), and seeded
+    random directions; :func:`search.projected_ascent` polishes the best
+    four along the sphere, projecting out a one-sided finite-difference
+    gradient of the norm.  Linear objective over a convex ball, so every
+    evaluation is a certified lower bound; tight to about 1e-9 on the norms
+    exercised here.
     """
-    g = np.asarray(g, dtype=float)
+    density = np.abs(h)
+    g = density * weights
     if not np.any(g > 0):
         return 0.0
-
-    def normalize(f: np.ndarray) -> np.ndarray:
-        nrm = norm_fn(f)
-        if nrm == 0.0:
-            f = np.ones_like(f)
-            nrm = norm_fn(f)
-        return f / nrm
-
+    n = g.size
     rng = np.random.default_rng([17, *np.atleast_1d(seed).astype(int).tolist()])
     starts = [np.ones(n)]
     starts.extend(np.eye(n))
-    bases = [g / g.max()]
-    if weights is not None:
-        density = g / weights
-        if np.any(density > 0):
-            bases.append(density / density.max())
-    for base in bases:
-        for c in np.geomspace(0.1, 12.0, 24):
-            starts.append(base ** c)
-    for _ in range(restarts):
-        starts.append(np.abs(rng.normal(size=n)))
+    for base in (g / g.max(), density / density.max()):
+        starts.extend(base ** c for c in np.geomspace(0.1, 12.0, 24))
+    starts.extend(np.abs(rng.normal(size=(8, n))))
 
-    scored = []
-    for f0 in starts:
-        f = normalize(np.maximum(f0, 0.0))
-        scored.append((float(np.dot(g, f)), f))
-    scored.sort(key=lambda pair: -pair[0])
-    best = scored[0][0]
+    def sphere(F: np.ndarray) -> np.ndarray:
+        return unit_rows(F, norm_rows)
 
-    def sphere_grad(f: np.ndarray) -> np.ndarray:
-        h = 1e-7 * max(1.0, float(np.abs(f).max()))
-        grad = np.zeros_like(f)
-        for i in range(f.size):
-            fp = f.copy(); fp[i] += h
-            fm = f.copy(); fm[i] = max(fm[i] - h, 0.0)
-            grad[i] = (norm_fn(fp) - norm_fn(fm)) / (fp[i] - fm[i])
-        return grad
+    def radial_rows(F: np.ndarray) -> np.ndarray:
+        step = 1e-7 * np.maximum(1.0, F.max(axis=1))[:, None, None] * np.eye(n)
+        up = F[:, None, :] + step
+        down = np.maximum(F[:, None, :] - step, 0.0)
+        rise = norm_rows(up.reshape(-1, n)) - norm_rows(down.reshape(-1, n))
+        return rise.reshape(F.shape) / np.einsum("rii->ri", up - down)
 
-    # line search along the component of g tangent to the unit sphere;
-    # the radial part only rescales, so removing it keeps steps effective
-    etas = np.geomspace(1e-12, 1.0, 40)
-    for val, f in scored[:4]:
-        stall = 0
-        for _ in range(iters):
-            u = sphere_grad(f)
-            un = float(np.linalg.norm(u))
-            d = g - (float(np.dot(g, u)) / un ** 2) * u if un > 0 else g
-            dn = float(np.linalg.norm(d))
-            if dn == 0.0:
-                break
-            d = d / dn
-            cands = np.maximum(f[None, :] + etas[:, None] * d[None, :], 0.0)
-            cands = np.array([normalize(c) for c in cands])
-            cvals = cands @ g
-            top = int(np.argmax(cvals))
-            if cvals[top] > val + 1e-16:
-                f, val = cands[top], float(cvals[top])
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 5:
-                    break
-        best = max(best, val)
-    return best
+    F = sphere(np.vstack(starts))
+    scores = F @ g
+    top = np.argsort(-scores, kind="stable")[:4]
+    _, vals = projected_ascent(lambda F: F @ g,
+                               lambda F: np.broadcast_to(g, F.shape), sphere,
+                               F[top], iters=200, radial_rows=radial_rows)
+    return float(max(scores.max(), vals.max()))
 
 
 def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto", seed=0) -> float:
@@ -399,8 +354,7 @@ def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto", seed=0) -> float:
         if X.s == 1.0:
             return float(np.abs(h).max(initial=0.0))
         return power_mean(h, X.conjugate_exponent(), X.space.weights)
-    return _linear_sup_over_ball(X.norm, X.n, np.abs(h) * X.space.weights,
-                                 seed=seed, weights=X.space.weights)
+    return _linear_sup_over_ball(X.norm_rows, h, X.space.weights, seed=seed)
 
 
 def dual_norm_of_pth_power(X: LatticeNorm, p: float, h) -> float:
@@ -411,9 +365,8 @@ def dual_norm_of_pth_power(X: LatticeNorm, p: float, h) -> float:
         raise NotPConvexError(
             f"space is not p-convex with constant one for p={p}")
     h = as_vector(h, X.n)
-    return _linear_sup_over_ball(lambda f: pth_power_norm(X, p, f), X.n,
-                                 np.abs(h) * X.space.weights,
-                                 weights=X.space.weights)
+    return _linear_sup_over_ball(
+        lambda F: X.norm_rows(np.abs(F) ** (1.0 / p)) ** p, h, X.space.weights)
 
 
 def _certify(X: LatticeNorm, p: float, h: np.ndarray) -> DualVector:

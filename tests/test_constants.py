@@ -11,7 +11,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
 from latfact.spaces import extreme_dual_vectors
-from latfact.suite import lemma_instances
+from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
 
 
@@ -265,6 +265,15 @@ class TestOperatorNorm:
         est = operator_norm_estimate(T, budget=12, seed=0)
         assert est.value == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
                                           rel=1e-7)
+
+    def test_scaling_the_operator_scales_the_estimate(self):
+        T = random_operator(3, 3, [1], s=2.0)
+        ref = operator_norm_estimate(T).value
+        for c in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
+            cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
+                                codomain=T.codomain)
+            assert operator_norm_estimate(cT).value / c == pytest.approx(
+                ref, rel=1e-12)
 
 
 class TestChainReport:

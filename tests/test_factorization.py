@@ -99,9 +99,10 @@ class TestFindDominationMeasure:
         assert cert.residual > 0.0
 
 
+    @pytest.mark.parametrize("s", [1.0, 1.5])
     @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8])
-    def test_scaling_the_operator_scales_the_constant(self, c):
-        T = random_operator(3, 3, [1], s=1.0)
+    def test_scaling_the_operator_scales_the_constant(self, c, s):
+        T = random_operator(3, 3, [1], s=s)
         cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
                             codomain=T.codomain)
         cert = find_domination_measure(cT, E12, tol=1e-6, budget=40, seed=0)

@@ -5,6 +5,7 @@ from latfact import (DiscreteRadonMeasure, DualVector, ExponentTriple,
                      SNormSpace, UnsaturatedSpaceError, dirac_space,
                      family_sup_lhs, inclusion_bound_check, partition_space,
                      s_norm, xi_saturation_check)
+from latfact.spaces import dual_norm_of_pth_power
 from conftest import make_space
 
 
@@ -111,6 +112,20 @@ class TestDiracSpace:
                     direct = float(np.sum(np.abs(f) ** p * g * weights) ** (1 / p))
                     assert s_norm(S, f) == pytest.approx(direct, rel=1e-12,
                                                          abs=1e-300)
+
+    def test_numeric_dual_norm_is_the_largest_density_ratio(self):
+        # the p-th power of a dirac mixture is f -> ∫ |f| g dμ, whose Köthe
+        # dual norm is max(h / g); no closed form is registered for it, so
+        # this checks the numeric dual-ball route
+        rng = np.random.default_rng(29)
+        for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, 3.0)):
+            X = make_space(rng.uniform(0.5, 2.0, size=4), p)
+            g = rng.uniform(0.1, 1.0, size=4)
+            S = dirac_space(X, ExponentTriple(p=p, q=q), g / np.max(g))
+            for _ in range(3):
+                h = rng.uniform(0.0, 2.0, size=4)
+                assert dual_norm_of_pth_power(S, p, h) == pytest.approx(
+                    np.max(h * np.max(g) / g), rel=1e-9)
 
     def test_rejects_weight_with_zero_entry(self):
         X = make_space([1, 1], 1)
