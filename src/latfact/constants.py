@@ -11,18 +11,25 @@ denominators give an exact witness-transfer chain
     operator_norm <= M_q <= M_pq <= pi_q
 
 which :func:`constant_chain_report` checks and reports.
+
+The ratios and the two denominators with an inner supremum
+(:func:`family_sup_lhs`, :func:`weak_q_norm`) take a family ``(m, n)`` or a
+stack of families ``(K, m, n)``; a stack is solved in one batched pass and
+gives one value per family.  Matrix products over a stack go through
+``np.matmul``, one product per family, and the last root of a value is a
+scalar power, so a family's value does not depend on the stack it is in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimates import ConstantEstimate, family_search, ratio_objective, seed_list
+from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
 from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
-from .spaces import (DualVector, ExponentTriple, LatticeNorm,
+from .snorm import SNormSpace
+from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
                      WeightedLebesgue, as_vector, extreme_dual_vectors,
                      kothe_dual_norm, power_mean, power_mean_rows)
 
@@ -60,13 +67,13 @@ class EuclideanNorm:
 
     def norm_rows(self, V) -> np.ndarray:
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        return np.linalg.norm(V, axis=1)
+        return np.sqrt((V * V).sum(axis=-1))
 
     def norm_grad_rows(self, V) -> np.ndarray:
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        norms = np.linalg.norm(V, axis=1)
+        norms = self.norm_rows(V)
         norms = np.where(norms == 0.0, 1.0, norms)
-        return V / norms[:, None]
+        return V / norms[..., None]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EuclideanNorm) and self.dim == other.dim
@@ -134,22 +141,59 @@ def identity_operator(X: LatticeNorm) -> LinearOperator:
     return LinearOperator(matrix=np.eye(X.n), domain=X, codomain=X)
 
 
-def _family_matrix(F, n: int) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(F, dtype=float))
-    if arr.size == 0:
+def _family_stack(F, n: int) -> tuple[np.ndarray, bool]:
+    """A family ``(m, n)`` (a vector is a family of one) or a stack of them.
+
+    Returns the stack ``(K, m, n)`` and whether a single family came in.
+    """
+    arr = np.asarray(F, dtype=float)
+    single = arr.ndim <= 2
+    if single:
+        arr = np.atleast_2d(arr)[None]
+    if arr.ndim != 3 or arr.size == 0:
         raise ValueError("family must be nonempty")
-    if arr.shape[1] != n:
+    if arr.shape[2] != n:
         raise ValueError(f"family vectors must have length {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("family has non-finite entries")
-    return arr
+    return arr, single
 
 
-def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float:
-    """``‖ (sum_i |f_i|^t)^{1/t} ‖_X`` for a family stacked as rows."""
-    F = _family_matrix(F, X.n)
-    agg = (np.abs(F) ** t).sum(axis=0) ** (1.0 / t)
-    return X.norm(agg)
+def _family_matrix(F, n: int) -> np.ndarray:
+    F, single = _family_stack(F, n)
+    if not single:
+        raise ValueError("expected one family, got a stack")
+    return F[0]
+
+
+def _unstack(values: np.ndarray, single: bool) -> float | np.ndarray:
+    return float(values[0]) if single else values
+
+
+def _scalar_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` by scalar ``pow``; numpy's array power can differ by an ulp."""
+    return np.array([v ** y for v in x.tolist()])
+
+
+def _per_family(fn, F: np.ndarray) -> np.ndarray:
+    """Evaluate ``fn`` on the nonzero families of a stack; zero families get 0."""
+    nonzero = F.any(axis=(1, 2))
+    if nonzero.all():
+        return fn(F)
+    out = np.zeros(F.shape[0])
+    if nonzero.any():
+        out[nonzero] = fn(F[nonzero])
+    return out
+
+
+def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float | np.ndarray:
+    """``‖ (sum_i |f_i|^t)^{1/t} ‖_X`` for a family stacked as rows.
+
+    A stack of families gives one value per family.
+    """
+    F, single = _family_stack(F, X.n)
+    agg = (np.abs(F) ** t).sum(axis=1) ** (1.0 / t)
+    return _unstack(np.array([X.norm(a) for a in agg]), single)
 
 
 # ---------------------------------------------------------------------------
@@ -157,30 +201,37 @@ def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _psi_rows(H: np.ndarray, P: np.ndarray, t: float) -> np.ndarray:
-    """psi(h) = sum_i (integral of g_i against h)^t, batched over rows of H."""
-    c = np.maximum(H @ P.T, 0.0)
-    return (c ** t).sum(axis=1)
+    """psi(h) = sum_i (integral of g_i against h)^t, batched over rows of H.
+
+    ``H`` and ``P`` may carry a leading stack axis (one ``P`` per family).
+    """
+    c = np.maximum(H @ np.swapaxes(P, -1, -2), 0.0)
+    return (c ** t).sum(axis=-1)
 
 
 def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
-                     F: np.ndarray) -> tuple[float, np.ndarray]:
+                     F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Supremum of ``psi(h)^{1/q}`` over the positive dual ball of X_p.
 
-    Curved-ball case (``s > p``): the first-order condition is the fixed
-    point ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``, iterated from canonical
-    and seeded starts; :func:`search.projected_ascent` then polishes the
-    best iterate along the dual sphere.  Every iterate is feasible, so the
-    best value seen is a certified lower bound; at these sizes the
-    multistart is empirically exact and is validated against the
-    brute-force scaled-family side.
+    Curved-ball case (``s > p``), for a stack of families ``(K, m, n)``.
+    The first-order condition is the fixed point
+    ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``; five plain steps of it run
+    from canonical and seeded starts, and :func:`search.projected_ascent`
+    then polishes the best row of the fifth iterate along the dual sphere.
+    Every iterate is feasible, so the value is a certified lower bound; at
+    these sizes the multistart is empirically exact and is validated
+    against the brute-force scaled-family side.  Returns the values
+    ``(K,)`` and the maximizing weights ``(K, n)``.
     """
     mu = X.space.weights
     n = X.n
+    K = F.shape[0]
     p, q, t = e.p, e.q, e.t
     sigma = X.s / p
     sigma_dual = sigma / (sigma - 1.0)
     G = np.abs(F) ** p
     P = G * mu
+    PT = P.transpose(0, 2, 1)
 
     if sigma_dual <= 64.0:  # scaled power mean only for huge exponents
         def dual_norms(H: np.ndarray) -> np.ndarray:
@@ -192,64 +243,52 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     def dual_sphere(H: np.ndarray) -> np.ndarray:
         return unit_rows(H, dual_norms)
 
-    starts = [np.ones(n)]
-    for g in G:
-        if np.any(g > 0):
-            scaled = g / g.max()
-            starts.append(scaled ** (sigma - 1.0))
-    starts.extend(np.eye(n))
+    # starts: uniform, the norming profile of each |f_i|^p (uniform again
+    # for a zero row), indicators and seeded noise
+    gmax = G.max(axis=2, keepdims=True)
+    profiles = np.where(gmax > 0.0,
+                        (G / np.where(gmax > 0.0, gmax, 1.0)) ** (sigma - 1.0),
+                        1.0)
     rng = np.random.default_rng(7)
-    starts.extend(np.abs(rng.normal(size=(8, n))))
-    H = dual_sphere(np.vstack(starts))
-
-    best_val = -np.inf
-    best_h = H[0]
-    stagnant = 0
-    for _ in range(160):
-        vals = _psi_rows(H, P, t)
-        top = int(np.argmax(vals))
-        if vals[top] > best_val + 1e-16 * (1.0 + abs(best_val)):
-            best_val = float(vals[top])
-            best_h = H[top].copy()
-            stagnant = 0
-        else:
-            stagnant += 1
-            if stagnant >= 6:
-                break
-        c = np.maximum(H @ P.T, 0.0)
-        W = c ** (t - 1.0)
+    tail = np.vstack([np.eye(n), np.abs(rng.normal(size=(8, n)))])
+    H = dual_sphere(np.concatenate(
+        [np.ones((K, 1, n)), profiles, np.broadcast_to(tail, (K, *tail.shape))],
+        axis=1))
+    for _ in range(5):
+        W = np.maximum(H @ PT, 0.0) ** (t - 1.0)
         Gw = W @ G
-        scale = Gw.max(axis=1)
+        scale = Gw.max(axis=2)
         dead = scale <= 0.0
         if np.any(dead):
             Gw = Gw.copy()
             Gw[dead] = 1.0
-            scale = Gw.max(axis=1)
-        H = dual_sphere((Gw / scale[:, None]) ** (sigma - 1.0))
+            scale = Gw.max(axis=2)
+        H = dual_sphere((Gw / scale[..., None]) ** (sigma - 1.0))
     vals = _psi_rows(H, P, t)
-    top = int(np.argmax(vals))
-    if vals[top] > best_val:
-        best_val = float(vals[top])
-        best_h = H[top].copy()
+    top = vals.argmax(axis=1)
+    best_val = vals[np.arange(K), top]
+    best_h = H[np.arange(K), top]
 
     # the fixed point can circle a basin at the 1e-7 level; a tangential
     # ascent from the best weight closes the last stretch
     def grad_rows(H: np.ndarray) -> np.ndarray:
-        c = np.maximum(H @ P.T, 0.0)
+        c = np.maximum(H @ PT, 0.0)
         return t * mu * (c ** (t - 1.0) @ G)
 
     def radial_rows(H: np.ndarray) -> np.ndarray:
         return H ** (sigma_dual - 1.0) * mu
 
     h, val = projected_ascent(lambda H: _psi_rows(H, P, t), grad_rows,
-                              dual_sphere, best_h[None, :], iters=60,
+                              dual_sphere, best_h[:, None, :], iters=60,
                               radial_rows=radial_rows)
-    if val[0] > best_val:
-        best_val, best_h = float(val[0]), h[0]
-    return best_val ** (1.0 / q), best_h
+    gained = val[:, 0] > best_val
+    best_val = np.where(gained, val[:, 0], best_val)
+    best_h = np.where(gained[:, None], h[:, 0], best_h)
+    return _scalar_pow(best_val, 1.0 / q), best_h
 
 
-def family_sup_lhs(X: LatticeNorm, e: ExponentTriple, F) -> float:
+def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
+                   F) -> float | np.ndarray:
     """Supremum over unit scalings of ``‖(sum_i |beta_i f_i|^p)^{1/p}‖_X``.
 
     The scaling vector ranges over the unit ball of the sequence space with
@@ -259,22 +298,24 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple, F) -> float:
     at ``s = p`` the value collapses to ``(sum_i ‖f_i‖_{L^p}^q)^{1/q}``,
     and for ``s > p`` the remaining dual-ball supremum is computed by the
     attainment fixed point.  Other domains use a grid-plus-polish search on
-    the scaling side and return a certified lower bound.
+    the scaling side and return a certified lower bound.  A stack of
+    families ``(K, m, n)`` gives the ``(K,)`` values in one pass.
     """
-    F = _family_matrix(F, X.n)
-    if not np.any(F):
-        return 0.0
+    F, single = _family_stack(F, X.n)
+    return _unstack(_per_family(lambda G: _sup_lhs(X, e, G), F), single)
+
+
+def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
     if e.is_extreme:
         return lattice_aggregate_norm(X, F, e.p)
     if isinstance(X, WeightedLebesgue):
         sigma = X.s / e.p
         if sigma <= 1.0 + 1e-9:
-            mu = X.space.weights
-            row_norms = power_mean_rows(F, e.p, mu)
-            return float(np.sum(row_norms ** e.q) ** (1.0 / e.q))
-        value, _ = _curved_dual_sup(X, e, F)
-        return value
-    return brute_force_family_sup(X, e, F, step=1.0 / 40.0)
+            row_norms = power_mean_rows(F, e.p, X.space.weights)
+            return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
+        return _curved_dual_sup(X, e, F)[0]
+    return np.array([brute_force_family_sup(X, e, f, step=1.0 / 40.0)
+                     for f in F])
 
 
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
@@ -321,7 +362,7 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
             h = np.ones(X.n)
             nrm = power_mean(h, sigma / (sigma - 1.0), X.space.weights)
             return DualVector(h=h / nrm, certified_norm=1.0)
-        _, h = _curved_dual_sup(X, e, F)
+        h = _curved_dual_sup(X, e, F[None])[1][0]
         sigma_dual = sigma / (sigma - 1.0)
         nrm = power_mean(h, sigma_dual, X.space.weights)
         return DualVector(h=h / nrm, certified_norm=1.0)
@@ -506,31 +547,56 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
 # ---------------------------------------------------------------------------
 
 def _lq_rows(U: np.ndarray, q: float) -> np.ndarray:
-    return (np.abs(U) ** q).sum(axis=1) ** (1.0 / q)
+    return (np.abs(U) ** q).sum(axis=-1) ** (1.0 / q)
 
 
-def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16, seed=0) -> float:
+def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
+                seed=0) -> float | np.ndarray:
     """sup over the dual unit ball of ``(sum_i |<h, f_i>|^q)^{1/q}``.
 
     Closed routes for weighted Lebesgue domains: vertex enumeration when
     ``s = 1`` (the dual ball is a cube, and the objective is convex), and
-    the top singular value when ``s = q = 2``.  Anything else runs a seeded
-    multistart ascent over the dual sphere and returns a certified lower
-    bound.
+    the top singular value when ``s = q = 2``.  A one-atom mixture space
+    with a strictly positive atom is the weighted ``L^p`` space it collapses
+    to and takes the same routes.  Anything else runs a seeded multistart
+    ascent over the dual sphere and returns a certified lower bound.  A
+    stack of families ``(K, m, n)`` gives the ``(K,)`` values in one pass.
     """
-    F = _family_matrix(F, X.n)
-    if not np.any(F):
-        return 0.0
-    n = X.n
-    A = F * X.space.weights  # pairing matrix: <h, f_i> = (A h)_i
+    F, single = _family_stack(F, X.n)
+    return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
+                    single)
+
+
+def _collapsed_dirac(X: LatticeNorm) -> LatticeNorm:
+    """The weighted ``L^p`` space isometric to a one-atom mixture space.
+
+    ``(c (∫|f|^p h dμ)^{q/p})^{1/q} = (∫|f|^p c^{p/q} h dμ)^{1/p}``; the
+    norm, hence its dual ball of functionals, is the same.  Other spaces
+    are returned unchanged.
+    """
+    if not isinstance(X, SNormSpace) or len(X.xi) != 1:
+        return X
+    h = X.xi.atoms[0].h
+    if not np.all(h > 0.0):
+        return X
+    c = float(X.xi.masses[0])
+    weights = c ** (X.e.p / X.e.q) * h * X.space.weights
+    return WeightedLebesgue(space=MeasureSpace(weights=weights), s=X.e.p)
+
+
+def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
+            seed) -> np.ndarray:
+    X = _collapsed_dirac(X)
+    K, _, n = F.shape
+    A = F * X.space.weights  # pairing matrices: <h, f_i> = (A h)_i
+    AT = A.transpose(0, 2, 1)
     if isinstance(X, WeightedLebesgue):
         if X.s == 1.0 and n <= 16:
-            patterns = sign_patterns(n, cap=16)
-            U = patterns @ A.T
-            return float(_lq_rows(U, q).max())
+            U = sign_patterns(n, cap=16) @ AT
+            return _lq_rows(U, q).max(axis=1)
         if X.s == 2.0 and q == 2.0:
             scaled = F * np.sqrt(X.space.weights)
-            return float(np.linalg.svd(scaled, compute_uv=False)[0])
+            return np.linalg.svd(scaled, compute_uv=False)[:, 0]
 
     # multistart ascent over the signed dual sphere
     radial_rows = None
@@ -540,69 +606,68 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16, seed=0) -> float:
         radial_rows = dual_space.norm_grad_rows
     elif isinstance(X, WeightedLebesgue):
         def dual_norms(H: np.ndarray) -> np.ndarray:
-            return np.abs(H).max(axis=1)
+            return np.abs(H).max(axis=-1)
     else:
         def dual_norms(H: np.ndarray) -> np.ndarray:
-            return np.array([kothe_dual_norm(X, row) for row in H])
+            norms = [kothe_dual_norm(X, row) for row in H.reshape(-1, n)]
+            return np.array(norms).reshape(H.shape[:-1])
 
     def value_rows(H: np.ndarray) -> np.ndarray:
-        return _lq_rows(H @ A.T, q)
+        return _lq_rows(H @ AT, q)
 
     def grad_rows(H: np.ndarray) -> np.ndarray:
-        U = H @ A.T
+        U = H @ AT
         V = value_rows(H)
         V = np.where(V == 0.0, 1.0, V)
         W = np.sign(U) * np.abs(U) ** (q - 1.0)
-        return (W @ A) / V[:, None] ** (q - 1.0)
+        return (W @ A) / V[..., None] ** (q - 1.0)
 
+    # starts: uniform, indicators, the top right singular vector, noise
     rng = np.random.default_rng(seed_list(seed) + [3])
-    starts = [np.ones(n)]
-    starts.extend(np.eye(n))
+    head = np.vstack([np.ones(n), np.eye(n)])
     try:
-        _, _, vt = np.linalg.svd(A)
-        starts.append(vt[0])
-    except np.linalg.LinAlgError:
-        pass
-    for _ in range(max(4, int(budget))):
-        starts.append(rng.normal(size=n))
+        top = np.linalg.svd(A)[2][:, :1]
+    except np.linalg.LinAlgError:  # no singular start: repeat the uniform one
+        top = np.ones((K, 1, n))
+    noise = rng.normal(size=(max(4, int(budget)), n))
+    starts = np.concatenate([np.broadcast_to(head, (K, *head.shape)), top,
+                             np.broadcast_to(noise, (K, *noise.shape))], axis=1)
     _, vals = projected_ascent(value_rows, grad_rows,
                                lambda H: unit_rows(H, dual_norms),
-                               np.vstack(starts), iters=60, nonneg=False,
+                               starts, iters=60, nonneg=False,
                                radial_rows=radial_rows)
-    return float(vals.max())
+    return vals.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # ratios and estimators
 # ---------------------------------------------------------------------------
 
-def _image_q_sum(T: LinearOperator, F: np.ndarray, q: float) -> float:
-    norms = T.codomain_norm_rows(T.apply_rows(F))
-    return float(np.sum(norms ** q) ** (1.0 / q))
+def _image_q_sum(T: LinearOperator, F: np.ndarray, q: float) -> np.ndarray:
+    """``(sum_i ‖T f_i‖^q)^{1/q}`` for each family of a stack ``(K, m, n)``."""
+    norms = T.codomain_norm_rows(F @ T.matrix.T)
+    return _scalar_pow((norms ** q).sum(axis=1), 1.0 / q)
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    if not math.isfinite(den) or den <= 0.0 or not math.isfinite(num) or num <= 0.0:
-        return 0.0
-    return num / den
+def q_concavity_ratio(T: LinearOperator, q: float, F) -> float | np.ndarray:
+    F, single = _family_stack(F, T.n)
+    return _unstack(safe_ratio(_image_q_sum(T, F, q),
+                                lattice_aggregate_norm(T.domain, F, q)), single)
 
 
-def q_concavity_ratio(T: LinearOperator, q: float, F) -> float:
-    F = _family_matrix(F, T.n)
-    return _safe_ratio(_image_q_sum(T, F, q),
-                       lattice_aggregate_norm(T.domain, F, q))
-
-
-def pq_concavity_ratio(T: LinearOperator, e: ExponentTriple, F) -> float:
-    F = _family_matrix(F, T.n)
-    return _safe_ratio(_image_q_sum(T, F, e.q), family_sup_lhs(T.domain, e, F))
+def pq_concavity_ratio(T: LinearOperator, e: ExponentTriple,
+                       F) -> float | np.ndarray:
+    F, single = _family_stack(F, T.n)
+    return _unstack(safe_ratio(_image_q_sum(T, F, e.q),
+                                family_sup_lhs(T.domain, e, F)), single)
 
 
 def q_summing_ratio(T: LinearOperator, q: float, F, budget: int = 16,
-                    seed=0) -> float:
-    F = _family_matrix(F, T.n)
-    return _safe_ratio(_image_q_sum(T, F, q),
-                       weak_q_norm(T.domain, F, q, budget=budget, seed=seed))
+                    seed=0) -> float | np.ndarray:
+    F, single = _family_stack(F, T.n)
+    return _unstack(safe_ratio(
+        _image_q_sum(T, F, q),
+        weak_q_norm(T.domain, F, q, budget=budget, seed=seed)), single)
 
 
 def _image_grad_rows(T: LinearOperator, U: np.ndarray) -> np.ndarray:
@@ -652,9 +717,8 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
 def q_concavity_estimate(T: LinearOperator, q: float, budget: int = 16,
                          seed=0) -> ConstantEstimate:
     """Lower bound on the q-concavity constant ``M_q(T)`` with witness."""
-    ratio = ratio_objective(lambda F: _image_q_sum(T, F, q),
-                            lambda F: lattice_aggregate_norm(T.domain, F, q))
-    value, witness, used = family_search(ratio, T.n, m_max=8,
+    value, witness, used = family_search(lambda F: q_concavity_ratio(T, q, F),
+                                         T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="M_q", value=value, witness=witness,
                             budget_used=used)
@@ -668,9 +732,8 @@ def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
     identical seeds and budgets reproduce :func:`q_concavity_estimate`
     bit for bit.
     """
-    ratio = ratio_objective(lambda F: _image_q_sum(T, F, e.q),
-                            lambda F: family_sup_lhs(T.domain, e, F))
-    value, witness, used = family_search(ratio, T.n, m_max=8,
+    value, witness, used = family_search(lambda F: pq_concavity_ratio(T, e, F),
+                                         T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="M_pq", value=value, witness=witness,
                             budget_used=used)
@@ -679,10 +742,8 @@ def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
 def q_summing_estimate(T: LinearOperator, q: float, budget: int = 16,
                        seed=0) -> ConstantEstimate:
     """Lower bound on the q-summing constant ``pi_q(T)`` with witness."""
-    ratio = ratio_objective(
-        lambda F: _image_q_sum(T, F, q),
-        lambda F: weak_q_norm(T.domain, F, q, budget=8, seed=seed))
-    value, witness, used = family_search(ratio, T.n, m_max=8,
+    value, witness, used = family_search(
+        lambda F: q_summing_ratio(T, q, F, budget=8, seed=seed), T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="pi_q", value=value, witness=witness,
                             budget_used=used)

@@ -7,6 +7,13 @@ be reproduced by replaying the ratio on the witness.  The search is a
 seeded multi-restart coordinate ascent on the flattened family; restarts
 are independent, so estimates are deterministic given the seed and
 monotone nondecreasing in the restart budget.
+
+Ratios are stacked: they map a stack of families ``(K, m, n)`` to the
+``(K,)`` ratios, one per family, and a family's value does not depend on
+the stack it sits in.  The search hands every batch of probes it would
+otherwise evaluate one by one to the ratio as one stack: the ±δ pair of a
+coordinate step, the central-difference probes of a gradient, and the
+line-search ladder along it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ConstantEstimate", "family_search", "ratio_objective", "seed_list"]
+__all__ = ["ConstantEstimate", "family_search", "safe_ratio", "seed_list"]
 
 
 def seed_list(seed) -> list[int]:
@@ -51,20 +58,10 @@ class ConstantEstimate:
         }
 
 
-def ratio_objective(num_fn: Callable[[np.ndarray], float],
-                    den_fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
-    """Combine numerator/denominator into a ratio with a 0/0 -> 0 convention."""
-
-    def ratio(F: np.ndarray) -> float:
-        den = den_fn(F)
-        if not math.isfinite(den) or den <= 0.0:
-            return 0.0
-        num = num_fn(F)
-        if not math.isfinite(num) or num <= 0.0:
-            return 0.0
-        return num / den
-
-    return ratio
+def safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` per family, and 0 where either is not finite and positive."""
+    ok = (den > 0.0) & (den < math.inf) & (num > 0.0) & (num < math.inf)
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
 def _initial_family(rng: np.random.Generator, m: int, n: int, style: int) -> np.ndarray:
@@ -86,31 +83,35 @@ def _initial_family(rng: np.random.Generator, m: int, n: int, style: int) -> np.
     return F
 
 
-def _polish_family(ratio: Callable[[np.ndarray], float], F: np.ndarray,
+def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
                    sweeps: int) -> tuple[float, np.ndarray]:
     """Coordinate ascent plus gradient line search on the flattened family.
 
     Coordinate sweeps with a shrinking step move the family between support
     patterns; the ratio is then polished by numeric-gradient ascent with a
     geometric line search, which moves all coordinates together and
-    converges where single-coordinate steps zigzag.
+    converges where single-coordinate steps zigzag.  ``ratio`` is stacked;
+    each batch of probes is one call, scanned in the order a one-by-one
+    search would try them.  After a ``+δ`` step is accepted the ``-δ``
+    probe, which would return to the start, is not taken.
     """
-    val = ratio(F)
+    val = float(ratio(F[None])[0])
     delta = 0.5
     m, n = F.shape
     for _ in range(sweeps):
         improved = False
         for i in range(m):
             for j in range(n):
-                for direction in (delta, -delta):
-                    old = F[i, j]
-                    F[i, j] = old + direction
-                    cand = ratio(F)
-                    if cand > val + max(1e-15, 1e-13 * abs(val)):
-                        val = cand
+                pair = np.array((F, F))
+                pair[0, i, j] += delta
+                pair[1, i, j] -= delta
+                cands = ratio(pair)
+                for k in range(2):
+                    if cands[k] > val + max(1e-15, 1e-13 * abs(val)):
+                        F[i, j] = pair[k, i, j]
+                        val = float(cands[k])
                         improved = True
-                    else:
-                        F[i, j] = old
+                        break
         if not improved:
             delta *= 0.5
             if delta < 1e-3:
@@ -118,31 +119,29 @@ def _polish_family(ratio: Callable[[np.ndarray], float], F: np.ndarray,
         scale = np.max(np.abs(F))
         if scale > 0:  # the ratio is scale-invariant; keep coordinates O(1)
             F /= scale
-            val = ratio(F)
+            val = float(ratio(F[None])[0])
 
     etas = np.geomspace(1e-8, 1.0, 22)
-    grad = np.zeros_like(F)
+    cells = np.arange(m * n)
+    rows, cols = np.divmod(cells, n)
     stall = 0
     for _ in range(60):
         step = 1e-6 * max(1.0, float(np.max(np.abs(F))))
-        for i in range(m):
-            for j in range(n):
-                old = F[i, j]
-                F[i, j] = old + step
-                up = ratio(F)
-                F[i, j] = old - step
-                down = ratio(F)
-                F[i, j] = old
-                grad[i, j] = (up - down) / (2.0 * step)
+        # probes (cell, +step) and (cell, -step), cell by cell
+        probes = np.broadcast_to(F, (m * n, 2, m, n)).copy()
+        probes[cells, 0, rows, cols] += step
+        probes[cells, 1, rows, cols] -= step
+        pv = ratio(probes.reshape(-1, m, n)).reshape(m, n, 2)
+        grad = (pv[:, :, 0] - pv[:, :, 1]) / (2.0 * step)
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             break
         direction = grad / gn
+        cands = ratio(F + etas[:, None, None] * direction)
         best_eta, best_val = 0.0, val
-        for eta in etas:
-            cand = ratio(F + eta * direction)
+        for eta, cand in zip(etas, cands):
             if cand > best_val + 1e-15:
-                best_eta, best_val = eta, cand
+                best_eta, best_val = eta, float(cand)
         if best_eta == 0.0:
             stall += 1
             if stall >= 2:
@@ -154,11 +153,12 @@ def _polish_family(ratio: Callable[[np.ndarray], float], F: np.ndarray,
     return val, F
 
 
-def family_search(ratio: Callable[[np.ndarray], float], n: int, *,
+def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
                   m_max: int = 6, budget: int = 16, seed=0,
                   sweeps: int = 40) -> tuple[float, tuple[np.ndarray, ...], int]:
     """Maximize ``ratio`` over families of at most ``m_max`` vectors.
 
+    ``ratio`` is stacked: it maps families ``(K, m, n)`` to ``(K,)``.
     Returns ``(value, witness_family, budget_used)``.  ``budget`` counts
     independent restarts; restart ``k`` uses its own child seed, so a longer
     budget can only extend the list of candidates (monotonicity), and ties

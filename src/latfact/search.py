@@ -12,11 +12,15 @@ the image ratio of ``constants.operator_norm_estimate``, the violation of
 ``factorization.extension_norm_estimate``, the dual-sphere suprema of
 ``constants.weak_q_norm`` and the polish of ``constants._curved_dual_sup``,
 and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
-numeric Köthe duals.  :func:`unit_rows` is the one sphere normaliser.
+numeric Köthe duals.  It iterates only live rows: a row whose line search
+finds no gain is never recomputed.  The two ``constants`` callers pass a
+stack of problems, one per family, so a stack of families is one ascent.
+:func:`unit_rows` is the one sphere normaliser.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
-own finite-difference line search over whole families.
+own finite-difference line search over whole families; it evaluates each
+batch of probes as one stacked ratio call.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ def sphere_starts(n: int, restarts: int, seed) -> np.ndarray:
 def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
     """Scale each row of ``A`` onto the unit sphere of ``norm_rows``.
 
-    A row of norm zero first becomes the all-ones row, so every returned
-    row lies on the sphere.
+    ``A`` may carry leading stack axes, ``(..., n)``; ``norm_rows`` maps it
+    to the norms ``(...)``.  A row of norm zero first becomes the all-ones
+    row, so every returned row lies on the sphere.
     """
     norms = norm_rows(A)
     bad = norms <= 0.0
@@ -74,7 +79,7 @@ def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
         A = np.array(A, dtype=float)
         A[bad] = 1.0
         norms = norm_rows(A)
-    return A / norms[:, None]
+    return A / norms[..., None]
 
 
 def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
@@ -82,44 +87,70 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
                      radial_rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gradient ascent with a geometric line search on the sphere.
 
-    Each iteration evaluates every row at a ladder of step sizes along its
-    (optionally tangentially projected) unit gradient and keeps the best
-    improvement, so progress per iteration is scale-free and rows cannot
-    crawl.  A step counts as a gain only above ``1e-15`` times the largest
-    starting value, so rescaling the objective rescales nothing else.
-    Monotone per row, hence a certified lower bound per start;
-    deterministic.  ``radial_rows``, when given, returns the row-wise
-    gradient of the normalization, which is projected out of the ascent
-    direction.
+    Each iteration evaluates every live row at a ladder of step sizes along
+    its (optionally tangentially projected) unit gradient and keeps the
+    best improvement, so progress per iteration is scale-free and rows
+    cannot crawl.  A step counts as a gain only above ``1e-15`` times the
+    largest starting value, so rescaling the objective rescales nothing
+    else.  The callbacks are row-wise and deterministic, so a row whose
+    line search finds no gain would find none again: it stops being live
+    and is never recomputed.  Monotone per row, hence a certified lower
+    bound per start; deterministic.  ``radial_rows``, when given, returns
+    the row-wise gradient of the normalization, which is projected out of
+    the ascent direction.
+
+    ``A0`` is ``(R, n)``, or a stack ``(K, R, n)`` of independent problems
+    whose callbacks take stacks ``(K, L, n)`` and return ``(K, L)`` values
+    or ``(K, L, n)`` rows; each problem then gets the gain threshold of its
+    own starting values, and the result is ``(K, R, n)`` rows with
+    ``(K, R)`` values.
     """
+    stacked = A0.ndim == 3
+
+    def call(fn, B: np.ndarray) -> np.ndarray:
+        return fn(B) if stacked else fn(B[0])[None]
+
     A = normalize_rows(np.maximum(A0, 0.0) if nonneg else A0)
-    R, n = A.shape
     val = value_rows(A)
-    gain = 1e-15 * float(np.abs(val).max(initial=0.0))
-    stall = np.zeros(R, dtype=int)
-    rows = np.arange(R)
+    if not stacked:
+        A, val = A[None], val[None]
+    K, R, n = A.shape
+    gain = 1e-15 * np.abs(val).max(axis=1, initial=0.0)
+    live = np.ones((K, R), dtype=bool)
+    stack = np.arange(K)[:, None]
     for _ in range(iters):
-        G = grad_rows(A)
+        count = live.sum(axis=1)
+        L = int(count.max())
+        if L == 0:
+            break
+        # each problem's live rows first, in order; slots past its count
+        # hold dead rows, evaluated only to keep the stack rectangular
+        order = np.argsort(~live, axis=1, kind="stable")[:, :L]
+        slot = np.arange(L) < count[:, None]
+        B = A[stack, order]
+        flat = B.reshape(-1, n)
+        G = call(grad_rows, B).reshape(-1, n)
         if radial_rows is not None:
-            U = radial_rows(A)
+            U = call(radial_rows, B).reshape(-1, n)
             un2 = np.einsum("ij,ij->i", U, U)
             un2[un2 == 0.0] = 1.0
             G = G - (np.einsum("ij,ij->i", G, U) / un2)[:, None] * U
         gn = np.sqrt(np.einsum("ij,ij->i", G, G))
         gn[gn == 0.0] = 1.0
-        cand = (A[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]
-                ).reshape(-1, n)
+        cand = flat[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]
         if nonneg:
             np.maximum(cand, 0.0, out=cand)
-        cand = normalize_rows(cand)
-        cval = value_rows(cand).reshape(R, _ETAS.size)
-        pick = cval.argmax(axis=1)
-        cbest = cval[rows, pick]
-        better = cbest > val + gain
-        if better.any():
-            A[better] = cand.reshape(R, _ETAS.size, n)[better, pick[better]]
-            val[better] = cbest[better]
-        stall = np.where(better, 0, stall + 1)
-        if stall.min() >= 3:
-            break
+        cand = call(normalize_rows, cand.reshape(K, -1, n))
+        cval = call(value_rows, cand).reshape(K, L, _ETAS.size)
+        pick = cval.argmax(axis=2)
+        cbest = cval.max(axis=2)
+        better = (cbest > val[stack, order] + gain[:, None]) & slot
+        ks, js = np.nonzero(better)
+        rows = order[ks, js]
+        A[ks, rows] = cand.reshape(K, L, _ETAS.size, n)[ks, js, pick[ks, js]]
+        val[ks, rows] = cbest[ks, js]
+        live[:] = False
+        live[ks, rows] = True
+    if not stacked:
+        return A[0], val[0]
     return A, val

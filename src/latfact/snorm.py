@@ -148,9 +148,9 @@ class SNormSpace(LatticeNorm):
 
     def seminorm_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
-        if F.shape[1] != self.n:
+        if F.shape[-1] != self.n:
             raise ValueError(
-                f"expected rows of length {self.n}, got {F.shape[1]}")
+                f"expected rows of length {self.n}, got {F.shape[-1]}")
         p, q = self.e.p, self.e.q
         H = self.xi.atom_matrix
         inner = (np.abs(F) ** p * self.space.weights) @ H.T

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimates import ConstantEstimate, family_search, ratio_objective
+from .estimates import ConstantEstimate, family_search, safe_ratio
 from .search import projected_ascent, unit_rows
 
 __all__ = [
@@ -71,15 +71,11 @@ def power_mean(values, exponent: float, weights: np.ndarray) -> float:
 
 
 def power_mean_rows(V, exponent: float, weights: np.ndarray) -> np.ndarray:
-    """Row-wise version of :func:`power_mean`."""
+    """Row-wise version of :func:`power_mean`; ``(..., n)`` to ``(...)``."""
     V = np.abs(np.atleast_2d(np.asarray(V, dtype=float)))
-    m = V.max(axis=1)
-    out = np.zeros(V.shape[0])
-    nz = m > 0
-    if np.any(nz):
-        scaled = V[nz] / m[nz, None]
-        out[nz] = m[nz] * (scaled ** exponent @ weights) ** (1.0 / exponent)
-    return out
+    m = V.max(axis=-1)
+    scaled = V / np.where(m > 0.0, m, 1.0)[..., None]
+    return m * (scaled ** exponent @ weights) ** (1.0 / exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +127,8 @@ class LatticeNorm:
 
     def norm_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
-        return np.array([self.norm(row) for row in F])
+        rows = F.reshape(-1, F.shape[-1])
+        return np.array([self.norm(row) for row in rows]).reshape(F.shape[:-1])
 
     def norm_grad(self, f) -> np.ndarray:
         # numeric fallback; closed forms in subclasses
@@ -185,7 +182,7 @@ class WeightedLebesgue(LatticeNorm):
         F = np.atleast_2d(np.asarray(F, dtype=float))
         norms = self.norm_rows(F)
         norms = np.where(norms == 0.0, 1.0, norms)
-        scaled = np.abs(F) / norms[:, None]
+        scaled = np.abs(F) / norms[..., None]
         return np.sign(F) * scaled ** (self.s - 1.0) * self.space.weights
 
     def is_p_convex_one(self, p: float) -> bool:
@@ -462,18 +459,21 @@ def p_convexity_estimate(X: LatticeNorm, p: float, budget: int = 32,
 
     Searches finite families for the largest value of
     ``‖(Σ|f_i|^p)^{1/p}‖_X / (Σ‖f_i‖_X^p)^{1/p}``; monotone nondecreasing
-    in ``budget`` and deterministic given ``seed``.
+    in ``budget`` and deterministic given ``seed``.  The stacked ratio
+    evaluates its families one by one.
     """
     p = float(p)
 
-    def num(F: np.ndarray) -> float:
-        agg = (np.abs(F) ** p).sum(axis=0) ** (1.0 / p)
-        return X.norm(agg)
+    def num(stack: np.ndarray) -> np.ndarray:
+        return np.array([X.norm((np.abs(F) ** p).sum(axis=0) ** (1.0 / p))
+                         for F in stack])
 
-    def den(F: np.ndarray) -> float:
-        return float(np.sum(X.norm_rows(F) ** p) ** (1.0 / p))
+    def den(stack: np.ndarray) -> np.ndarray:
+        return np.array([float(np.sum(X.norm_rows(F) ** p) ** (1.0 / p))
+                         for F in stack])
 
     value, witness, used = family_search(
-        ratio_objective(num, den), X.n, m_max=6, budget=budget, seed=seed)
+        lambda F: safe_ratio(num(F), den(F)), X.n, m_max=6, budget=budget,
+        seed=seed)
     return ConstantEstimate(kind="M^p", value=value, witness=witness,
                             budget_used=used)

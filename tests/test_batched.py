@@ -1,0 +1,262 @@
+"""The batched searches against the one-at-a-time loops they replace.
+
+``reference_polish_family`` and ``reference_projected_ascent`` are the
+loops the batched versions replaced, kept verbatim as references: the
+family search that calls a scalar ratio once per probe, and the sphere
+ascent that recomputes every row until all rows have stalled three times.
+The batched versions must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
+                     dirac_space, family_sup_lhs, operator_norm_estimate,
+                     partition_space, pq_concavity_ratio, q_concavity_ratio,
+                     q_summing_ratio, violation_oracle, weak_q_norm)
+from latfact import constants, estimates, factorization
+from latfact.search import _ETAS
+from latfact.suite import random_operator
+from conftest import make_space
+
+
+def reference_polish_family(ratio, F, sweeps):
+    val = ratio(F)
+    delta = 0.5
+    m, n = F.shape
+    for _ in range(sweeps):
+        improved = False
+        for i in range(m):
+            for j in range(n):
+                for direction in (delta, -delta):
+                    old = F[i, j]
+                    F[i, j] = old + direction
+                    cand = ratio(F)
+                    if cand > val + max(1e-15, 1e-13 * abs(val)):
+                        val = cand
+                        improved = True
+                    else:
+                        F[i, j] = old
+        if not improved:
+            delta *= 0.5
+            if delta < 1e-3:
+                break
+        scale = np.max(np.abs(F))
+        if scale > 0:
+            F /= scale
+            val = ratio(F)
+
+    etas = np.geomspace(1e-8, 1.0, 22)
+    grad = np.zeros_like(F)
+    stall = 0
+    for _ in range(60):
+        step = 1e-6 * max(1.0, float(np.max(np.abs(F))))
+        for i in range(m):
+            for j in range(n):
+                old = F[i, j]
+                F[i, j] = old + step
+                up = ratio(F)
+                F[i, j] = old - step
+                down = ratio(F)
+                F[i, j] = old
+                grad[i, j] = (up - down) / (2.0 * step)
+        gn = float(np.linalg.norm(grad))
+        if gn == 0.0:
+            break
+        direction = grad / gn
+        best_eta, best_val = 0.0, val
+        for eta in etas:
+            cand = ratio(F + eta * direction)
+            if cand > best_val + 1e-15:
+                best_eta, best_val = eta, cand
+        if best_eta == 0.0:
+            stall += 1
+            if stall >= 2:
+                break
+        else:
+            F += best_eta * direction
+            val = best_val
+            stall = 0
+    return val, F
+
+
+def reference_projected_ascent(value_rows, grad_rows, normalize_rows, A0, *,
+                               iters=40, nonneg=True, radial_rows=None):
+    A = normalize_rows(np.maximum(A0, 0.0) if nonneg else A0)
+    R, n = A.shape
+    val = value_rows(A)
+    gain = 1e-15 * float(np.abs(val).max(initial=0.0))
+    stall = np.zeros(R, dtype=int)
+    rows = np.arange(R)
+    for _ in range(iters):
+        G = grad_rows(A)
+        if radial_rows is not None:
+            U = radial_rows(A)
+            un2 = np.einsum("ij,ij->i", U, U)
+            un2[un2 == 0.0] = 1.0
+            G = G - (np.einsum("ij,ij->i", G, U) / un2)[:, None] * U
+        gn = np.sqrt(np.einsum("ij,ij->i", G, G))
+        gn[gn == 0.0] = 1.0
+        cand = (A[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]
+                ).reshape(-1, n)
+        if nonneg:
+            np.maximum(cand, 0.0, out=cand)
+        cand = normalize_rows(cand)
+        cval = value_rows(cand).reshape(R, _ETAS.size)
+        pick = cval.argmax(axis=1)
+        cbest = cval[rows, pick]
+        better = cbest > val + gain
+        if better.any():
+            A[better] = cand.reshape(R, _ETAS.size, n)[better, pick[better]]
+            val[better] = cbest[better]
+        stall = np.where(better, 0, stall + 1)
+        if stall.min() >= 3:
+            break
+    return A, val
+
+
+E12 = ExponentTriple(p=1.0, q=2.0)
+
+
+def _polish_cases():
+    """(name, scalar ratio, n) over flat, curved, summing and p = q ratios."""
+    flat = random_operator(3, 3, [5], s=1.0)
+    curved = random_operator(2, 2, [6], s=2.0)
+    hilbert = random_operator(2, 2, [7], s=1.5)
+    return [
+        ("q-concavity", lambda F: q_concavity_ratio(flat, 2.0, F), 3),
+        ("pq-flat", lambda F: pq_concavity_ratio(flat, E12, F), 3),
+        ("pq-curved", lambda F: pq_concavity_ratio(curved, E12, F), 2),
+        ("q-summing-ascent", lambda F: q_summing_ratio(hilbert, 2.0, F,
+                                                       budget=4), 2),
+    ]
+
+
+class TestPolishFamily:
+    @pytest.mark.parametrize("case", range(4))
+    def test_stacked_polish_matches_the_probe_loop(self, case):
+        name, scalar, n = _polish_cases()[case]
+
+        def stacked(S):
+            return np.array([scalar(F) for F in S])
+
+        for m in (1, 2, 3):
+            style = (case + m) % 3
+            rng = np.random.default_rng([case, m])
+            F0 = estimates._initial_family(rng, m, n, style)
+            ref_val, ref_F = reference_polish_family(scalar, F0.copy(), 4)
+            val, F = estimates._polish_family(stacked, F0.copy(), 4)
+            assert val == ref_val, (name, m)
+            assert np.array_equal(F, ref_F), (name, m)
+
+    def test_probe_batches_are_single_calls(self):
+        T = random_operator(2, 2, [1])
+        sizes = []
+
+        def stacked(S):
+            sizes.append(S.shape[0])
+            return q_concavity_ratio(T, 2.0, S)
+
+        estimates._polish_family(stacked, np.array([[1.0, 0.5]]), 2)
+        # one family, a +-delta pair, 2 m n gradient probes, 22 line steps
+        assert set(sizes) == {1, 2, 4, 22}
+
+
+class TestProjectedAscent:
+    """Live rows give the bits of the loop that recomputes every row."""
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_operator_norm_estimate(self, monkeypatch, s, seed):
+        T = random_operator(3, 3, [seed, 11], s=s)
+        est = operator_norm_estimate(T, budget=8, seed=seed)
+        monkeypatch.setattr(constants, "projected_ascent",
+                            reference_projected_ascent)
+        ref = operator_norm_estimate(T, budget=8, seed=seed)
+        assert est.value == ref.value
+        assert np.array_equal(est.witness[0], ref.witness[0])
+
+    @pytest.mark.parametrize("C", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_violation_oracle(self, monkeypatch, C, s):
+        T = random_operator(3, 3, [3], s=s)
+        e = ExponentTriple(p=1.0, q=2.0)
+        S = dirac_space(T.domain, e, np.full(3, 0.5))
+        f, v = violation_oracle(T, S, C=C, budget=8, seed=1)
+        monkeypatch.setattr(factorization, "projected_ascent",
+                            reference_projected_ascent)
+        ref_f, ref_v = violation_oracle(T, S, C=C, budget=8, seed=1)
+        assert v == ref_v
+        assert np.array_equal(f, ref_f)
+
+
+def _stack_cases():
+    """(route, space, exponents) for every route of the two denominators."""
+    rng = np.random.default_rng(44)
+    mu = rng.uniform(0.5, 2.0, size=3)
+    L2 = make_space(mu, 2.0)
+    return [
+        ("s = 1 vertex / flat", make_space(mu, 1.0), E12),
+        ("s = q = 2 SVD / curved", L2, E12),
+        ("s = 1.5 ascent / curved", make_space(mu, 1.5), E12),
+        ("curved s > p, q > p", make_space(mu, 3.0), ExponentTriple(2.0, 4.0)),
+        ("p = q", L2, ExponentTriple(p=2.0, q=2.0)),
+        ("one-atom mixture", dirac_space(L2, ExponentTriple(p=2.0, q=2.0),
+                                         np.array([0.5, 1.0, 0.8])),
+         ExponentTriple(p=2.0, q=2.0)),
+    ]
+
+
+class TestStackedDenominators:
+    """A stack of families gives each family's own value."""
+
+    @staticmethod
+    def stack(m=2, n=3):
+        rng = np.random.default_rng(45)
+        F = rng.normal(size=(5, m, n))
+        F[2] = 0.0  # a zero family in the middle of the stack
+        F[3, 1] = 0.0  # and a family with a zero vector
+        return F
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_family_sup_lhs(self, case):
+        route, X, e = _stack_cases()[case]
+        F = self.stack()
+        got = family_sup_lhs(X, e, F)
+        assert got.shape == (5,)
+        for k in range(5):
+            assert got[k] == pytest.approx(family_sup_lhs(X, e, F[k]),
+                                           rel=1e-12, abs=0.0), route
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_weak_q_norm(self, case):
+        route, X, e = _stack_cases()[case]
+        F = self.stack()
+        got = weak_q_norm(X, F, e.q, budget=4, seed=2)
+        assert got.shape == (5,)
+        for k in range(5):
+            assert got[k] == pytest.approx(
+                weak_q_norm(X, F[k], e.q, budget=4, seed=2),
+                rel=1e-12, abs=0.0), route
+
+    def test_brute_force_fallback(self):
+        X = make_space([1.0, 2.0, 0.5], 1.0)
+        S = partition_space(X, E12, np.ones(3), [[0], [1, 2]], [0.5, 0.5])
+        F = self.stack(m=2)[:3]
+        got = family_sup_lhs(S, E12, F)
+        for k in range(3):
+            assert got[k] == pytest.approx(family_sup_lhs(S, E12, F[k]),
+                                           rel=1e-12, abs=0.0)
+
+    def test_stacked_ratios(self):
+        T = LinearOperator(matrix=np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 1.0]]),
+                           domain=make_space([1.0, 0.5, 2.0], 1.5),
+                           codomain=EuclideanNorm(dim=2))
+        F = self.stack()
+        for fn in (lambda G: q_concavity_ratio(T, 2.0, G),
+                   lambda G: pq_concavity_ratio(T, E12, G),
+                   lambda G: q_summing_ratio(T, 2.0, G, budget=4)):
+            got = fn(F)
+            assert got[2] == 0.0
+            for k in range(5):
+                assert got[k] == pytest.approx(fn(F[k]), rel=1e-12, abs=0.0)

@@ -10,6 +10,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      pq_concavity_estimate, pq_concavity_ratio,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
+from latfact.snorm import dirac_space
 from latfact.spaces import extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
@@ -140,6 +141,17 @@ class TestWeakQNorm:
         got = weak_q_norm(X, F, 2.0, seed=1)
         assert got >= best - 1e-4
         assert got <= best * (1 + 5e-3)
+
+
+    def test_one_atom_mixture_is_its_weighted_lebesgue_space(self):
+        # s(f) = (∫|f|^2 g dμ)^{1/2}: the weak-2 norm is σ_max(F √(gμ))
+        mu = np.array([1.0, 0.5, 2.0])
+        g = np.array([0.5, 1.0, 0.8])
+        S = dirac_space(make_space(mu, 2.0), ExponentTriple(p=2.0, q=2.0), g)
+        F = np.random.default_rng(0).normal(size=(2, 3))
+        exact = np.linalg.svd(F * np.sqrt(g * mu), compute_uv=False)[0]
+        assert weak_q_norm(S, F, 2.0, budget=4) == pytest.approx(exact,
+                                                                 rel=1e-12)
 
 
 class TestQConcavity:

@@ -111,6 +111,23 @@ class TestFindDominationMeasure:
         assert cert.C / c == pytest.approx(ref.C, rel=1e-9)
 
 
+    @pytest.mark.parametrize("s, p, q, seed", [(1.5, 1.0, 2.0, 1),
+                                               (2.0, 1.0, 1.0, 2),
+                                               (1.0, 1.0, 2.0, 3)])
+    def test_permuting_the_atoms_keeps_the_constant(self, s, p, q, seed):
+        T = random_operator(3, 3, [seed], s=s)
+        perm = [2, 0, 1]
+        X = make_space(T.domain.space.weights[perm], s)
+        P = LinearOperator(matrix=T.matrix[:, perm], domain=X,
+                           codomain=T.codomain)
+        e = ExponentTriple(p=p, q=q)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        perm_cert = find_domination_measure(P, e, tol=tol, budget=40, seed=0)
+        assert cert.converged and perm_cert.converged
+        assert abs(perm_cert.C / cert.C - 1.0) <= tol
+
+
 class TestCurvedRegime:
     """s > p and q > p: the optimal mixture has several atoms."""
 
