@@ -556,37 +556,45 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
 
     Closed routes for weighted Lebesgue domains: vertex enumeration when
     ``s = 1`` (the dual ball is a cube, and the objective is convex), and
-    the top singular value when ``s = q = 2``.  A one-atom mixture space
-    with a strictly positive atom is the weighted ``L^p`` space it collapses
-    to and takes the same routes.  Anything else runs a seeded multistart
-    ascent over the dual sphere and returns a certified lower bound.  A
-    stack of families ``(K, m, n)`` gives the ``(K,)`` values in one pass.
+    the top singular value when ``s = q = 2``.  A saturated mixture space
+    with one atom, or with any number of atoms at ``p = q``, is the weighted
+    ``L^p`` space it collapses to and takes the same routes.  Anything else
+    runs a seeded multistart ascent over the dual sphere and returns a
+    certified lower bound.  A stack of families ``(K, m, n)`` gives the
+    ``(K,)`` values in one pass.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
                     single)
 
 
-def _collapsed_dirac(X: LatticeNorm) -> LatticeNorm:
-    """The weighted ``L^p`` space isometric to a one-atom mixture space.
+def _collapsed_mixture(X: LatticeNorm) -> LatticeNorm:
+    """The weighted ``L^p`` space isometric to a saturated mixture space.
 
-    ``(c (∫|f|^p h dμ)^{q/p})^{1/q} = (∫|f|^p c^{p/q} h dμ)^{1/p}``; the
-    norm, hence its dual ball of functionals, is the same.  Other spaces
-    are returned unchanged.
+    One atom:
+    ``(c (∫|f|^p h dμ)^{q/p})^{1/q} = (∫|f|^p c^{p/q} h dμ)^{1/p}``.
+    At ``p = q``, any number of atoms:
+    ``(sum_k c_k ∫|f|^p h_k dμ)^{1/p} = (∫|f|^p sum_k c_k h_k dμ)^{1/p}``.
+    The norm, hence its dual ball of functionals, is the same.  Other
+    spaces are returned unchanged.
     """
-    if not isinstance(X, SNormSpace) or len(X.xi) != 1:
+    if not isinstance(X, SNormSpace):
         return X
-    h = X.xi.atoms[0].h
-    if not np.all(h > 0.0):
+    if X.e.is_extreme:
+        w = X.xi.masses @ X.xi.atom_matrix
+    elif len(X.xi) == 1:
+        w = float(X.xi.masses[0]) ** (X.e.p / X.e.q) * X.xi.atoms[0].h
+    else:
         return X
-    c = float(X.xi.masses[0])
-    weights = c ** (X.e.p / X.e.q) * h * X.space.weights
-    return WeightedLebesgue(space=MeasureSpace(weights=weights), s=X.e.p)
+    if not np.all(w > 0.0):
+        return X
+    return WeightedLebesgue(space=MeasureSpace(weights=w * X.space.weights),
+                            s=X.e.p)
 
 
 def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
             seed) -> np.ndarray:
-    X = _collapsed_dirac(X)
+    X = _collapsed_mixture(X)
     K, _, n = F.shape
     A = F * X.space.weights  # pairing matrices: <h, f_i> = (A h)_i
     AT = A.transpose(0, 2, 1)

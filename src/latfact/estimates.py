@@ -26,6 +26,8 @@ import numpy as np
 
 __all__ = ["ConstantEstimate", "family_search", "safe_ratio", "seed_list"]
 
+_SWEEPS = 40  # coordinate sweeps per restart before the gradient polish
+
 
 def seed_list(seed) -> list[int]:
     """Normalize a seed (int or sequence of ints) to a list of ints >= 0."""
@@ -124,7 +126,6 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
     etas = np.geomspace(1e-8, 1.0, 22)
     cells = np.arange(m * n)
     rows, cols = np.divmod(cells, n)
-    stall = 0
     for _ in range(60):
         step = 1e-6 * max(1.0, float(np.max(np.abs(F))))
         # probes (cell, +step) and (cell, -step), cell by cell
@@ -143,19 +144,16 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
             if cand > best_val + 1e-15:
                 best_eta, best_val = eta, float(cand)
         if best_eta == 0.0:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            F += best_eta * direction
-            val = best_val
-            stall = 0
+            # the probes are deterministic, so an unchanged F stalls again
+            break
+        F += best_eta * direction
+        val = best_val
     return val, F
 
 
 def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
-                  m_max: int = 6, budget: int = 16, seed=0,
-                  sweeps: int = 40) -> tuple[float, tuple[np.ndarray, ...], int]:
+                  m_max: int = 6, budget: int = 16,
+                  seed=0) -> tuple[float, tuple[np.ndarray, ...], int]:
     """Maximize ``ratio`` over families of at most ``m_max`` vectors.
 
     ``ratio`` is stacked: it maps families ``(K, m, n)`` to ``(K,)``.
@@ -171,7 +169,7 @@ def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
         rng = np.random.default_rng(base + [k])
         m = (k % m_max) + 1
         F = _initial_family(rng, m, n, k % 3)
-        return _polish_family(ratio, F, sweeps)
+        return _polish_family(ratio, F, _SWEEPS)
 
     results = [run(k) for k in range(budget)]
     best_val = 0.0

@@ -11,14 +11,15 @@ of weights ``h_k``, the smallest constant any grid mixture achieves is
 ``C^q = 1/t`` with ``t = max_xi min_j (Phi xi)_j / b_j`` and
 ``Phi[j, k] = (∫ |f_j|^p h_k dμ)^{q/p}``: one dense LP (Dinkelbach's
 linearisation of the fractional program).  The solver wraps it in a
-Kelley cutting-plane loop on both sides: the attainment weight of the
-LP's adversarial witness combination enriches the grid while it beats the
-LP value, and a violation oracle hunts for a function that breaks the
-mixture at ``C (1 + tol)``.  No starting constant is guessed; the loop
-returns the grid-minimal one.  Certificates store the mixture, the
-constant, the relative residual at termination and every witness
-generated, so they can be replayed and independently re-verified on
-fresh samples.
+Kelley cutting-plane loop on both sides: the grid starts from the uniform
+dual weight alone, the attainment weight of the LP's adversarial witness
+combination enriches it while it beats the LP value, and a violation
+oracle hunts for a function that breaks the mixture at ``C (1 + tol)``.
+Neither a starting constant nor grid columns are guessed; the loop builds
+the support of the mixture and returns the grid-minimal constant.
+Certificates store the mixture, the constant, the relative residual at
+termination and every witness generated, so they can be replayed and
+independently re-verified on fresh samples.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, NotPConvexError,
-                     dual_norm_of_pth_power, extreme_dual_vectors,
-                     sample_positive_dual_ball)
+                     dual_norm_of_pth_power)
 
 __all__ = [
     "SolverConvergenceError",
@@ -100,13 +100,16 @@ class DominationCertificate:
         }
 
 
-def default_domination_grid(X: LatticeNorm, e: ExponentTriple, seed=0,
-                            random_count: int = 256) -> list[DualVector]:
-    """All canonical extreme candidates plus seeded random dual-ball points."""
-    grid = extreme_dual_vectors(X, e.p)
-    grid.extend(sample_positive_dual_ball(X, e.p, strategy="random",
-                                          count=random_count, seed=seed))
-    return grid
+def default_domination_grid(X: LatticeNorm,
+                            e: ExponentTriple) -> list[DualVector]:
+    """The starting grid: the uniform dual-sphere weight ``1 / ‖1‖``.
+
+    It is strictly positive, so every mixture that holds it is saturated.
+    The solve's attainment points add every other column.
+    """
+    ones = np.ones(X.n)
+    h = ones / dual_norm_of_pth_power(X, e.p, ones)
+    return [DualVector(h=h, certified_norm=1.0)]
 
 
 def _phi_matrix(X: LatticeNorm, e: ExponentTriple, F: np.ndarray,
@@ -186,37 +189,37 @@ def _compress_by_dominance(H: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return masses
 
 
-def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
+def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                             tol: float = 1e-6, budget: int = 40, seed=0,
-                            C: float | None = None,
-                            oracle_budget: int = 16) -> DominationCertificate:
+                            C: float | None = None) -> DominationCertificate:
     """Cutting-plane search for a dominating probability mixture.
 
     With witnesses ``f_j``, ``b_j = ‖T f_j‖^q`` and grid weights ``h_k``,
     the smallest constant a grid mixture achieves is ``C_lp = t^{-1/q}``
-    where ``t = max_xi min_j (Phi xi)_j / b_j``.  Each round solves that LP
-    on unit-scaled data; adds the attainment point of the LP's dual witness
-    combination to the grid while it beats the LP value by more than
-    ``tol / 2``; and otherwise runs the violation oracle at
-    ``C_lp * (1 + tol)``, adding the violating function as a witness.  The
-    returned constant is therefore the grid-minimal one, up to ``1 + tol``.
+    where ``t = max_xi min_j (Phi xi)_j / b_j``.  The grid starts as
+    :func:`default_domination_grid`, the uniform dual weight alone.  Each
+    round solves that LP on unit-scaled data; adds the attainment point of
+    the LP's dual witness combination to the grid while it beats the LP
+    value by more than ``tol / 2``; and otherwise runs the violation oracle
+    at ``C_lp * (1 + tol)``, adding the violating function as a witness.
+    The returned constant is therefore the grid-minimal one, up to
+    ``1 + tol``.
 
     Given ``C``, the same loop answers the feasibility query: it stops
     unconverged as soon as ``C_lp > C`` and otherwise runs the oracle at
     ``C``.  ``budget`` bounds oracle calls.  On success the returned
     mixture is a probability measure that passes the saturation check:
     boundary-supported solutions are repaired by mixing in ``tol`` mass of
-    a strictly positive dual weight, paying a ``(1 + tol)^{1/q}`` inflation
-    of the constant.
+    the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of the
+    constant.
     """
     X = T.domain
     if not X.is_p_convex_one(e.p):
         raise NotPConvexError(
             f"domain is not p-convex with constant one for p={e.p}")
     base = seed_list(seed)
-    if grid is None:
-        grid = default_domination_grid(X, e, seed=base + [5])
-    grid = list(grid)
+    grid = default_domination_grid(X, e)
+    uniform = grid[0]
     H = np.vstack([g.h for g in grid])
 
     # initial witnesses: the operator-norm direction plus seeded sphere points
@@ -278,7 +281,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
             [(grid[k], m) for k, m in zip(np.where(keep)[0], masses)],
             normalized=True)
         S = SNormSpace(base=X, e=e, xi=measure)
-        f_star, violation = violation_oracle(T, S, target, budget=oracle_budget,
+        f_star, violation = violation_oracle(T, S, target,
                                              seed=base + [211 + oracle_calls])
         oracle_calls += 1
         Cq = target ** e.q
@@ -309,11 +312,8 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple, grid=None,
     for a in atoms:
         covered |= a.h > 0.0
     if not covered.all():
-        ones = np.ones(X.n)
-        nrm = dual_norm_of_pth_power(X, e.p, ones)
-        hplus = DualVector(h=ones / nrm, certified_norm=1.0)
         eps = tol
-        atoms = list(atoms) + [hplus]
+        atoms = list(atoms) + [uniform]
         kept_masses = np.append(kept_masses / (1.0 + eps), eps / (1.0 + eps))
         C = C * (1.0 + eps) ** (1.0 / e.q)
 
@@ -385,7 +385,7 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
     return float(np.max(vals))
 
 
-def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple, grid=None,
+def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,
                          tol: float = 1e-6, budget: int = 40, seed=0,
                          samples: int = 4096):
     """Renorm the space by a dominating mixture of its own dual weights.
@@ -396,8 +396,7 @@ def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple, grid=None,
     Returns ``(xi, a, b)``.
     """
     T = identity_operator(X)
-    cert = find_domination_measure(T, e, grid=grid, tol=tol, budget=budget,
-                                   seed=seed)
+    cert = find_domination_measure(T, e, tol=tol, budget=budget, seed=seed)
     if not cert.converged:
         raise SolverConvergenceError(
             "identity domination solve did not converge; "

@@ -66,11 +66,16 @@ def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray,
         row = int(np.argmin(ratios))
         if not np.isfinite(ratios[row]):
             raise SimplexError("unbounded pivot column")
-        # tie-break on the smallest basis index for anti-cycling
+        # ratio-test ties: the largest pivot keeps the tableau well scaled
+        # on degenerate LPs; under Bland's rule the smallest basis index
+        # guarantees termination
         best = ratios[row]
         ties = np.where(np.abs(ratios - best) <= 1e-12 * (1.0 + abs(best)))[0]
         if ties.size > 1:
-            row = int(ties[np.argmin([basis[i] for i in ties])])
+            if iters < bland_after:
+                row = int(ties[np.argmax(T[ties, col])])
+            else:
+                row = int(ties[np.argmin([basis[i] for i in ties])])
         _pivot(T, basis, row, col)
         iters += 1
         if iters > max_iter:

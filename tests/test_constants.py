@@ -10,7 +10,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      pq_concavity_estimate, pq_concavity_ratio,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
-from latfact.snorm import dirac_space
+from latfact.snorm import dirac_space, partition_space
 from latfact.spaces import extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
@@ -150,6 +150,18 @@ class TestWeakQNorm:
         S = dirac_space(make_space(mu, 2.0), ExponentTriple(p=2.0, q=2.0), g)
         F = np.random.default_rng(0).normal(size=(2, 3))
         exact = np.linalg.svd(F * np.sqrt(g * mu), compute_uv=False)[0]
+        assert weak_q_norm(S, F, 2.0, budget=4) == pytest.approx(exact,
+                                                                 rel=1e-12)
+
+    def test_p_equals_q_mixture_is_its_weighted_lebesgue_space(self):
+        # at p = q = 2 the two-block mixture is s(f) = (∫|f|^2 0.5 g dμ)^{1/2}
+        mu = np.array([1.0, 0.5, 2.0])
+        g = np.array([0.5, 1.0, 0.8])
+        S = partition_space(make_space(mu, 2.0), ExponentTriple(p=2.0, q=2.0),
+                            g, [[0], [1, 2]], [0.5, 0.5])
+        F = np.random.default_rng(0).normal(size=(2, 3))
+        exact = np.linalg.svd(F * np.sqrt(0.5 * g * mu), compute_uv=False)[0]
+        assert exact == pytest.approx(0.691737, rel=1e-6)
         assert weak_q_norm(S, F, 2.0, budget=4) == pytest.approx(exact,
                                                                  rel=1e-12)
 

@@ -126,6 +126,11 @@ class TestFindDominationMeasure:
         perm_cert = find_domination_measure(P, e, tol=tol, budget=40, seed=0)
         assert cert.converged and perm_cert.converged
         assert abs(perm_cert.C / cert.C - 1.0) <= tol
+        # the mixture permutes with the atoms: f on T's atoms is f[perm] on P's
+        F = np.random.default_rng([29, seed]).normal(size=(2000, 3))
+        s_T = cert.snorm_space(T.domain).seminorm_rows(F)
+        s_P = perm_cert.snorm_space(X).seminorm_rows(F[:, perm])
+        assert np.max(np.abs(s_P / s_T - 1.0)) <= tol
 
 
 class TestCurvedRegime:

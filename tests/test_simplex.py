@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -84,3 +86,15 @@ class TestSolveMaxMin:
         b = np.linspace(-1, 1, 4)
         sol = solve_max_min(A, b)
         assert sol.value == pytest.approx(1.0 - b.max())
+
+    def test_degenerate_ties_do_not_pivot_on_tiny_entries(self):
+        # an 11 x 189 LP with entries in [0, 1] and b = 0 from a
+        # domination solve on the 2^n - 1 indicator grid of a 4-atom L^2
+        # domain; tie-breaking on the smallest basis index pivoted on a
+        # 1e-9 entry and phase 1 reported an unbounded pivot column
+        path = Path(__file__).parent / "data" / "degenerate_max_min.npz"
+        with np.load(path) as data:
+            A, b = data["A"], data["b"]
+        sol = solve_max_min(A, b)
+        ref_value, _ = scipy_max_min(A, b)
+        assert sol.value == pytest.approx(ref_value, rel=1e-9)
