@@ -30,8 +30,9 @@ from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
 from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
-                     WeightedLebesgue, as_vector, extreme_dual_vectors,
-                     kothe_dual_norm, power_mean, power_mean_rows)
+                     WeightedLebesgue, _family_stack, _unstack, as_vector,
+                     extreme_dual_vectors, kothe_dual_norm,
+                     lattice_aggregate_norm, power_mean, power_mean_rows)
 
 __all__ = [
     "EuclideanNorm",
@@ -141,33 +142,11 @@ def identity_operator(X: LatticeNorm) -> LinearOperator:
     return LinearOperator(matrix=np.eye(X.n), domain=X, codomain=X)
 
 
-def _family_stack(F, n: int) -> tuple[np.ndarray, bool]:
-    """A family ``(m, n)`` (a vector is a family of one) or a stack of them.
-
-    Returns the stack ``(K, m, n)`` and whether a single family came in.
-    """
-    arr = np.asarray(F, dtype=float)
-    single = arr.ndim <= 2
-    if single:
-        arr = np.atleast_2d(arr)[None]
-    if arr.ndim != 3 or arr.size == 0:
-        raise ValueError("family must be nonempty")
-    if arr.shape[2] != n:
-        raise ValueError(f"family vectors must have length {n}")
-    if not np.isfinite(arr).all():
-        raise ValueError("family has non-finite entries")
-    return arr, single
-
-
 def _family_matrix(F, n: int) -> np.ndarray:
     F, single = _family_stack(F, n)
     if not single:
         raise ValueError("expected one family, got a stack")
     return F[0]
-
-
-def _unstack(values: np.ndarray, single: bool) -> float | np.ndarray:
-    return float(values[0]) if single else values
 
 
 def _scalar_pow(x: np.ndarray, y: float) -> np.ndarray:
@@ -184,16 +163,6 @@ def _per_family(fn, F: np.ndarray) -> np.ndarray:
     if nonzero.any():
         out[nonzero] = fn(F[nonzero])
     return out
-
-
-def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float | np.ndarray:
-    """``‖ (sum_i |f_i|^t)^{1/t} ‖_X`` for a family stacked as rows.
-
-    A stack of families gives one value per family.
-    """
-    F, single = _family_stack(F, X.n)
-    agg = (np.abs(F) ** t).sum(axis=1) ** (1.0 / t)
-    return _unstack(np.array([X.norm(a) for a in agg]), single)
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +733,9 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
 
     Each estimator's witness is replayed through the next ratio in the
     chain; the per-family inequalities are exact, so the reported chain
-    values are monotone by construction and any violation beyond the slack
-    raises.  Returns a JSON-able report.
+    values are monotone up to the error of the numeric denominators.  A
+    violation beyond the slack sets ``chain_ok`` to False in the returned
+    JSON-able report, next to the values that violate it.
     """
     base = seed_list(seed)
     est_norm = operator_norm_estimate(T, budget=budget, seed=base + [0])
@@ -804,9 +774,6 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
     scale = max(v3, 1.0)
     chain_ok = (v0 <= v1 + slack * scale and v1 <= v2 + slack * scale
                 and v2 <= v3 + slack * scale)
-    if not chain_ok:
-        raise AssertionError(
-            f"witness-transfer chain violated: {v0}, {v1}, {v2}, {v3}")
     return {
         "estimates": {
             "operator_norm": est_norm.to_jsonable(),

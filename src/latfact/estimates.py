@@ -85,6 +85,40 @@ def _initial_family(rng: np.random.Generator, m: int, n: int, style: int) -> np.
     return F
 
 
+def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
+                sweeps_left: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Everything the coordinate sweeps evaluate from here if none accepts.
+
+    A segment is ``(first cell, probes, end)``: the ``+δ`` and ``-δ`` probes
+    of the cells from ``first`` on, in row-major order, then the sweep's end,
+    the renormalised family ``F / max|F|`` (empty when ``max|F| = 0``, or
+    when a sweep without an accept would halve ``δ`` below the stop).  A
+    plan that starts after an accept on the last cell has no probes left in
+    its sweep, so it runs on through the whole next sweep.
+    """
+    m, n = F.shape
+    plan = []
+    while True:
+        cells = np.arange(cell, m * n)
+        rows, cols = np.divmod(cells, n)
+        probes = np.broadcast_to(F, (cells.size, 2, m, n)).copy()
+        probes[np.arange(cells.size), 0, rows, cols] += delta
+        probes[np.arange(cells.size), 1, rows, cols] -= delta
+        scale = np.max(np.abs(F))
+        halts = not improved and delta * 0.5 < 1e-3
+        if halts or scale == 0:
+            end = np.empty((0, m, n))
+        else:  # the ratio is scale-invariant; keep coordinates O(1)
+            F = F / scale
+            end = F[None]
+        plan.append((cell, probes.reshape(-1, m, n), end))
+        sweeps_left -= 1
+        if cells.size or halts or not sweeps_left:
+            return plan
+        # no cell was left, so this sweep accepted and delta stays
+        cell, improved = 0, False
+
+
 def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
                    sweeps: int) -> tuple[float, np.ndarray]:
     """Coordinate ascent plus gradient line search on the flattened family.
@@ -92,36 +126,38 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
     Coordinate sweeps with a shrinking step move the family between support
     patterns; the ratio is then polished by numeric-gradient ascent with a
     geometric line search, which moves all coordinates together and
-    converges where single-coordinate steps zigzag.  ``ratio`` is stacked;
-    each batch of probes is one call, scanned in the order a one-by-one
-    search would try them.  After a ``+δ`` step is accepted the ``-δ``
-    probe, which would return to the start, is not taken.
+    converges where single-coordinate steps zigzag.  ``ratio`` is stacked
+    and a family's value does not depend on its stack, so each batch of
+    probes is one call, scanned in the order a one-by-one search would try
+    them.  The sweeps plan ahead: one call evaluates every probe up to the
+    sweep's end (see :func:`_sweep_plan`), and the first probe that gains
+    ends the plan, since the value it is compared with is constant until
+    then.  After a ``+δ`` step is accepted the ``-δ`` probe, which would
+    return to the start, is not taken.
     """
     val = float(ratio(F[None])[0])
-    delta = 0.5
+    delta, sweep, cell, improved = 0.5, 0, 0, False
     m, n = F.shape
-    for _ in range(sweeps):
-        improved = False
-        for i in range(m):
-            for j in range(n):
-                pair = np.array((F, F))
-                pair[0, i, j] += delta
-                pair[1, i, j] -= delta
-                cands = ratio(pair)
-                for k in range(2):
-                    if cands[k] > val + max(1e-15, 1e-13 * abs(val)):
-                        F[i, j] = pair[k, i, j]
-                        val = float(cands[k])
-                        improved = True
-                        break
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-3:
+    while sweep < sweeps and delta >= 1e-3:
+        plan = _sweep_plan(F, delta, cell, improved, sweeps - sweep)
+        pv = ratio(np.concatenate([b for _, probes, end in plan
+                                   for b in (probes, end)]))
+        pos = 0
+        for first, probes, end in plan:
+            gain = val + max(1e-15, 1e-13 * abs(val))
+            hit = np.flatnonzero(pv[pos:pos + len(probes)] > gain)
+            if hit.size:
+                h = int(hit[0])
+                F, val = probes[h].copy(), float(pv[pos + h])
+                cell, improved = first + h // 2 + 1, True
                 break
-        scale = np.max(np.abs(F))
-        if scale > 0:  # the ratio is scale-invariant; keep coordinates O(1)
-            F /= scale
-            val = float(ratio(F[None])[0])
+            pos += len(probes)
+            if not improved:
+                delta *= 0.5
+            sweep, cell, improved = sweep + 1, 0, False
+            if len(end):
+                F, val = end[0], float(pv[pos])
+                pos += 1
 
     etas = np.geomspace(1e-8, 1.0, 22)
     cells = np.arange(m * n)

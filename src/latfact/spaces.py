@@ -29,6 +29,7 @@ __all__ = [
     "norm",
     "pth_power_norm",
     "pth_power_space",
+    "lattice_aggregate_norm",
     "kothe_dual_norm",
     "dual_norm_of_pth_power",
     "extreme_dual_vectors",
@@ -61,9 +62,22 @@ def as_vector(f, n: int) -> np.ndarray:
     return arr
 
 
-def power_mean(values, exponent: float, weights: np.ndarray) -> float:
-    """(sum |v|^e w)^(1/e), computed stably for large exponents."""
+def power_mean(values, exponent: float, weights: np.ndarray):
+    """(sum |v|^e w)^(1/e), computed stably for large exponents.
+
+    ``values`` is one vector ``(n,)``, giving a float, or a stack
+    ``(..., n)``, giving one value per vector.  A stack keeps one vector's
+    arithmetic: a dot product per vector (a stacked matmul of ``(1, n)`` by
+    ``(n, 1)``) and the root as a scalar ``pow``, so a vector's value does
+    not depend on the stack it is in.
+    """
     v = np.abs(np.asarray(values, dtype=float))
+    if v.ndim > 1:
+        m = v.max(axis=-1, initial=0.0)
+        scaled = v / np.where(m > 0.0, m, 1.0)[..., None]
+        dots = (scaled ** exponent)[..., None, :] @ np.asarray(weights)[:, None]
+        roots = [d ** (1.0 / exponent) for d in dots.ravel().tolist()]
+        return m * np.array(roots).reshape(m.shape)
     m = float(v.max(initial=0.0))
     if m == 0.0:
         return 0.0
@@ -76,6 +90,28 @@ def power_mean_rows(V, exponent: float, weights: np.ndarray) -> np.ndarray:
     m = V.max(axis=-1)
     scaled = V / np.where(m > 0.0, m, 1.0)[..., None]
     return m * (scaled ** exponent @ weights) ** (1.0 / exponent)
+
+
+def _family_stack(F, n: int) -> tuple[np.ndarray, bool]:
+    """A family ``(m, n)`` (a vector is a family of one) or a stack of them.
+
+    Returns the stack ``(K, m, n)`` and whether a single family came in.
+    """
+    arr = np.asarray(F, dtype=float)
+    single = arr.ndim <= 2
+    if single:
+        arr = np.atleast_2d(arr)[None]
+    if arr.ndim != 3 or arr.size == 0:
+        raise ValueError("family must be nonempty")
+    if arr.shape[2] != n:
+        raise ValueError(f"family vectors must have length {n}")
+    if not np.isfinite(arr).all():
+        raise ValueError("family has non-finite entries")
+    return arr, single
+
+
+def _unstack(values: np.ndarray, single: bool) -> float | np.ndarray:
+    return float(values[0]) if single else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +327,19 @@ def pth_power_norm(X: LatticeNorm, p: float, f) -> float:
     return X.norm(np.abs(f) ** (1.0 / p)) ** p
 
 
+def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float | np.ndarray:
+    """``‖ (sum_i |f_i|^t)^{1/t} ‖_X`` for a family stacked as rows.
+
+    A stack of families gives one value per family; weighted Lebesgue
+    norms take the whole stack in one :func:`power_mean` call.
+    """
+    F, single = _family_stack(F, X.n)
+    agg = (np.abs(F) ** t).sum(axis=1) ** (1.0 / t)
+    if isinstance(X, WeightedLebesgue):
+        return _unstack(power_mean(agg, X.s, X.space.weights), single)
+    return _unstack(np.array([X.norm(a) for a in agg]), single)
+
+
 def _linear_sup_over_ball(norm_rows, h: np.ndarray, weights: np.ndarray,
                           seed=0) -> float:
     """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖ <= 1}``, norms by rows.
@@ -459,21 +508,18 @@ def p_convexity_estimate(X: LatticeNorm, p: float, budget: int = 32,
 
     Searches finite families for the largest value of
     ``‖(Σ|f_i|^p)^{1/p}‖_X / (Σ‖f_i‖_X^p)^{1/p}``; monotone nondecreasing
-    in ``budget`` and deterministic given ``seed``.  The stacked ratio
-    evaluates its families one by one.
+    in ``budget`` and deterministic given ``seed``.  The numerator is
+    :func:`lattice_aggregate_norm`; the denominator evaluates its families
+    one by one.
     """
     p = float(p)
-
-    def num(stack: np.ndarray) -> np.ndarray:
-        return np.array([X.norm((np.abs(F) ** p).sum(axis=0) ** (1.0 / p))
-                         for F in stack])
 
     def den(stack: np.ndarray) -> np.ndarray:
         return np.array([float(np.sum(X.norm_rows(F) ** p) ** (1.0 / p))
                          for F in stack])
 
     value, witness, used = family_search(
-        lambda F: safe_ratio(num(F), den(F)), X.n, m_max=6, budget=budget,
-        seed=seed)
+        lambda F: safe_ratio(lattice_aggregate_norm(X, F, p), den(F)), X.n,
+        m_max=6, budget=budget, seed=seed)
     return ConstantEstimate(kind="M^p", value=value, witness=witness,
                             budget_used=used)

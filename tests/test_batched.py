@@ -140,26 +140,51 @@ class TestPolishFamily:
         def stacked(S):
             return np.array([scalar(F) for F in S])
 
-        for m in (1, 2, 3):
+        # at the full sweep count the delta stop, accepts on the last cell
+        # and plans that span two sweeps all run
+        starts = []
+        for m in (1, 2, 3, 4, 5, 6) if n == 3 else (1, 2, 3):
             style = (case + m) % 3
             rng = np.random.default_rng([case, m])
-            F0 = estimates._initial_family(rng, m, n, style)
-            ref_val, ref_F = reference_polish_family(scalar, F0.copy(), 4)
-            val, F = estimates._polish_family(stacked, F0.copy(), 4)
-            assert val == ref_val, (name, m)
-            assert np.array_equal(F, ref_F), (name, m)
+            starts.append(estimates._initial_family(rng, m, n, style))
+        starts.append(np.zeros((2, n)))
+        for F0 in starts:
+            ref_val, ref_F = reference_polish_family(scalar, F0.copy(),
+                                                     estimates._SWEEPS)
+            val, F = estimates._polish_family(stacked, F0.copy(),
+                                              estimates._SWEEPS)
+            assert val == ref_val, (name, F0.shape)
+            assert np.array_equal(F, ref_F), (name, F0.shape)
 
-    def test_probe_batches_are_single_calls(self):
+    def test_probe_batches_are_single_calls(self, monkeypatch):
         T = random_operator(2, 2, [1])
-        sizes = []
+        sizes, plans = [], []
 
         def stacked(S):
             sizes.append(S.shape[0])
             return q_concavity_ratio(T, 2.0, S)
 
-        estimates._polish_family(stacked, np.array([[1.0, 0.5]]), 2)
-        # one family, a +-delta pair, 2 m n gradient probes, 22 line steps
-        assert set(sizes) == {1, 2, 4, 22}
+        sweep_plan = estimates._sweep_plan
+
+        def recorded(*args):
+            plan = sweep_plan(*args)
+            plans.append(sum(len(probes) + len(end) for _, probes, end in plan))
+            return plan
+
+        monkeypatch.setattr(estimates, "_sweep_plan", recorded)
+        m, n = 2, 2
+        estimates._polish_family(stacked, np.array([[1.0, 0.5], [0.2, -0.4]]),
+                                 estimates._SWEEPS)
+        # the start value, then one call per plan; the first plan is the
+        # first sweep's 2 m n probes and its end
+        assert sizes[0] == 1
+        assert plans[0] == 2 * m * n + 1
+        assert sizes[1:1 + len(plans)] == plans
+        # 2 m n gradient probes and 22 line steps per gradient step
+        gradient = sizes[1 + len(plans):]
+        assert gradient
+        assert gradient == [2 * m * n, 22] * (len(gradient) // 2) + (
+            [2 * m * n] if len(gradient) % 2 else [])
 
 
 class TestProjectedAscent:
