@@ -11,9 +11,12 @@ monotone nondecreasing in the restart budget.
 Ratios are stacked: they map a stack of families ``(K, m, n)`` to the
 ``(K,)`` ratios, one per family, and a family's value does not depend on
 the stack it sits in.  The search hands every batch of probes it would
-otherwise evaluate one by one to the ratio as one stack: the ±δ pair of a
-coordinate step, the central-difference probes of a gradient, and the
-line-search ladder along it.
+otherwise evaluate one by one to the ratio as one stack: the plan of a
+coordinate sweep (every ±δ probe left in the sweep and the renormalised
+family at its end, scanned for the first gain), the central-difference
+probes of a gradient, and the line-search ladder along it.  Gains are
+tested relative to the current value, so scaling the ratio does not move
+the search.
 """
 
 from __future__ import annotations
@@ -85,6 +88,18 @@ def _initial_family(rng: np.random.Generator, m: int, n: int, style: int) -> np.
     return F
 
 
+def _coordinate_probes(F: np.ndarray, cells: np.ndarray,
+                       step: float) -> np.ndarray:
+    """``F`` moved by ``+step`` and then ``-step`` on each cell in turn."""
+    m, n = F.shape
+    rows, cols = np.divmod(cells, n)
+    probes = np.broadcast_to(F, (cells.size, 2, m, n)).copy()
+    k = np.arange(cells.size)
+    probes[k, 0, rows, cols] += step
+    probes[k, 1, rows, cols] -= step
+    return probes.reshape(-1, m, n)
+
+
 def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
                 sweeps_left: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Everything the coordinate sweeps evaluate from here if none accepts.
@@ -99,11 +114,7 @@ def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
     m, n = F.shape
     plan = []
     while True:
-        cells = np.arange(cell, m * n)
-        rows, cols = np.divmod(cells, n)
-        probes = np.broadcast_to(F, (cells.size, 2, m, n)).copy()
-        probes[np.arange(cells.size), 0, rows, cols] += delta
-        probes[np.arange(cells.size), 1, rows, cols] -= delta
+        probes = _coordinate_probes(F, np.arange(cell, m * n), delta)
         scale = np.max(np.abs(F))
         halts = not improved and delta * 0.5 < 1e-3
         if halts or scale == 0:
@@ -111,9 +122,9 @@ def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
         else:  # the ratio is scale-invariant; keep coordinates O(1)
             F = F / scale
             end = F[None]
-        plan.append((cell, probes.reshape(-1, m, n), end))
+        plan.append((cell, probes, end))
         sweeps_left -= 1
-        if cells.size or halts or not sweeps_left:
+        if len(probes) or halts or not sweeps_left:
             return plan
         # no cell was left, so this sweep accepted and delta stays
         cell, improved = 0, False
@@ -144,7 +155,7 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
                                    for b in (probes, end)]))
         pos = 0
         for first, probes, end in plan:
-            gain = val + max(1e-15, 1e-13 * abs(val))
+            gain = val + 1e-13 * abs(val)
             hit = np.flatnonzero(pv[pos:pos + len(probes)] > gain)
             if hit.size:
                 h = int(hit[0])
@@ -160,15 +171,10 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
                 pos += 1
 
     etas = np.geomspace(1e-8, 1.0, 22)
-    cells = np.arange(m * n)
-    rows, cols = np.divmod(cells, n)
     for _ in range(60):
         step = 1e-6 * max(1.0, float(np.max(np.abs(F))))
-        # probes (cell, +step) and (cell, -step), cell by cell
-        probes = np.broadcast_to(F, (m * n, 2, m, n)).copy()
-        probes[cells, 0, rows, cols] += step
-        probes[cells, 1, rows, cols] -= step
-        pv = ratio(probes.reshape(-1, m, n)).reshape(m, n, 2)
+        pv = ratio(_coordinate_probes(F, np.arange(m * n), step)
+                   ).reshape(m, n, 2)
         grad = (pv[:, :, 0] - pv[:, :, 1]) / (2.0 * step)
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
@@ -177,7 +183,7 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
         cands = ratio(F + etas[:, None, None] * direction)
         best_eta, best_val = 0.0, val
         for eta, cand in zip(etas, cands):
-            if cand > best_val + 1e-15:
+            if cand > best_val + 1e-15 * abs(val):
                 best_eta, best_val = eta, float(cand)
         if best_eta == 0.0:
             # the probes are deterministic, so an unchanged F stalls again

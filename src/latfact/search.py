@@ -20,7 +20,8 @@ stack of problems, one per family, so a stack of families is one ascent.
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
 own finite-difference line search over whole families; it evaluates each
-batch of probes as one stacked ratio call.
+coordinate-sweep plan and each batch of gradient probes as one stacked
+ratio call.
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ def as_vector(f, n: int) -> np.ndarray:
     return arr
 
 
-def power_mean(values, exponent: float, weights: np.ndarray):
+def power_mean(values, exponent: float,
+               weights: np.ndarray) -> float | np.ndarray:
     """(sum |v|^e w)^(1/e), computed stably for large exponents.
 
     ``values`` is one vector ``(n,)``, giving a float, or a stack

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
-                     dirac_space, family_sup_lhs, operator_norm_estimate,
-                     partition_space, pq_concavity_ratio, q_concavity_ratio,
-                     q_summing_ratio, violation_oracle, weak_q_norm)
+                     dirac_space, family_sup_lhs, lattice_aggregate_norm,
+                     operator_norm_estimate, partition_space,
+                     pq_concavity_ratio, q_concavity_ratio, q_summing_ratio,
+                     violation_oracle, weak_q_norm)
 from latfact import constants, estimates, factorization
 from latfact.search import _ETAS
 from latfact.suite import random_operator
@@ -32,7 +33,7 @@ def reference_polish_family(ratio, F, sweeps):
                     old = F[i, j]
                     F[i, j] = old + direction
                     cand = ratio(F)
-                    if cand > val + max(1e-15, 1e-13 * abs(val)):
+                    if cand > val + 1e-13 * abs(val):
                         val = cand
                         improved = True
                     else:
@@ -67,7 +68,7 @@ def reference_polish_family(ratio, F, sweeps):
         best_eta, best_val = 0.0, val
         for eta in etas:
             cand = ratio(F + eta * direction)
-            if cand > best_val + 1e-15:
+            if cand > best_val + 1e-15 * abs(val):
                 best_eta, best_val = eta, cand
         if best_eta == 0.0:
             stall += 1
@@ -263,6 +264,16 @@ class TestStackedDenominators:
             assert got[k] == pytest.approx(
                 weak_q_norm(X, F[k], e.q, budget=4, seed=2),
                 rel=1e-12, abs=0.0), route
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    def test_lattice_aggregate_norm(self, s):
+        X = make_space([1.0, 0.5, 2.0], s)
+        F = self.stack()
+        for t in (1.0, 2.0):
+            got = lattice_aggregate_norm(X, F, t)
+            agg = (np.abs(F) ** t).sum(axis=1) ** (1.0 / t)
+            assert got[2] == 0.0
+            assert np.array_equal(got, [X.norm(a) for a in agg])
 
     def test_brute_force_fallback(self):
         X = make_space([1.0, 2.0, 0.5], 1.0)

@@ -93,6 +93,28 @@ class TestRunners:
         assert status == 0
         assert report["chain_report"]["chain_ok"]
 
+    def test_violated_chain_writes_a_failing_report(self, tmp_path):
+        # the curved M_pq denominator is a local fixed point here, so the
+        # M_pq witness ratio ends above the pi_q estimate
+        doc = {"schema": SCHEMA_ID,
+               "measure": {"weights": [0.540828613577182, 1.9592748308756534]},
+               "space": {"family": "lebesgue", "s": 3.0}, "p": 1.0, "q": 2.0,
+               "operator": {"matrix": [[0.4649346615936955, -0.1876959239812762],
+                                       [0.40171483122061635, -0.7794912023061084]],
+                            "codomain": {"family": "euclidean"}},
+               "seed": 0, "budget": 3}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "chain.report.json"
+        assert main(["constants", "--instance", str(path),
+                     "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["status"] == "fail"
+        assert not report["chain_report"]["chain_ok"]
+        assert not report["checks"][0]["passed"]
+        chain = report["checks"][0]["chain"]
+        assert chain["M_pq"] > chain["pi_q"]
+
     def test_snorm_demo_with_partition(self):
         doc = {"schema": SCHEMA_ID, "measure": {"weights": [1, 1, 1]},
                "space": {"family": "lebesgue", "s": 1.0}, "p": 1.0, "q": 2.0,

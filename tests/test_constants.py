@@ -300,6 +300,26 @@ class TestOperatorNorm:
                 ref, rel=1e-12)
 
 
+class TestFamilySearchScale:
+    """The family search's gain tests are relative, so T -> cT scales M."""
+
+    @pytest.mark.parametrize("kind", ["M_q", "M_pq"])
+    def test_scaling_the_operator_scales_the_estimate(self, kind):
+        T = random_operator(3, 3, [5], s=1.0)
+        e = ExponentTriple(p=1.0, q=2.0)
+
+        def estimate(op):
+            if kind == "M_q":
+                return q_concavity_estimate(op, e.q, budget=4).value
+            return pq_concavity_estimate(op, e, budget=4).value
+
+        ref = estimate(T)
+        for c in (1e-8, 1e8):
+            cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
+                                codomain=T.codomain)
+            assert estimate(cT) / c == pytest.approx(ref, rel=1e-12)
+
+
 class TestChainReport:
     def test_identity_single_atom_all_equal_one(self):
         X = make_space([1.0], 1)
