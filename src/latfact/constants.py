@@ -187,10 +187,12 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``; five plain steps of it run
     from canonical and seeded starts, and :func:`search.projected_ascent`
     then polishes the best row of the fifth iterate along the dual sphere.
-    Every iterate is feasible, so the value is a certified lower bound; at
-    these sizes the multistart is empirically exact and is validated
-    against the brute-force scaled-family side.  Returns the values
-    ``(K,)`` and the maximizing weights ``(K, n)``.
+    Every iterate is feasible, so the value is a lower bound on the
+    supremum, not the supremum: the fixed point can settle in a local
+    maximum, 2–3e-4 low on nine-vector families at
+    ``(s, p, q) = (2, 1, 3)``.  One-vector families never reach it in
+    :func:`family_sup_lhs`, whose value there is the norm.  Returns the
+    values ``(K,)`` and the maximizing weights ``(K, n)``.
     """
     mu = X.space.weights
     n = X.n
@@ -266,9 +268,11 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     supremum is eliminated exactly through conjugate-exponent duality:
     at ``s = p`` the value collapses to ``(sum_i ‖f_i‖_{L^p}^q)^{1/q}``,
     and for ``s > p`` the remaining dual-ball supremum is computed by the
-    attainment fixed point.  Other domains use a grid-plus-polish search on
-    the scaling side and return a certified lower bound.  A stack of
-    families ``(K, m, n)`` gives the ``(K,)`` values in one pass.
+    attainment fixed point, a lower bound.  Other domains use a
+    grid-plus-polish search on the scaling side and return a lower bound.
+    Neither search runs for a family of one vector: its scaling ball is
+    ``[-1, 1]``, so the value is exactly ``‖f‖_X``.  A stack of families
+    ``(K, m, n)`` gives the ``(K,)`` values in one pass.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _sup_lhs(X, e, G), F), single)
@@ -277,14 +281,29 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
 def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
     if e.is_extreme:
         return lattice_aggregate_norm(X, F, e.p)
+    if isinstance(X, WeightedLebesgue) and X.s / e.p <= 1.0 + 1e-9:
+        row_norms = power_mean_rows(F, e.p, X.space.weights)
+        return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
+    if F.shape[1] == 1:
+        return _one_vector_norms(X, F)
     if isinstance(X, WeightedLebesgue):
-        sigma = X.s / e.p
-        if sigma <= 1.0 + 1e-9:
-            row_norms = power_mean_rows(F, e.p, X.space.weights)
-            return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
         return _curved_dual_sup(X, e, F)[0]
     return np.array([brute_force_family_sup(X, e, f, step=1.0 / 40.0)
                      for f in F])
+
+
+def _one_vector_norms(X: LatticeNorm, F: np.ndarray) -> np.ndarray:
+    """``‖f‖_X`` for a stack of one-vector families ``(K, 1, n)``.
+
+    Both dual-ball denominators of a family of one are its norm: Köthe
+    duality gives ``sup_{‖h‖_{X'} <= 1} |<h, f>| = ‖f‖_X``, and the
+    scaling ball of one vector is ``[-1, 1]``.  Weighted Lebesgue norms go
+    through the stacked :func:`power_mean`, one vector's arithmetic per
+    row; an unsaturated mixture raises, as its search path does.
+    """
+    if isinstance(X, WeightedLebesgue):
+        return power_mean(F[:, 0], X.s, X.space.weights)
+    return X.norm_rows(F[:, 0])
 
 
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
@@ -527,10 +546,12 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     ``s = 1`` (the dual ball is a cube, and the objective is convex), and
     the top singular value when ``s = q = 2``.  A saturated mixture space
     with one atom, or with any number of atoms at ``p = q``, is the weighted
-    ``L^p`` space it collapses to and takes the same routes.  Anything else
-    runs a seeded multistart ascent over the dual sphere and returns a
-    certified lower bound.  A stack of families ``(K, m, n)`` gives the
-    ``(K,)`` values in one pass.
+    ``L^p`` space it collapses to and takes the same routes.  Where no
+    closed route applies, a family of one vector is settled by Köthe
+    duality: its value is ``‖f‖_X``.  Anything else runs a seeded
+    multistart ascent over the dual sphere and returns a certified lower
+    bound.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values in
+    one pass.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
@@ -574,6 +595,8 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
         if X.s == 2.0 and q == 2.0:
             scaled = F * np.sqrt(X.space.weights)
             return np.linalg.svd(scaled, compute_uv=False)[:, 0]
+    if F.shape[1] == 1:
+        return _one_vector_norms(X, F)
 
     # multistart ascent over the signed dual sphere
     radial_rows = None

@@ -167,28 +167,6 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
     return A[best].copy(), float(vals[best])
 
 
-def _compress_by_dominance(H: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Move mass onto pointwise-dominating atoms (never decreases any slack)."""
-    masses = masses.copy()
-    K = H.shape[0]
-    for _ in range(K):
-        moved = False
-        for k in range(K):
-            if masses[k] <= 0.0:
-                continue
-            for j in range(K):
-                if j == k:
-                    continue
-                if np.all(H[j] >= H[k]) and (np.any(H[j] > H[k]) or j < k):
-                    masses[j] += masses[k]
-                    masses[k] = 0.0
-                    moved = True
-                    break
-        if not moved:
-            break
-    return masses
-
-
 def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                             tol: float = 1e-6, budget: int = 40, seed=0,
                             C: float | None = None) -> DominationCertificate:
@@ -300,13 +278,8 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
 
     # post-processing on the final mixture
     keep = xi_weights > 1e-14
-    idx = np.where(keep)[0]
-    masses = np.zeros(H.shape[0])
-    masses[idx] = xi_weights[idx]
-    masses = _compress_by_dominance(H, masses)
-    keep = masses > 0.0
     atoms = [grid[k] for k in np.where(keep)[0]]
-    kept_masses = masses[keep] / masses[keep].sum()
+    kept_masses = xi_weights[keep] / xi_weights[keep].sum()
 
     covered = np.zeros(X.n, dtype=bool)
     for a in atoms:

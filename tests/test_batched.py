@@ -265,6 +265,24 @@ class TestStackedDenominators:
                 weak_q_norm(X, F[k], e.q, budget=4, seed=2),
                 rel=1e-12, abs=0.0), route
 
+    @pytest.mark.parametrize("case", range(7))
+    def test_one_vector_families(self, case):
+        cases = _stack_cases() + [(
+            "Köthe / brute force", partition_space(
+                make_space([1.0, 2.0, 0.5], 1.5), E12, np.full(3, 0.5),
+                [[0], [1, 2]], [0.5, 0.5]), E12)]
+        route, X, e = cases[case]
+        F = np.random.default_rng(46).normal(size=(5, 1, 3))
+        F[2] = 0.0
+        for fn in (lambda G: family_sup_lhs(X, e, G),
+                   lambda G: weak_q_norm(X, G, e.q, budget=4, seed=2)):
+            got = fn(F)
+            assert got.shape == (5,)
+            assert got[2] == 0.0
+            for k in range(5):
+                assert got[k] == pytest.approx(fn(F[k]), rel=1e-12,
+                                               abs=0.0), route
+
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
     def test_lattice_aggregate_norm(self, s):
         X = make_space([1.0, 0.5, 2.0], s)

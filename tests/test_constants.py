@@ -10,10 +10,13 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      pq_concavity_estimate, pq_concavity_ratio,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
-from latfact.snorm import dirac_space, partition_space
-from latfact.spaces import extreme_dual_vectors
+from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
+                           UnsaturatedSpaceError, dirac_space, partition_space)
+from latfact.spaces import DualVector, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
+
+E12 = ExponentTriple(p=1.0, q=2.0)
 
 
 class TestFamilySupLhs:
@@ -164,6 +167,79 @@ class TestWeakQNorm:
         assert exact == pytest.approx(0.691737, rel=1e-6)
         assert weak_q_norm(S, F, 2.0, budget=4) == pytest.approx(exact,
                                                                  rel=1e-12)
+
+
+class TestOneVectorDenominators:
+    """A family of one vector has its norm as both dual-ball denominators."""
+
+    @staticmethod
+    def cases():
+        mu = [1.0, 2.0, 0.5]
+        return [
+            # weak-q: dual-sphere ascent; sup side: curved fixed point
+            ("L^1.5", make_space(mu, 1.5), E12),
+            ("L^3", make_space(mu, 3.0), E12),
+            ("L^3, (p, q) = (2, 4)", make_space(mu, 3.0),
+             ExponentTriple(p=2.0, q=4.0)),
+            # weak-q: Köthe dual route; sup side: brute-force fallback
+            ("2-atom partition", partition_space(
+                make_space(mu, 1.5), E12, np.full(3, 0.5), [[0], [1, 2]],
+                [0.5, 0.5]), E12),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_both_denominators_are_the_norm(self, case):
+        route, X, e = self.cases()[case]
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            f = rng.normal(size=3)
+            norm = X.norm(f)
+            assert weak_q_norm(X, f[None, :], e.q, budget=4) == pytest.approx(
+                norm, rel=1e-12), route
+            assert family_sup_lhs(X, e, f[None, :]) == pytest.approx(
+                norm, rel=1e-12), route
+
+    def test_unsaturated_mixture_still_raises(self):
+        X = make_space([1.0, 1.0, 1.0], 1.0)
+        h = DualVector(h=np.array([1.0, 1.0, 0.0]), certified_norm=1.0)
+        S = SNormSpace(base=X, e=E12, xi=DiscreteRadonMeasure.from_pairs(
+            [(h, 1.0)]))
+        assert not S.saturated
+        rng = np.random.default_rng(72)
+        for F in (rng.normal(size=(1, 3)), rng.normal(size=(2, 3)),
+                  rng.normal(size=(4, 1, 3))):
+            with pytest.raises(UnsaturatedSpaceError):
+                weak_q_norm(S, F, 2.0, budget=4)
+            with pytest.raises(UnsaturatedSpaceError):
+                family_sup_lhs(S, E12, F)
+        # a zero family is 0 without touching the norm
+        assert weak_q_norm(S, np.zeros((1, 3)), 2.0) == 0.0
+        assert family_sup_lhs(S, E12, np.zeros((1, 3))) == 0.0
+
+
+class TestSingletonIdentity:
+    """Singleton families make every ratio ``‖Tf‖ / ‖f‖``."""
+
+    def test_all_ratios_coincide(self):
+        T = random_operator(3, 3, [73], s=1.5)
+        X = T.domain
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            f = rng.normal(size=3)
+            ratio = T.codomain_norm(T.apply(f)) / X.norm(f)
+            F = f[None, :]
+            assert q_concavity_ratio(T, 2.0, F) == pytest.approx(ratio,
+                                                                 rel=1e-12)
+            assert pq_concavity_ratio(T, E12, F) == pytest.approx(ratio,
+                                                                  rel=1e-12)
+            assert q_summing_ratio(T, 2.0, F) == pytest.approx(ratio,
+                                                               rel=1e-12)
+
+    def test_operator_norm_witness_replays_as_q_summing(self):
+        T = random_operator(3, 3, [74], s=1.5)
+        est = operator_norm_estimate(T, budget=8, seed=0)
+        assert q_summing_ratio(T, 2.0, np.vstack(est.witness)) == \
+            pytest.approx(est.value, rel=1e-12)
 
 
 class TestQConcavity:
