@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +40,20 @@ COMMANDS = ("check-space", "constants", "snorm-demo", "factorize", "kakutani",
 GENERATE_KINDS = ("lebesgue-space", "random-operator", "partition-xi")
 
 
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, minimum: float = -math.inf) -> int:
+    """An integral number (``3`` or ``3.0``) of at least ``minimum``."""
+    if not (_number(value) and math.isfinite(value) and value == int(value)):
+        raise schemas.InstanceError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise schemas.InstanceError(
+            f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Scenario:
     """One command plus its parsed instance document and knobs."""
@@ -51,9 +67,13 @@ class Scenario:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise schemas.InstanceError(f"unknown command {self.command!r}")
-        self.seed = int(self.instance.get("seed", self.seed))
-        self.tol = float(self.instance.get("tol", self.tol))
-        self.budget = int(self.instance.get("budget", self.budget))
+        self.seed = _integer(self.instance.get("seed", self.seed), "seed")
+        tol = self.instance.get("tol", self.tol)
+        if not (_number(tol) and 0.0 < tol < math.inf):
+            raise schemas.InstanceError(f"tol must be finite and > 0, got {tol!r}")
+        self.tol = float(tol)
+        self.budget = _integer(self.instance.get("budget", self.budget),
+                               "budget", 1)
 
 
 def _check(name: str, passed: bool, **info) -> dict:
@@ -148,7 +168,7 @@ def _run_snorm_demo(sc: Scenario):
                              saturated == bool(sc.instance["expect_saturated"]),
                              saturated=saturated))
     rng = np.random.default_rng([139, sc.seed])
-    samples = int(sc.instance.get("samples", 200))
+    samples = _integer(sc.instance.get("samples", 200), "samples", 1)
     if "dirac" in sc.instance or "partition" in sc.instance:
         # the mixture must match its closed mixed-norm expression exactly
         worst = 0.0
@@ -179,7 +199,7 @@ def _run_factorize(sc: Scenario):
     T = schemas.build_operator(sc.instance, X)
     cert = find_domination_measure(T, e, tol=sc.tol, budget=sc.budget,
                                    seed=sc.seed)
-    samples = int(sc.instance.get("samples", 2000))
+    samples = _integer(sc.instance.get("samples", 2000), "samples", 1)
     residual = verify_domination(cert, T, e, sample_count=samples, seed=sc.seed)
     checks = [
         _check("solver-converged", cert.converged, residual=cert.residual,
@@ -205,7 +225,7 @@ def _run_kakutani(sc: Scenario):
                      residual=cert.residual)]
     report = {"certificate": cert.to_jsonable()}
     if cert.converged:
-        samples = int(sc.instance.get("samples", 2048))
+        samples = _integer(sc.instance.get("samples", 2048), "samples", 1)
         lower, upper = _equivalence_range(cert, X, samples, sc.seed)
         checks.append(_check("lower-constant", lower >= 1.0 - 1e-9, value=lower))
         checks.append(_check("upper-constant",
@@ -297,6 +317,8 @@ def generate_instances(kind: str, count: int, n: int, seed: int,
     """Write deterministic instance fixtures; returns the created paths."""
     if kind not in GENERATE_KINDS:
         raise schemas.InstanceError(f"unsupported generator kind {kind!r}")
+    if n < 1:
+        raise schemas.InstanceError("instance generator needs n >= 1")
     if n > 12:
         raise schemas.InstanceError("instance generator caps n at 12")
     out_dir = Path(out_dir)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
-from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
+from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
                      WeightedLebesgue, _family_stack, _unstack, as_vector,
@@ -120,10 +120,6 @@ class LinearOperator:
 
     def apply(self, f) -> np.ndarray:
         return self.matrix @ as_vector(f, self.n)
-
-    def apply_rows(self, F) -> np.ndarray:
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        return F @ self.matrix.T
 
     def codomain_norm(self, v) -> float:
         return self.codomain.norm(v)
@@ -670,19 +666,6 @@ def q_summing_ratio(T: LinearOperator, q: float, F, budget: int = 16,
         weak_q_norm(T.domain, F, q, budget=budget, seed=seed)), single)
 
 
-def _image_grad_rows(T: LinearOperator, U: np.ndarray) -> np.ndarray:
-    """Row-wise gradient of the codomain norm at the images ``U``."""
-    target = T.codomain
-    norms = T.codomain_norm_rows(U)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    if isinstance(target, EuclideanNorm):
-        return U / norms[:, None]
-    if isinstance(target, WeightedLebesgue):
-        scaled = np.abs(U) / norms[:, None]
-        return np.sign(U) * scaled ** (target.s - 1.0) * target.space.weights
-    return np.vstack([target.norm_grad(u) for u in U])
-
-
 def operator_norm_estimate(T: LinearOperator, budget: int = 16,
                            seed=0) -> ConstantEstimate:
     """Lower bound on ``sup ‖Tf‖ / ‖f‖`` via sign patterns and sphere ascent.
@@ -690,18 +673,14 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
     Sign patterns seed the starts (signs matter only through the image);
     the ascent itself runs on signed vectors on the domain unit sphere.
     """
-    n = T.n
     X = T.domain
-    patterns = sign_patterns(n, seed=seed)
-    starts = sphere_starts(n, max(4, min(int(budget), 16)), seed)
-    A0 = (patterns[:, None, :] * starts[None, :, :]).reshape(-1, n)
+    A0 = signed_starts(T.n, max(4, min(int(budget), 16)), seed)
 
     def value_rows(F: np.ndarray) -> np.ndarray:
         return T.codomain_norm_rows(F @ T.matrix.T)
 
     def grad_rows(F: np.ndarray) -> np.ndarray:
-        U = F @ T.matrix.T
-        return _image_grad_rows(T, U) @ T.matrix
+        return T.codomain.norm_grad_rows(F @ T.matrix.T) @ T.matrix
 
     A, vals = projected_ascent(value_rows, grad_rows,
                                lambda B: unit_rows(B, X.norm_rows), A0,

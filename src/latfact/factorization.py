@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (LinearOperator, _image_grad_rows, attainment_point,
-                        identity_operator, operator_norm_estimate)
+from .constants import (LinearOperator, attainment_point, identity_operator,
+                        operator_norm_estimate)
 from .estimates import seed_list
-from .search import projected_ascent, sign_patterns, sphere_starts, unit_rows
+from .search import projected_ascent, signed_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, NotPConvexError,
@@ -141,12 +141,9 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
     means no violation was found.
     """
     X = T.domain
-    n = T.n
     q = S.e.q
     Cq = float(C) ** q
-    patterns = sign_patterns(n, seed=seed)
-    starts = sphere_starts(n, max(4, int(budget)), seed)
-    A0 = (patterns[:, None, :] * starts[None, :, :]).reshape(-1, n)
+    A0 = signed_starts(T.n, max(4, int(budget)), seed)
 
     def value_rows(F: np.ndarray) -> np.ndarray:
         U = F @ T.matrix.T
@@ -156,7 +153,7 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
         U = F @ T.matrix.T
         img = T.codomain_norm_rows(U)
         img_pow = np.where(img > 0.0, img ** (q - 1.0), 0.0)
-        g1 = q * img_pow[:, None] * (_image_grad_rows(T, U) @ T.matrix)
+        g1 = q * img_pow[:, None] * (T.codomain.norm_grad_rows(U) @ T.matrix)
         return g1 - Cq * _snorm_q_grad_rows(S, F)
 
     A, vals = projected_ascent(value_rows, grad_rows,
@@ -206,7 +203,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     seeds = list(opn_seed.witness)
     seeds.extend(unit_rows(rng.normal(size=(2, T.n)), X.norm_rows))
     W = unit_rows(np.vstack(seeds), X.norm_rows)
-    bvec = T.codomain_norm_rows(T.apply_rows(W)) ** e.q
+    bvec = T.codomain_norm_rows(W @ T.matrix.T) ** e.q
     Phi = _phi_matrix(X, e, W, H)
 
     lp_values: list[float] = []
@@ -270,7 +267,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         # record the violating function as a new witness
         W = np.vstack([W, f_star])
         bvec = np.append(bvec, T.codomain_norm_rows(
-            T.apply_rows(f_star[None, :])) ** e.q)
+            f_star[None, :] @ T.matrix.T) ** e.q)
         Phi = np.vstack([Phi, _phi_matrix(X, e, f_star[None, :], H)])
         witness_cap = t
 
@@ -317,7 +314,7 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     F = unit_rows(F, X.norm_rows)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
-    image = T.codomain_norm_rows(T.apply_rows(F))
+    image = T.codomain_norm_rows(F @ T.matrix.T)
     mixture = S.seminorm_rows(F)
     return float(np.max(image - cert.C * mixture))
 
@@ -336,26 +333,15 @@ def collapse_weight(cert: DominationCertificate) -> np.ndarray:
 
 def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
                             budget: int = 16, seed=0) -> float:
-    """Lower bound on ``sup { ‖Tf‖ : s(f) = 1 }`` (the extended operator norm)."""
+    """Lower bound on ``sup { ‖Tf‖ : s(f) = 1 }`` (the extended operator norm).
+
+    This is the operator norm of the same matrix with the saturated mixture
+    space ``S`` as its domain, so :func:`operator_norm_estimate` computes it.
+    """
     if not S.saturated:
         raise ValueError("extension norm needs a saturated mixture")
-    n = T.n
-    patterns = sign_patterns(n, seed=seed)
-    starts = sphere_starts(n, max(4, int(budget)), seed)
-    A0 = (patterns[:, None, :] * starts[None, :, :]).reshape(-1, n)
-
-    def value_rows(F: np.ndarray) -> np.ndarray:
-        return T.codomain_norm_rows(F @ T.matrix.T)
-
-    def grad_rows(F: np.ndarray) -> np.ndarray:
-        U = F @ T.matrix.T
-        return _image_grad_rows(T, U) @ T.matrix
-
-    _, vals = projected_ascent(value_rows, grad_rows,
-                               lambda F: unit_rows(F, S.seminorm_rows), A0,
-                               iters=50, nonneg=False,
-                               radial_rows=S.norm_grad_rows)
-    return float(np.max(vals))
+    return operator_norm_estimate(LinearOperator(T.matrix, S, T.codomain),
+                                  budget, seed).value
 
 
 def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,

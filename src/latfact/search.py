@@ -7,14 +7,15 @@ n) and ascends over nonnegative magnitudes on a unit sphere.  Batches put
 restarts in rows so the whole search is a handful of dense numpy ops.
 
 :func:`projected_ascent` is the one sphere ascent of the package.  It runs
-the image ratio of ``constants.operator_norm_estimate``, the violation of
-``factorization.violation_oracle``, the extended norm of
-``factorization.extension_norm_estimate``, the dual-sphere suprema of
-``constants.weak_q_norm`` and the polish of ``constants._curved_dual_sup``,
+the operator norm of ``constants.operator_norm_estimate`` (which is also
+``factorization.extension_norm_estimate``), the violation of
+``factorization.violation_oracle``, the dual-sphere suprema of
+``constants._weak_q`` and the polish of ``constants._curved_dual_sup``,
 and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
 numeric Köthe duals.  It iterates only live rows: a row whose line search
 finds no gain is never recomputed.  The two ``constants`` callers pass a
 stack of problems, one per family, so a stack of families is one ascent.
+Both searches for ``‖Tf‖`` start from :func:`signed_starts`, and
 :func:`unit_rows` is the one sphere normaliser.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
@@ -30,41 +31,44 @@ import itertools
 
 import numpy as np
 
-__all__ = ["sign_patterns", "projected_ascent", "sphere_starts", "unit_rows"]
+__all__ = ["sign_patterns", "signed_starts", "projected_ascent", "unit_rows"]
 
 # step ladder of the line search along the unit ascent direction
 _ETAS = np.geomspace(1e-10, 1.0, 18)
+# sign patterns sampled above the enumeration cap
+_PATTERN_LIMIT = 256
 
 
-def sign_patterns(n: int, cap: int = 12, limit: int | None = None,
-                  seed=0) -> np.ndarray:
+def sign_patterns(n: int, cap: int = 12, seed=0) -> np.ndarray:
     """All +-1 patterns with first coordinate +1 (signs modulo global flip).
 
     Enumerated in full for ``n <= cap``; beyond that a seeded sample of
-    ``limit`` (default 256) distinct patterns is returned.
+    256 distinct patterns is returned.
     """
     if n <= cap:
         tails = itertools.product((1.0, -1.0), repeat=n - 1)
         return np.array([(1.0, *tail) for tail in tails])
     rng = np.random.default_rng([59, *np.atleast_1d(seed).astype(int).tolist()])
-    limit = limit or 256
     patterns = {tuple([1.0] + list(row)) for row in
-                np.where(rng.random(size=(4 * limit, n - 1)) < 0.5, 1.0, -1.0)}
-    return np.array(sorted(patterns))[:limit]
+                np.where(rng.random(size=(4 * _PATTERN_LIMIT, n - 1)) < 0.5,
+                         1.0, -1.0)}
+    return np.array(sorted(patterns))[:_PATTERN_LIMIT]
 
 
-def sphere_starts(n: int, restarts: int, seed) -> np.ndarray:
-    """Canonical nonnegative starts (uniform, indicators) plus seeded noise.
+def signed_starts(n: int, restarts: int, seed) -> np.ndarray:
+    """Every sign pattern times every canonical start, as rows.
 
-    Always includes the uniform vector and every indicator; random rows top
-    the list up to ``restarts`` when that is larger.
+    The canonical starts are the uniform vector, every indicator, and
+    seeded nonnegative noise that tops them up to ``restarts`` rows when
+    that is larger.
     """
     rng = np.random.default_rng([61, *np.atleast_1d(seed).astype(int).tolist()])
     rows = [np.ones(n)]
     rows.extend(np.eye(n))
     while len(rows) < restarts:
         rows.append(np.abs(rng.normal(size=n)))
-    return np.vstack(rows)
+    patterns = sign_patterns(n, seed=seed)
+    return (patterns[:, None, :] * np.vstack(rows)[None, :, :]).reshape(-1, n)
 
 
 def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = ["SimplexError", "MaxMinSolution", "solve_max_min"]
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
+_MAX_PIVOTS = 50000
 
 
 class SimplexError(RuntimeError):
@@ -39,14 +40,14 @@ class MaxMinSolution:
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # only rows with a nonzero entry change, so signed zeros elsewhere stay
+    rows = np.nonzero(T[:, col])[0]
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col][:, None] * T[row]
     basis[row] = col
 
 
-def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray,
-              max_iter: int) -> int:
+def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> int:
     """Run the pivot loop on a tableau whose last row holds reduced costs."""
     m = T.shape[0] - 1
     iters = 0
@@ -78,11 +79,11 @@ def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray,
                 row = int(ties[np.argmin([basis[i] for i in ties])])
         _pivot(T, basis, row, col)
         iters += 1
-        if iters > max_iter:
+        if iters > _MAX_PIVOTS:
             raise SimplexError("pivot limit exceeded")
 
 
-def solve_max_min(A, b, *, max_iter: int = 50000) -> MaxMinSolution:
+def solve_max_min(A, b) -> MaxMinSolution:
     """Maximize ``min_j (A[j] . xi - b[j])`` over the probability simplex.
 
     Returns the optimal slack, the maximizing weights, and the dual
@@ -132,7 +133,7 @@ def solve_max_min(A, b, *, max_iter: int = 50000) -> MaxMinSolution:
     T[m, -1] = -bn.sum()
     allowed = np.zeros(nvar + m, dtype=bool)
     allowed[:nvar] = True
-    iters = _optimize(T, basis, allowed, max_iter)
+    iters = _optimize(T, basis, allowed)
     if T[m, -1] < -_FEAS_TOL:
         raise SimplexError("phase 1 ended infeasible")
 
@@ -150,7 +151,7 @@ def solve_max_min(A, b, *, max_iter: int = 50000) -> MaxMinSolution:
     for i, bi in enumerate(basis):
         if bi < nvar and cost[bi] != 0.0:
             T[m, :] += cost[bi] * T[i, :]
-    iters += _optimize(T, basis, allowed, max_iter)
+    iters += _optimize(T, basis, allowed)
 
     x = np.zeros(nvar)
     for i, bi in enumerate(basis):

@@ -393,6 +393,8 @@ def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto", seed=0) -> float:
     over the positive unit sphere; the value is a lower bound, tight to
     about 1e-9 here and validated against the closed form at 1e-7.
     """
+    if method not in ("auto", "closed", "numeric"):
+        raise ValueError(f"unknown dual-norm method {method!r}")
     h = as_vector(h, X.n)
     closed = isinstance(X, WeightedLebesgue) and method in ("auto", "closed")
     if method == "closed" and not isinstance(X, WeightedLebesgue):

@@ -188,13 +188,23 @@ class TestPolishFamily:
             [2 * m * n] if len(gradient) % 2 else [])
 
 
+def lebesgue_target(T: LinearOperator, r: float) -> LinearOperator:
+    """``T`` into a seeded weighted ``L^r``: the codomain's own gradient."""
+    weights = np.random.default_rng([int(r), T.d]).uniform(0.5, 2.0, size=T.d)
+    return LinearOperator(T.matrix, T.domain, make_space(weights, r))
+
+
 class TestProjectedAscent:
     """Live rows give the bits of the loop that recomputes every row."""
 
-    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s, target", [
+        (1.0, None), (1.5, None), (2.0, None), (3.0, None), (1.5, 3.0)],
+        ids=["1.0", "1.5", "2.0", "3.0", "1.5-L3"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_operator_norm_estimate(self, monkeypatch, s, seed):
+    def test_operator_norm_estimate(self, monkeypatch, s, target, seed):
         T = random_operator(3, 3, [seed, 11], s=s)
+        if target is not None:
+            T = lebesgue_target(T, target)
         est = operator_norm_estimate(T, budget=8, seed=seed)
         monkeypatch.setattr(constants, "projected_ascent",
                             reference_projected_ascent)
@@ -203,9 +213,13 @@ class TestProjectedAscent:
         assert np.array_equal(est.witness[0], ref.witness[0])
 
     @pytest.mark.parametrize("C", [0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("s", [1.0, 2.0])
-    def test_violation_oracle(self, monkeypatch, C, s):
+    @pytest.mark.parametrize("s, target", [(1.0, None), (2.0, None),
+                                           (2.0, 3.0)],
+                             ids=["1.0", "2.0", "2.0-L3"])
+    def test_violation_oracle(self, monkeypatch, C, s, target):
         T = random_operator(3, 3, [3], s=s)
+        if target is not None:
+            T = lebesgue_target(T, target)
         e = ExponentTriple(p=1.0, q=2.0)
         S = dirac_space(T.domain, e, np.full(3, 0.5))
         f, v = violation_oracle(T, S, C=C, budget=8, seed=1)

@@ -191,6 +191,16 @@ class TestMainEntry:
             main(["frobnicate", "--instance", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", 1.5), ("tol", 0.0), ("tol", -1e-6),
+        ("tol", float("inf")), ("tol", "small"), ("budget", 0),
+        ("budget", -3), ("budget", 2.5), ("samples", 0), ("samples", "many")])
+    def test_invalid_knob_is_input_error(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(identity_instance(), **{key: value})))
+        assert main(["factorize", "--instance", str(path)]) == 2
+        assert not (tmp_path / "bad.report.json").exists()
+
     def test_seed_override_changes_report_seed(self, tmp_path):
         path = tmp_path / "identity.json"
         path.write_text(json.dumps(identity_instance()))
@@ -229,6 +239,13 @@ class TestGenerate:
             sc = Scenario(command="snorm-demo", instance=doc)
             S = _build_snorm(sc)
             assert S.saturated
+
+    def test_empty_space_is_input_error(self, tmp_path):
+        with pytest.raises(InstanceError):
+            generate_instances("lebesgue-space", count=1, n=0, seed=0,
+                               out_dir=tmp_path)
+        assert main(["generate", "--kind", "random-operator", "--n", "0",
+                     "--out-dir", str(tmp_path)]) == 2
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InstanceError):

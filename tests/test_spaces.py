@@ -123,6 +123,10 @@ class TestKotheDual:
                     numeric = kothe_dual_norm(X, h, method="numeric")
                     assert numeric == pytest.approx(closed, rel=1e-7)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            kothe_dual_norm(make_space([1, 1], 2), [1, 2], method="bogus")
+
     def test_holder_inequality(self):
         rng = np.random.default_rng(19)
         for s in (1.0, 2.0, 2.7):
