@@ -54,6 +54,29 @@ def _integer(value, name: str, minimum: float = -math.inf) -> int:
     return int(value)
 
 
+def _positive(value, name: str) -> float:
+    """A finite number above zero."""
+    if not (_number(value) and 0.0 < value < math.inf):
+        raise schemas.InstanceError(
+            f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def _exponent_pairs(value) -> tuple[tuple[float, float], ...]:
+    """A nonempty list of number pairs ``[p, q]`` with ``1 <= p <= q``."""
+    def valid(pair) -> bool:
+        return (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(_number(x) for x in pair)
+                and 1.0 <= pair[0] <= pair[1] < math.inf)
+
+    if not (isinstance(value, (list, tuple)) and value
+            and all(valid(pair) for pair in value)):
+        raise schemas.InstanceError(
+            "pairs must be a nonempty list of [p, q] with 1 <= p <= q, "
+            f"got {value!r}")
+    return tuple((float(p), float(q)) for p, q in value)
+
+
 @dataclass
 class Scenario:
     """One command plus its parsed instance document and knobs."""
@@ -68,10 +91,7 @@ class Scenario:
         if self.command not in COMMANDS:
             raise schemas.InstanceError(f"unknown command {self.command!r}")
         self.seed = _integer(self.instance.get("seed", self.seed), "seed")
-        tol = self.instance.get("tol", self.tol)
-        if not (_number(tol) and 0.0 < tol < math.inf):
-            raise schemas.InstanceError(f"tol must be finite and > 0, got {tol!r}")
-        self.tol = float(tol)
+        self.tol = _positive(self.instance.get("tol", self.tol), "tol")
         self.budget = _integer(self.instance.get("budget", self.budget),
                                "budget", 1)
 
@@ -119,7 +139,9 @@ def _run_check_space(sc: Scenario):
     report = {"space": {"family": "lebesgue", "s": X.s,
                         "weights": [float(w) for w in measure.weights]}}
     if "p" in sc.instance:
-        p = float(sc.instance["p"])
+        p = sc.instance["p"]
+        if not (_number(p) and 1.0 <= p < math.inf):
+            raise schemas.InstanceError(f"p must be finite and >= 1, got {p!r}")
         est = p_convexity_estimate(X, p, budget=min(sc.budget, 24), seed=sc.seed)
         checks.append(_check("p-convexity-lower-bound", est.value >= 1.0 - 1e-9,
                              value=est.value))
@@ -236,15 +258,13 @@ def _run_kakutani(sc: Scenario):
 
 
 def _run_lemma_verify(sc: Scenario):
-    count = int(sc.instance.get("count", 100))
-    n_max = int(sc.instance.get("n_max", 4))
-    m_max = int(sc.instance.get("m_max", 3))
-    step = float(sc.instance.get("step", 1e-3))
-    rel_tol = float(sc.instance.get("rel_tol", 1e-6))
+    count = _integer(sc.instance.get("count", 100), "count", 1)
+    n_max = _integer(sc.instance.get("n_max", 4), "n_max", 2)
+    m_max = _integer(sc.instance.get("m_max", 3), "m_max", 1)
+    step = _positive(sc.instance.get("step", 1e-3), "step")
+    rel_tol = _positive(sc.instance.get("rel_tol", 1e-6), "rel_tol")
     pairs = sc.instance.get("pairs")
-    kwargs = {}
-    if pairs is not None:
-        kwargs["pairs"] = tuple((float(p), float(q)) for p, q in pairs)
+    kwargs = {} if pairs is None else {"pairs": _exponent_pairs(pairs)}
     worst = 0.0
     worst_index = None
     for i, (X, e, F) in enumerate(

@@ -186,9 +186,12 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     Every iterate is feasible, so the value is a lower bound on the
     supremum, not the supremum: the fixed point can settle in a local
     maximum, 2–3e-4 low on nine-vector families at
-    ``(s, p, q) = (2, 1, 3)``.  One-vector families never reach it in
-    :func:`family_sup_lhs`, whose value there is the norm.  Returns the
-    values ``(K,)`` and the maximizing weights ``(K, n)``.
+    ``(s, p, q) = (2, 1, 3)``.  It serves ``t = q/p > 1`` only: at
+    ``p = q`` the objective is linear, and :func:`family_sup_lhs` and
+    :func:`attainment_point` use its closed form.  One-vector families
+    never reach it in :func:`family_sup_lhs`, whose value there is the
+    norm.  Returns the values ``(K,)`` and the maximizing weights
+    ``(K, n)``.
     """
     mu = X.space.weights
     n = X.n
@@ -332,9 +335,12 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
     """A dual-ball point (near-)maximizing the inner-integral aggregate.
 
     On cube-shaped dual balls the objective is monotone, so the all-ones
-    weight is exact.  On curved weighted Lebesgue duals the fixed point of
-    :func:`family_sup_lhs` is returned; for a single function this is the
-    classical norming weight of ``|f|^p``.  Other domains fall back to the
+    weight is exact.  On curved weighted Lebesgue duals with ``p = q`` the
+    objective is linear, ``∫ g h dμ`` with ``g = sum_i |f_i|^p``, and the
+    exact maximizer is Hölder's ``g^(sigma-1) / ‖g^(sigma-1)‖_{sigma'}``
+    (``sigma = s/p``); for a single function this is the classical norming
+    weight of ``|f|^p``.  For ``q > p`` the fixed point of
+    :func:`_curved_dual_sup` is returned.  Other domains fall back to the
     best canonical candidate.
     """
     F = _family_matrix(F, X.n)
@@ -346,7 +352,13 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
             h = np.ones(X.n)
             nrm = power_mean(h, sigma / (sigma - 1.0), X.space.weights)
             return DualVector(h=h / nrm, certified_norm=1.0)
-        h = _curved_dual_sup(X, e, F[None])[1][0]
+        if e.is_extreme:
+            # psi(h) = ∫ g h dμ with g = sum_i |f_i|^p is linear, and
+            # Hölder's equality case h ∝ g^(sigma-1) maximizes it
+            g = (np.abs(F) ** e.p).sum(axis=0)
+            h = (g / g.max()) ** (sigma - 1.0)
+        else:
+            h = _curved_dual_sup(X, e, F[None])[1][0]
         sigma_dual = sigma / (sigma - 1.0)
         nrm = power_mean(h, sigma_dual, X.space.weights)
         return DualVector(h=h / nrm, certified_norm=1.0)

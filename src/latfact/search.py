@@ -15,8 +15,9 @@ and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
 numeric Köthe duals.  It iterates only live rows: a row whose line search
 finds no gain is never recomputed.  The two ``constants`` callers pass a
 stack of problems, one per family, so a stack of families is one ascent.
-Both searches for ``‖Tf‖`` start from :func:`signed_starts`, and
-:func:`unit_rows` is the one sphere normaliser.
+Both searches for ``‖Tf‖`` start from :func:`signed_starts`, which gives
+each distinct sign-pattern start once (a pattern times an indicator is
+only ``±e_i``), and :func:`unit_rows` is the one sphere normaliser.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
@@ -56,19 +57,33 @@ def sign_patterns(n: int, cap: int = 12, seed=0) -> np.ndarray:
 
 
 def signed_starts(n: int, restarts: int, seed) -> np.ndarray:
-    """Every sign pattern times every canonical start, as rows.
+    """Each distinct sign pattern times canonical start, once, as rows.
 
-    The canonical starts are the uniform vector, every indicator, and
+    The canonical starts are the uniform vector, every indicator (for
+    ``n > 1``; at ``n = 1`` the indicator is the uniform vector), and
     seeded nonnegative noise that tops them up to ``restarts`` rows when
-    that is larger.
+    that is larger.  A pattern times a full-support start is a row of its
+    own, but a pattern times the indicator ``e_i`` is ``±e_i``: only the
+    first pattern with each sign at ``i`` gives a row.  Rows keep the
+    pattern-major order of the full product, so a search that takes the
+    first of equal values picks the same row from either.
     """
     rng = np.random.default_rng([61, *np.atleast_1d(seed).astype(int).tolist()])
     rows = [np.ones(n)]
-    rows.extend(np.eye(n))
+    if n > 1:
+        rows.extend(np.eye(n))
     while len(rows) < restarts:
         rows.append(np.abs(rng.normal(size=n)))
     patterns = sign_patterns(n, seed=seed)
-    return (patterns[:, None, :] * np.vstack(rows)[None, :, :]).reshape(-1, n)
+    keep = np.ones((len(patterns), len(rows)), dtype=bool)
+    if n > 1:
+        neg = patterns < 0.0
+        first = np.zeros_like(neg)
+        for side in (neg, ~neg):
+            has = side.any(axis=0)
+            first[side.argmax(axis=0)[has], np.flatnonzero(has)] = True
+        keep[:, 1:n + 1] = first
+    return (patterns[:, None, :] * np.vstack(rows)[None, :, :])[keep]
 
 
 def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:

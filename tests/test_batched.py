@@ -1,10 +1,11 @@
 """The batched searches against the one-at-a-time loops they replace.
 
-``reference_polish_family`` and ``reference_projected_ascent`` are the
-loops the batched versions replaced, kept verbatim as references: the
-family search that calls a scalar ratio once per probe, and the sphere
-ascent that recomputes every row until all rows have stalled three times.
-The batched versions must give the same bits.
+``reference_polish_family``, ``reference_projected_ascent`` and
+``reference_signed_starts`` are the code the batched versions replaced,
+kept verbatim as references: the family search that calls a scalar ratio
+once per probe, the sphere ascent that recomputes every row until all rows
+have stalled three times, and the start rows with every repeat of the
+pattern × start product.  The batched versions must give the same bits.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      pq_concavity_ratio, q_concavity_ratio, q_summing_ratio,
                      violation_oracle, weak_q_norm)
 from latfact import constants, estimates, factorization
-from latfact.search import _ETAS
+from latfact.search import _ETAS, sign_patterns, signed_starts
+from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
 from conftest import make_space
 
@@ -114,6 +116,16 @@ def reference_projected_ascent(value_rows, grad_rows, normalize_rows, A0, *,
         if stall.min() >= 3:
             break
     return A, val
+
+
+def reference_signed_starts(n, restarts, seed):
+    rng = np.random.default_rng([61, *np.atleast_1d(seed).astype(int).tolist()])
+    rows = [np.ones(n)]
+    rows.extend(np.eye(n))
+    while len(rows) < restarts:
+        rows.append(np.abs(rng.normal(size=n)))
+    patterns = sign_patterns(n, seed=seed)
+    return (patterns[:, None, :] * np.vstack(rows)[None, :, :]).reshape(-1, n)
 
 
 E12 = ExponentTriple(p=1.0, q=2.0)
@@ -228,6 +240,43 @@ class TestProjectedAscent:
         ref_f, ref_v = violation_oracle(T, S, C=C, budget=8, seed=1)
         assert v == ref_v
         assert np.array_equal(f, ref_f)
+
+
+class TestDistinctStarts:
+    """Dropping repeated start rows changes no value and no witness."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 13])
+    @pytest.mark.parametrize("restarts", [4, 16])
+    def test_rows_are_the_first_occurrences(self, n, restarts):
+        rows = signed_starts(n, restarts, seed=3)
+        full = reference_signed_starts(n, restarts, 3)
+        # rows compare by value, so -0.0 and 0.0 are one key
+        first = {}
+        for index, key in enumerate(map(tuple, (full + 0.0).tolist())):
+            first.setdefault(key, index)
+        assert len({tuple(r) for r in (rows + 0.0).tolist()}) == len(rows)
+        assert rows.tobytes() == full[list(first.values())].tobytes()
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("budget", [4, 16])
+    @pytest.mark.parametrize("C", [0.5, 1.5])
+    def test_searches_keep_their_bits(self, monkeypatch, s, budget, C):
+        T = random_operator(4, 4, [13], s=s)
+        g = np.array([0.4, 1.0, 0.7, 0.9])
+        S = dirac_space(T.domain, E12,
+                        g / dual_norm_of_pth_power(T.domain, E12.p, g))
+
+        def searches():
+            est = operator_norm_estimate(T, budget=budget, seed=2)
+            f, v = violation_oracle(T, S, C=C, budget=budget, seed=2)
+            return est.value, est.witness[0].tobytes(), v, f.tobytes()
+
+        got = searches()
+        monkeypatch.setattr(constants, "signed_starts",
+                            reference_signed_starts)
+        monkeypatch.setattr(factorization, "signed_starts",
+                            reference_signed_starts)
+        assert got == searches()
 
 
 def _stack_cases():

@@ -201,6 +201,27 @@ class TestMainEntry:
         assert main(["factorize", "--instance", str(path)]) == 2
         assert not (tmp_path / "bad.report.json").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("lemma-verify", "count", "abc"), ("lemma-verify", "count", 0),
+        ("lemma-verify", "n_max", 1), ("lemma-verify", "m_max", 0),
+        ("lemma-verify", "m_max", 2.5), ("lemma-verify", "step", 0),
+        ("lemma-verify", "step", -0.1), ("lemma-verify", "rel_tol", "tight"),
+        ("lemma-verify", "rel_tol", 0.0), ("lemma-verify", "pairs", []),
+        ("lemma-verify", "pairs", 3), ("lemma-verify", "pairs", [[2.0, 1.0]]),
+        ("lemma-verify", "pairs", [[0.5, 1.0]]),
+        ("lemma-verify", "pairs", [[1.0]]),
+        ("lemma-verify", "pairs", [["a", 2.0]]),
+        ("check-space", "p", "abc"), ("check-space", "p", 0.5)])
+    def test_invalid_command_field_is_input_error(self, tmp_path, command,
+                                                  key, value):
+        doc = {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 2.0]},
+               "space": {"family": "lebesgue", "s": 2.0}, "count": 2,
+               "step": 0.1, key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(path)]) == 2
+        assert not (tmp_path / "bad.report.json").exists()
+
     def test_seed_override_changes_report_seed(self, tmp_path):
         path = tmp_path / "identity.json"
         path.write_text(json.dumps(identity_instance()))

@@ -10,6 +10,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      pq_concavity_estimate, pq_concavity_ratio,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
+from latfact import constants
 from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
                            UnsaturatedSpaceError, dirac_space, partition_space)
 from latfact.spaces import DualVector, extreme_dual_vectors
@@ -93,6 +94,34 @@ class TestFamilySupRhs:
             lhs = family_sup_lhs(X, e, F)
             worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-30))
         assert worst <= 1e-7
+
+
+class TestClosedFormAttainment:
+    """At ``s > p = q`` the attainment point is Hölder's maximizer."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_hoelder_maximizer(self, p, m):
+        rng = np.random.default_rng([71, int(p), m])
+        n = 4
+        mu = rng.uniform(0.5, 2.0, size=n)
+        s = p * rng.uniform(1.2, 3.0)
+        X = make_space(mu, s)
+        e = ExponentTriple(p=p, q=p)
+        F = rng.normal(size=(m, n))
+        F[:, 2] = 0.0  # a zero column of g
+        sigma = s / p
+        sigma_dual = sigma / (sigma - 1.0)
+        h = attainment_point(X, e, F).h
+        assert h[2] == 0.0
+        assert abs(float((h ** sigma_dual) @ mu) ** (1.0 / sigma_dual)
+                   - 1.0) <= 1e-12
+        g = (np.abs(F) ** p).sum(axis=0)
+        psi = float((g * mu) @ h)
+        g_norm = float((g ** sigma) @ mu) ** (1.0 / sigma)
+        assert abs(psi - g_norm) <= 1e-12 * g_norm
+        fixed_point = float(constants._curved_dual_sup(X, e, F[None])[0][0])
+        assert psi ** (1.0 / p) >= fixed_point * (1.0 - 1e-12)
 
 
 class TestWitnessTransferInequalities:
