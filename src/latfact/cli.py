@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schemas
-from .constants import (brute_force_family_sup, constant_chain_report,
+from .constants import (BRUTE_FORCE_GRID_CAP, brute_force_family_sup,
+                        brute_force_grid_size, constant_chain_report,
                         family_sup_rhs, attainment_point, identity_operator)
 from .factorization import (_equivalence_range, find_domination_measure,
                             verify_domination, collapse_weight)
@@ -32,8 +33,8 @@ from .snorm import (SNormSpace, dirac_space, inclusion_bound_check,
                     partition_space, s_norm, xi_saturation_check)
 from .spaces import (ExponentTriple, extreme_dual_vectors,
                      kothe_dual_norm, p_convexity_estimate)
-from .suite import (lemma_instances, random_lebesgue_space, random_operator,
-                    random_partition_doc)
+from .suite import (LEMMA_PAIRS, lemma_instances, random_lebesgue_space,
+                    random_operator, random_partition_doc)
 
 COMMANDS = ("check-space", "constants", "snorm-demo", "factorize", "kakutani",
             "lemma-verify")
@@ -60,6 +61,35 @@ def _positive(value, name: str) -> float:
         raise schemas.InstanceError(
             f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def _positive_list(value, name: str, length: int) -> np.ndarray:
+    """A list of ``length`` finite numbers above zero."""
+    if not (isinstance(value, (list, tuple)) and len(value) == length
+            and all(_number(x) and 0.0 < x < math.inf for x in value)):
+        raise schemas.InstanceError(
+            f"{name} must be a list of {length} finite numbers > 0, "
+            f"got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _section(instance: dict, key: str, fields: tuple[str, ...]) -> dict:
+    """An instance section that must be an object holding ``fields``."""
+    section = instance[key]
+    if not (isinstance(section, dict) and all(f in section for f in fields)):
+        raise schemas.InstanceError(
+            f"{key!r} must be an object with {', '.join(map(repr, fields))}")
+    return section
+
+
+def _blocks(value) -> list[list[int]]:
+    """Partition blocks: a list of lists of integer atom indices."""
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(block, (list, tuple)) for block in value)):
+        raise schemas.InstanceError(
+            f"partition blocks must be a list of index lists, got {value!r}")
+    return [[_integer(i, "partition block entry") for i in block]
+            for block in value]
 
 
 def _exponent_pairs(value) -> tuple[tuple[float, float], ...]:
@@ -149,6 +179,18 @@ def _run_check_space(sc: Scenario):
     return checks, report
 
 
+def _p_convex_domain(sc: Scenario):
+    """The domain and exponents of a command that needs p-convexity."""
+    measure = schemas.build_measure(sc.instance)
+    X = schemas.build_space(sc.instance, measure)
+    e = schemas.build_exponents(sc.instance)
+    if not X.is_p_convex_one(e.p):
+        raise schemas.InstanceError(
+            f"the domain L^{X.s} is not p-convex for p = {e.p}; "
+            "need p <= s")
+    return X, e
+
+
 def _run_constants(sc: Scenario):
     measure = schemas.build_measure(sc.instance)
     X = schemas.build_space(sc.instance, measure)
@@ -161,19 +203,26 @@ def _run_constants(sc: Scenario):
 
 
 def _build_snorm(sc: Scenario) -> SNormSpace:
-    measure = schemas.build_measure(sc.instance)
-    X = schemas.build_space(sc.instance, measure)
-    e = schemas.build_exponents(sc.instance)
-    if "xi" in sc.instance:
-        xi = schemas.build_xi(sc.instance, X, e)
-        return SNormSpace(base=X, e=e, xi=xi)
-    if "dirac" in sc.instance:
-        g = np.asarray(sc.instance["dirac"]["g"], dtype=float)
-        return dirac_space(X, e, g)
-    if "partition" in sc.instance:
-        part = sc.instance["partition"]
-        return partition_space(X, e, np.asarray(part["g"], dtype=float),
-                               part["blocks"], part["alpha"])
+    X, e = _p_convex_domain(sc)
+    try:
+        if "xi" in sc.instance:
+            xi = schemas.build_xi(sc.instance, X, e)
+            return SNormSpace(base=X, e=e, xi=xi)
+        if "dirac" in sc.instance:
+            dirac = _section(sc.instance, "dirac", ("g",))
+            return dirac_space(X, e, _positive_list(dirac["g"], "dirac g", X.n))
+        if "partition" in sc.instance:
+            part = _section(sc.instance, "partition", ("g", "blocks", "alpha"))
+            g = _positive_list(part["g"], "partition g", X.n)
+            blocks = _blocks(part["blocks"])
+            alpha = _positive_list(part["alpha"], "partition alpha",
+                                   len(blocks))
+            return partition_space(X, e, g, blocks, alpha)
+    except ValueError as exc:
+        # besides the checks above, the constructors reject overlapping,
+        # uncovered, empty or out-of-range blocks and weights outside the
+        # dual ball
+        raise schemas.InstanceError(str(exc)) from exc
     raise schemas.InstanceError(
         "snorm-demo needs one of 'xi', 'dirac' or 'partition'")
 
@@ -215,9 +264,7 @@ def _run_snorm_demo(sc: Scenario):
 
 
 def _run_factorize(sc: Scenario):
-    measure = schemas.build_measure(sc.instance)
-    X = schemas.build_space(sc.instance, measure)
-    e = schemas.build_exponents(sc.instance)
+    X, e = _p_convex_domain(sc)
     T = schemas.build_operator(sc.instance, X)
     cert = find_domination_measure(T, e, tol=sc.tol, budget=sc.budget,
                                    seed=sc.seed)
@@ -238,9 +285,7 @@ def _run_factorize(sc: Scenario):
 
 
 def _run_kakutani(sc: Scenario):
-    measure = schemas.build_measure(sc.instance)
-    X = schemas.build_space(sc.instance, measure)
-    e = schemas.build_exponents(sc.instance)
+    X, e = _p_convex_domain(sc)
     cert = find_domination_measure(identity_operator(X), e, tol=sc.tol,
                                    budget=sc.budget, seed=sc.seed)
     checks = [_check("solver-converged", cert.converged,
@@ -264,12 +309,20 @@ def _run_lemma_verify(sc: Scenario):
     step = _positive(sc.instance.get("step", 1e-3), "step")
     rel_tol = _positive(sc.instance.get("rel_tol", 1e-6), "rel_tol")
     pairs = sc.instance.get("pairs")
-    kwargs = {} if pairs is None else {"pairs": _exponent_pairs(pairs)}
+    pairs = LEMMA_PAIRS if pairs is None else _exponent_pairs(pairs)
+    extremes = {ExponentTriple(p=p, q=q).is_extreme for p, q in pairs}
+    for m in range(1, m_max + 1):
+        size = max(brute_force_grid_size(m, step, x) for x in extremes)
+        if size > BRUTE_FORCE_GRID_CAP:
+            raise schemas.InstanceError(
+                f"step {step!r} and m_max {m_max} ask for a brute-force "
+                f"grid of {size} points at m = {m}, above the cap of "
+                f"{BRUTE_FORCE_GRID_CAP}")
     worst = 0.0
     worst_index = None
     for i, (X, e, F) in enumerate(
             lemma_instances(count, seed=sc.seed, n_max=n_max, m_max=m_max,
-                            **kwargs)):
+                            pairs=pairs)):
         lhs = brute_force_family_sup(X, e, F, step=step)
         grid = extreme_dual_vectors(X, e.p)
         grid.append(attainment_point(X, e, F))

@@ -22,6 +22,7 @@ scalar power, so a family's value does not depend on the stack it is in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "family_sup_rhs",
     "attainment_point",
     "brute_force_family_sup",
+    "brute_force_grid_size",
+    "BRUTE_FORCE_GRID_CAP",
     "weak_q_norm",
     "q_concavity_ratio",
     "pq_concavity_ratio",
@@ -390,28 +393,48 @@ def _scaling_objective(X: LatticeNorm, e: ExponentTriple, F: np.ndarray):
     return value
 
 
-def _simplex_grid(m: int, step: float) -> np.ndarray:
-    """All nonnegative rational points with denominator 1/step on the simplex."""
-    K = max(1, int(round(1.0 / step)))
-    if m == 1:
-        return np.ones((1, 1))
-    if m == 2:
-        i = np.arange(K + 1)
-        return np.column_stack([i, K - i]) / K
-    if m == 3:
-        i, j = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-        keep = (i + j) <= K
-        i, j = i[keep], j[keep]
-        return np.column_stack([i, j, K - i - j]) / K
+# largest starting grid brute_force_family_sup builds; the default step
+# 1e-3 gives 501,501 points at m = 3
+BRUTE_FORCE_GRID_CAP = 10 ** 6
+
+
+def _grid_denominator(m: int, step: float) -> int:
+    if m <= 3:
+        return max(1, int(round(1.0 / step)))
     # larger families: coarsen so the grid stays around 1e5 points
-    K = max(6, int(round(1e5 ** (1.0 / (m - 1)))))
-    axes = [np.arange(K + 1)] * (m - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.column_stack([ax.ravel() for ax in mesh])
-    keep = flat.sum(axis=1) <= K
-    flat = flat[keep]
-    last = K - flat.sum(axis=1)
-    return np.column_stack([flat, last]) / K
+    return max(6, int(round(1e5 ** (1.0 / (m - 1)))))
+
+
+def brute_force_grid_size(m: int, step: float, extreme: bool = False) -> int:
+    """Points in the starting grid of :func:`brute_force_family_sup`.
+
+    ``extreme`` (p = q) grids the cube [0, 1]^m with 5 points per axis;
+    otherwise the grid is the simplex of :func:`_simplex_grid`.
+    """
+    if extreme:
+        return 5 ** m
+    return math.comb(_grid_denominator(m, step) + m - 1, m - 1)
+
+
+def _simplex_grid(m: int, step: float) -> np.ndarray:
+    """All nonnegative rational points with denominator K on the simplex.
+
+    K is ``round(1 / step)`` up to m = 3 and coarser beyond.  The points
+    come in lexicographic order of their first m - 1 coordinates, built
+    one coordinate at a time from what the earlier ones leave, so only
+    the C(K + m - 1, m - 1) simplex points are ever stored.
+    """
+    K = _grid_denominator(m, step)
+    rows = np.zeros((1, 0), dtype=int)
+    left = np.array([K])
+    for _ in range(m - 1):
+        counts = left + 1
+        parent = np.repeat(np.arange(rows.shape[0]), counts)
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - value
+    return np.column_stack([rows, left]) / K
 
 
 def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
@@ -422,11 +445,17 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
     space (mapped from a simplex grid of the given step), then polishes the
     best point by shrinking coordinate moves.  Slow but independent of the
     duality reduction; used as the oracle side of the equality checks.
+    A starting grid above :data:`BRUTE_FORCE_GRID_CAP` points (see
+    :func:`brute_force_grid_size`) raises ``ValueError`` before it is built.
     """
     F = _family_matrix(F, X.n)
     if not np.any(F):
         return 0.0
     m = F.shape[0]
+    size = brute_force_grid_size(m, step, e.is_extreme)
+    if size > BRUTE_FORCE_GRID_CAP:
+        raise ValueError(f"brute-force grid of {size} points for {m} vectors "
+                         f"exceeds the cap of {BRUTE_FORCE_GRID_CAP}")
     value = _scaling_objective(X, e, F)
 
     if e.is_extreme:

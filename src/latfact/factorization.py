@@ -213,6 +213,9 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     residual = math.inf
     xi_weights = np.full(H.shape[0], 1.0 / H.shape[0])
     C_lp = 0.0
+    # the last LP solution while only columns were added since: its basis
+    # stays primal feasible, so the next solve restarts from it
+    warm = None
 
     for _ in range(_MAX_LP_SOLVES):
         if oracle_calls >= budget:
@@ -221,7 +224,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         if pos.size:
             R = Phi[pos] / bvec[pos, None]
             kappa = float(R.max()) or 1.0
-            sol = solve_max_min(R / kappa, np.zeros(pos.size))
+            sol = solve_max_min(R / kappa, np.zeros(pos.size), warm=warm)
             t = sol.value * kappa
             if t > witness_cap * (1.0 + 1e-9):
                 raise AssertionError(
@@ -242,6 +245,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                 grid.append(h_star)
                 H = np.vstack([H, h_star.h])
                 Phi = np.hstack([Phi, column])
+                warm = sol
                 continue
 
         if C is not None and C_lp > C:
@@ -270,6 +274,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
             f_star[None, :] @ T.matrix.T) ** e.q)
         Phi = np.vstack([Phi, _phi_matrix(X, e, f_star[None, :], H)])
         witness_cap = t
+        warm = None
 
     C = C_lp * (1.0 + tol) if C is None else float(C)
 

@@ -151,8 +151,8 @@ def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
 
 def build_xi(doc: dict, X: LatticeNorm, e: ExponentTriple) -> DiscreteRadonMeasure:
     raw = _require(doc, "xi")
-    if not isinstance(raw, dict) or "atoms" not in raw:
-        raise InstanceError("'xi' must be an object with 'atoms'")
+    if not (isinstance(raw, dict) and isinstance(raw.get("atoms"), list)):
+        raise InstanceError("'xi' must be an object with a list 'atoms'")
     pairs = []
     for i, atom in enumerate(raw["atoms"]):
         if not isinstance(atom, dict):

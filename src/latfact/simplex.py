@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for max-min problems over the probability simplex.
+"""Dense simplex with warm restarts for max-min problems over the simplex.
 
 The only linear program this package needs is
 
@@ -9,6 +9,12 @@ solver returns both: the weights, the optimal value, and the adversarial
 row mixture, with the duality identity used as an internal optimality
 check.  Problem sizes stay in the low hundreds, so a dense tableau with
 Dantzig pivoting (Bland's rule after a stall) is plenty.
+
+A cold solve runs two phases from an artificial basis.  A solution also
+carries its optimal basis, and a later solve over the same rows with more
+columns restarts phase 2 from it: new columns leave the old basis primal
+feasible, so one dense solve rebuilds the tableau and only the new
+columns' reduced costs have to be priced out.
 """
 
 from __future__ import annotations
@@ -30,12 +36,18 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class MaxMinSolution:
-    """Optimal value, simplex weights, adversarial row mixture, pivot count."""
+    """Optimal value, simplex weights, adversarial row mixture, pivot count.
+
+    ``basis`` lists the basic variable of each tableau row in the solver's
+    variable layout; :func:`solve_max_min` restarts from it when given the
+    solution as ``warm``.
+    """
 
     value: float
     weights: np.ndarray
     duals: np.ndarray
     iterations: int
+    basis: tuple[int, ...] = ()
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -83,12 +95,42 @@ def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> int:
             raise SimplexError("pivot limit exceeded")
 
 
-def solve_max_min(A, b) -> MaxMinSolution:
+def _restart(An: np.ndarray, bn: np.ndarray, basis: list[int],
+             nvar: int) -> np.ndarray | None:
+    """Tableau ``B^-1 [An | I | bn]`` of a basis, or None if it cannot serve.
+
+    The basis serves phase 2 when it holds no artificial variable, its
+    matrix is nonsingular and its basic solution is primal feasible.
+    """
+    m = An.shape[0]
+    if max(basis) >= nvar:
+        return None
+    T = np.zeros((m + 1, nvar + m + 1))
+    try:
+        T[:m] = np.linalg.solve(An[:, basis],
+                                np.hstack([An, np.eye(m), bn[:, None]]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(T)) or T[:m, -1].min() < -_FEAS_TOL:
+        return None
+    T[:m, basis] = np.eye(m)
+    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
+    return T
+
+
+def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     """Maximize ``min_j (A[j] . xi - b[j])`` over the probability simplex.
 
     Returns the optimal slack, the maximizing weights, and the dual
     mixture ``lam`` over rows, which satisfies the game identity
     ``value = max_k (lam @ A)[k] - lam @ b`` (checked internally).
+
+    ``warm`` is a solution of an LP over the same rows whose columns are a
+    prefix of ``A``'s columns.  Phase 2 then restarts from its optimal
+    basis, and ``iterations`` counts only the pivots after the restart.
+    When ``warm`` is None, has another row count or more columns than
+    ``A``, or its basis is not primal feasible for this LP, the solve runs
+    both phases from scratch.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -120,30 +162,40 @@ def solve_max_min(A, b) -> MaxMinSolution:
     sign = np.where(beq < 0.0, -1.0, 1.0)
     An = Aeq * sign[:, None]
     bn = beq * sign
-
-    # tableau with artificial identity block and a reduced-cost row
-    T = np.zeros((m + 1, nvar + m + 1))
-    T[:m, :nvar] = An
-    T[:m, nvar:nvar + m] = np.eye(m)
-    T[:m, -1] = bn
-    basis = list(range(nvar, nvar + m))
-
-    # phase 1: maximize minus the artificial sum
-    T[m, :nvar] = -An.sum(axis=0)
-    T[m, -1] = -bn.sum()
     allowed = np.zeros(nvar + m, dtype=bool)
     allowed[:nvar] = True
-    iters = _optimize(T, basis, allowed)
-    if T[m, -1] < -_FEAS_TOL:
-        raise SimplexError("phase 1 ended infeasible")
 
-    # drive remaining artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= nvar:
-            row = T[i, :nvar]
-            pivots = np.where(np.abs(row) > _PIVOT_TOL)[0]
-            if pivots.size:
-                _pivot(T, basis, i, int(pivots[0]))
+    T = None
+    iters = 0
+    if (warm is not None and warm.basis and warm.duals.shape == (J,)
+            and warm.weights.size <= K):
+        # the new columns sit after the old xi block, so every later
+        # variable moves right by the number of new columns
+        K0 = warm.weights.size
+        basis = [v if v < K0 else v + K - K0 for v in warm.basis]
+        T = _restart(An, bn, basis, nvar)
+    if T is None:
+        # tableau with artificial identity block and a reduced-cost row
+        T = np.zeros((m + 1, nvar + m + 1))
+        T[:m, :nvar] = An
+        T[:m, nvar:nvar + m] = np.eye(m)
+        T[:m, -1] = bn
+        basis = list(range(nvar, nvar + m))
+
+        # phase 1: maximize minus the artificial sum
+        T[m, :nvar] = -An.sum(axis=0)
+        T[m, -1] = -bn.sum()
+        iters = _optimize(T, basis, allowed)
+        if T[m, -1] < -_FEAS_TOL:
+            raise SimplexError("phase 1 ended infeasible")
+
+        # drive remaining artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= nvar:
+                row = T[i, :nvar]
+                pivots = np.where(np.abs(row) > _PIVOT_TOL)[0]
+                if pivots.size:
+                    _pivot(T, basis, i, int(pivots[0]))
 
     # phase 2: true objective
     T[m, :] = 0.0
@@ -178,4 +230,4 @@ def solve_max_min(A, b) -> MaxMinSolution:
         raise SimplexError(
             f"duality gap {dual_value - value:.3e} exceeds tolerance")
     return MaxMinSolution(value=value, weights=weights, duals=duals,
-                          iterations=iters)
+                          iterations=iters, basis=tuple(basis))

@@ -39,11 +39,16 @@ class UnsaturatedSpaceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteRadonMeasure:
-    """Finitely many dual-ball atoms ``h_k`` with strictly positive masses."""
+    """Finitely many dual-ball atoms ``h_k`` with strictly positive masses.
+
+    ``atom_matrix`` stacks the atoms as rows (the k-th row is the weight
+    vector h_k); it is built once and read-only.
+    """
 
     atoms: tuple[DualVector, ...]
     masses: np.ndarray
     normalized: bool = field(default=False)
+    atom_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
@@ -65,8 +70,11 @@ class DiscreteRadonMeasure:
         if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
             raise ValueError("atom masses must be strictly positive and finite")
         masses.flags.writeable = False
+        H = np.vstack([a.h for a in atoms])
+        H.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "atom_matrix", H)
         if self.normalized and abs(self.total_mass - 1.0) > 1e-12:
             raise ValueError(
                 f"normalized flag set but total mass is {self.total_mass}")
@@ -83,11 +91,6 @@ class DiscreteRadonMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
-
-    @property
-    def atom_matrix(self) -> np.ndarray:
-        """Atoms stacked as rows (k-th row is the weight vector h_k)."""
-        return np.vstack([a.h for a in self.atoms])
 
     def scaled_to_probability(self) -> "DiscreteRadonMeasure":
         total = self.total_mass

@@ -24,6 +24,21 @@ def identity_instance(n=2, s=2.0, p=2.0, q=2.0) -> dict:
     }
 
 
+def partition(**fields) -> dict:
+    """A valid two-block partition section with some fields replaced."""
+    return dict({"g": [0.5, 0.5], "blocks": [[0], [1]], "alpha": [0.5, 0.5]},
+                **fields)
+
+
+def field_document() -> dict:
+    """A document every command accepts: p-convex domain, operator, mixture."""
+    return {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 2.0]},
+            "space": {"family": "lebesgue", "s": 2.0}, "p": 1.5, "q": 2.0,
+            "operator": {"matrix": [[1.0, 0.5], [0.0, 1.0]]},
+            "partition": partition(), "samples": 50, "count": 2,
+            "step": 0.1, "budget": 8}
+
+
 class TestSchemas:
     def test_round_trip_preserves_objects(self):
         ms = MeasureSpace(weights=np.array([0.5, 1.5]))
@@ -211,16 +226,49 @@ class TestMainEntry:
         ("lemma-verify", "pairs", [[0.5, 1.0]]),
         ("lemma-verify", "pairs", [[1.0]]),
         ("lemma-verify", "pairs", [["a", 2.0]]),
-        ("check-space", "p", "abc"), ("check-space", "p", 0.5)])
+        ("check-space", "p", "abc"), ("check-space", "p", 0.5),
+        ("lemma-verify", "step", 1e-4), ("lemma-verify", "m_max", 9),
+        ("snorm-demo", "partition", partition(blocks=[[0, 1], [1]])),
+        ("snorm-demo", "partition", partition(blocks=[[0]], alpha=[1.0])),
+        ("snorm-demo", "partition", partition(blocks=[[0, 1], []])),
+        ("snorm-demo", "partition", partition(blocks=[[0], [2]])),
+        ("snorm-demo", "partition", partition(blocks=[[0], [-1, 1]])),
+        ("snorm-demo", "partition", partition(blocks=[[0], ["a"]])),
+        ("snorm-demo", "partition", partition(blocks=[[0], [1.5]])),
+        ("snorm-demo", "partition", partition(blocks=3)),
+        ("snorm-demo", "partition", partition(alpha=[1.0])),
+        ("snorm-demo", "partition", partition(alpha=["x", 1.0])),
+        ("snorm-demo", "partition", partition(alpha=[0.0, 1.0])),
+        ("snorm-demo", "partition", partition(alpha=[-0.5, 1.0])),
+        ("snorm-demo", "partition", partition(g=[0.5])),
+        ("snorm-demo", "partition", partition(g=[0.5, 0.0])),
+        ("snorm-demo", "partition", [[0], [1]]),
+        ("snorm-demo", "partition", {"g": [0.5, 0.5], "blocks": [[0], [1]]}),
+        ("snorm-demo", "xi", {"atoms": 3}),
+        ("snorm-demo", "xi", {"atoms": [{"h": [0.5], "mass": 1.0}]}),
+        ("snorm-demo", "dirac", {"g": [0.5]}),
+        ("snorm-demo", "dirac", {"g": [0.5, 0.0]}),
+        ("snorm-demo", "space", {"family": "lebesgue", "s": 1.0}),
+        ("factorize", "space", {"family": "lebesgue", "s": 1.0}),
+        ("kakutani", "space", {"family": "lebesgue", "s": 1.0})])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
-        doc = {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 2.0]},
-               "space": {"family": "lebesgue", "s": 2.0}, "count": 2,
-               "step": 0.1, key: value}
+        doc = dict(field_document(), **{key: value})
+        if key == "dirac":
+            del doc["partition"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main([command, "--instance", str(path)]) == 2
         assert not (tmp_path / "bad.report.json").exists()
+
+    @pytest.mark.parametrize("command", ["check-space", "lemma-verify",
+                                         "snorm-demo", "factorize",
+                                         "kakutani"])
+    def test_field_document_is_valid(self, tmp_path, command):
+        # each invalid-field case changes one field of this document
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(field_document()))
+        assert main([command, "--instance", str(path)]) == 0
 
     def test_seed_override_changes_report_seed(self, tmp_path):
         path = tmp_path / "identity.json"

@@ -61,6 +61,66 @@ class TestFamilySupLhs:
                 X.norm(f), rel=1e-9)
 
 
+def reference_simplex_grid(m: int, step: float) -> np.ndarray:
+    """The full-mesh ``constants._simplex_grid`` this enumeration replaced."""
+    K = max(1, int(round(1.0 / step)))
+    if m == 1:
+        return np.ones((1, 1))
+    if m == 2:
+        i = np.arange(K + 1)
+        return np.column_stack([i, K - i]) / K
+    if m == 3:
+        i, j = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
+        keep = (i + j) <= K
+        i, j = i[keep], j[keep]
+        return np.column_stack([i, j, K - i - j]) / K
+    K = max(6, int(round(1e5 ** (1.0 / (m - 1)))))
+    axes = [np.arange(K + 1)] * (m - 1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = np.column_stack([ax.ravel() for ax in mesh])
+    keep = flat.sum(axis=1) <= K
+    flat = flat[keep]
+    last = K - flat.sum(axis=1)
+    return np.column_stack([flat, last]) / K
+
+
+class TestBruteForceGrid:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("step", [1.0, 0.3, 0.1, 1.0 / 40.0, 1e-2])
+    def test_enumeration_keeps_the_mesh_bits(self, m, step):
+        grid = constants._simplex_grid(m, step)
+        ref = reference_simplex_grid(m, step)
+        assert grid.dtype == ref.dtype and grid.shape == ref.shape
+        assert grid.tobytes() == ref.tobytes()
+        assert grid.shape[0] == constants.brute_force_grid_size(m, step)
+
+    def test_eleven_vectors_without_a_mesh(self, monkeypatch):
+        # the full mesh holds 7^10 rows here; the simplex only C(16, 10)
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("meshgrid called")
+        monkeypatch.setattr(np, "meshgrid", no_mesh)
+        grid = constants._simplex_grid(11, 1e-3)
+        assert grid.shape == (math.comb(16, 10), 11)
+        assert np.all(grid >= 0.0)
+        assert np.allclose(grid.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert len(np.unique(grid, axis=0)) == grid.shape[0]
+        assert constants.brute_force_grid_size(11, 1e-3) == grid.shape[0]
+
+    @pytest.mark.parametrize("m, step, p, q", [
+        (3, 1e-4, 1.0, 2.0), (40, 1e-3, 1.0, 2.0), (9, 1e-3, 2.0, 2.0)])
+    def test_grid_above_the_cap_is_refused(self, monkeypatch, m, step, p, q):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("meshgrid called")
+        monkeypatch.setattr(np, "meshgrid", no_mesh)
+        e = ExponentTriple(p=p, q=q)
+        assert (constants.brute_force_grid_size(m, step, e.is_extreme)
+                > constants.BRUTE_FORCE_GRID_CAP)
+        F = np.random.default_rng(m).normal(size=(m, 2))
+        with pytest.raises(ValueError, match="cap"):
+            brute_force_family_sup(make_space([1.0, 2.0], 2.0), e, F,
+                                   step=step)
+
+
 class TestFamilySupRhs:
     def test_matches_lhs_on_cube_grid(self):
         X = make_space([1, 1], 1)

@@ -6,6 +6,8 @@ from scipy.optimize import linprog
 
 from latfact.simplex import solve_max_min
 
+DEGENERATE = Path(__file__).parent / "data" / "degenerate_max_min.npz"
+
 
 def scipy_max_min(A, b):
     """Independent reference via the HiGHS LP solver."""
@@ -92,9 +94,98 @@ class TestSolveMaxMin:
         # domination solve on the 2^n - 1 indicator grid of a 4-atom L^2
         # domain; tie-breaking on the smallest basis index pivoted on a
         # 1e-9 entry and phase 1 reported an unbounded pivot column
-        path = Path(__file__).parent / "data" / "degenerate_max_min.npz"
-        with np.load(path) as data:
+        with np.load(DEGENERATE) as data:
             A, b = data["A"], data["b"]
         sol = solve_max_min(A, b)
         ref_value, _ = scipy_max_min(A, b)
         assert sol.value == pytest.approx(ref_value, rel=1e-9)
+
+
+def growing_lp(kind: str, seed: int):
+    """A seeded LP and the column count its growth starts from.
+
+    ``signed`` has normal entries and offsets; ``kelley`` has the Kelley
+    loop's shape: nonnegative entries scaled by their maximum, which moves
+    with every new column, and ``b = 0``.
+    """
+    rng = np.random.default_rng([29, seed])
+    J = int(rng.integers(2, 10))
+    K = int(rng.integers(8, 16))
+    if kind == "signed":
+        return rng.normal(size=(J, K)) * rng.uniform(0.5, 3.0), rng.normal(size=J)
+    return rng.uniform(size=(J, K)) ** 3, np.zeros(J)
+
+
+def kelley_scaled(A: np.ndarray, k: int) -> np.ndarray:
+    return A[:, :k] / A[:, :k].max()
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["signed", "kelley"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_growing_columns_match_cold_and_scipy(self, kind, seed):
+        A_full, b = growing_lp(kind, seed)
+        scale = kelley_scaled if kind == "kelley" else (lambda A, k: A[:, :k])
+        warm = solve_max_min(scale(A_full, 1), b)
+        warm_pivots = cold_pivots = 0
+        for k in range(2, A_full.shape[1] + 1):
+            A = scale(A_full, k)
+            cold = solve_max_min(A, b)
+            warm = solve_max_min(A, b, warm=warm)
+            warm_pivots += warm.iterations
+            cold_pivots += cold.iterations
+            assert warm.value == pytest.approx(cold.value, rel=1e-12,
+                                               abs=1e-14)
+            ref_value, _ = scipy_max_min(A, b)
+            assert warm.value == pytest.approx(ref_value, rel=1e-9, abs=1e-12)
+            lam = warm.duals
+            assert lam.min() >= 0.0
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.max(lam @ A) - lam @ b == pytest.approx(
+                warm.value, rel=1e-9, abs=1e-12)
+            slacks = A @ warm.weights - b
+            assert slacks.min() == pytest.approx(warm.value, abs=1e-9)
+        assert warm_pivots <= cold_pivots
+
+    def test_degenerate_lp_grows_by_one_column(self):
+        with np.load(DEGENERATE) as data:
+            A, b = data["A"], data["b"]
+        prefix = solve_max_min(A[:, :-1], b)
+        cold = solve_max_min(A, b)
+        warm = solve_max_min(A, b, warm=prefix)
+        ref_value, _ = scipy_max_min(A, b)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        assert warm.value == pytest.approx(ref_value, rel=1e-9)
+        lam = warm.duals
+        assert np.max(lam @ A) - lam @ b == pytest.approx(warm.value,
+                                                          rel=1e-9)
+        assert warm.iterations <= cold.iterations
+
+    def test_other_rows_or_fewer_columns_take_the_cold_path(self):
+        rng = np.random.default_rng(31)
+        A = rng.normal(size=(5, 6))
+        b = rng.normal(size=5)
+        cold = solve_max_min(A, b)
+        for warm in (solve_max_min(A[:4], b[:4]),
+                     solve_max_min(np.vstack([A, A[:1]]), np.append(b, 0.0)),
+                     solve_max_min(np.hstack([A, A[:, :2]]), b)):
+            sol = solve_max_min(A, b, warm=warm)
+            assert sol.iterations == cold.iterations
+            assert sol.basis == cold.basis
+            assert sol.value == cold.value
+            assert np.array_equal(sol.weights, cold.weights)
+            assert np.array_equal(sol.duals, cold.duals)
+
+    def test_infeasible_basis_takes_the_cold_path(self):
+        # the same shapes, but the old optimal basis has a negative basic
+        # value in the new LP, so the solve must run both phases
+        rng = np.random.default_rng(37)
+        A = rng.normal(size=(4, 5))
+        b = rng.normal(size=4)
+        old = solve_max_min(-A[:, :3], b + 5.0)
+        cold = solve_max_min(A, b)
+        sol = solve_max_min(A, b, warm=old)
+        assert sol.iterations == cold.iterations
+        assert sol.basis == cold.basis
+        assert sol.value == cold.value
+        assert np.array_equal(sol.weights, cold.weights)
