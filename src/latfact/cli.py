@@ -31,7 +31,7 @@ from .factorization import (_equivalence_range, find_domination_measure,
                             verify_domination, collapse_weight)
 from .snorm import (SNormSpace, dirac_space, inclusion_bound_check,
                     partition_space, s_norm, xi_saturation_check)
-from .spaces import (ExponentTriple, extreme_dual_vectors,
+from .spaces import (ExponentTriple, NotPConvexError, extreme_dual_vectors,
                      kothe_dual_norm, p_convexity_estimate)
 from .suite import (LEMMA_PAIRS, lemma_instances, random_lebesgue_space,
                     random_operator, random_partition_doc)
@@ -196,7 +196,12 @@ def _run_constants(sc: Scenario):
     X = schemas.build_space(sc.instance, measure)
     e = schemas.build_exponents(sc.instance)
     T = schemas.build_operator(sc.instance, X)
-    chain = constant_chain_report(T, e, budget=min(sc.budget, 24), seed=sc.seed)
+    try:
+        chain = constant_chain_report(T, e, budget=min(sc.budget, 24),
+                                      seed=sc.seed)
+    except NotPConvexError as exc:
+        # M_pq with q > p needs a p-convex domain
+        raise schemas.InstanceError(str(exc)) from exc
     checks = [_check("witness-transfer-chain", chain["chain_ok"],
                      chain=chain["chain"])]
     return checks, {"chain_report": chain}
@@ -235,8 +240,11 @@ def _run_snorm_demo(sc: Scenario):
               "saturation_witness_atom": witness,
               "total_mass": S.xi.total_mass}
     if "expect_saturated" in sc.instance:
-        checks.append(_check("saturation-as-expected",
-                             saturated == bool(sc.instance["expect_saturated"]),
+        expected = sc.instance["expect_saturated"]
+        if not isinstance(expected, bool):
+            raise schemas.InstanceError(
+                f"expect_saturated must be true or false, got {expected!r}")
+        checks.append(_check("saturation-as-expected", saturated == expected,
                              saturated=saturated))
     rng = np.random.default_rng([139, sc.seed])
     samples = _integer(sc.instance.get("samples", 200), "samples", 1)
@@ -394,10 +402,11 @@ def generate_instances(kind: str, count: int, n: int, seed: int,
         raise schemas.InstanceError("instance generator needs n >= 1")
     if n > 12:
         raise schemas.InstanceError("instance generator caps n at 12")
+    count = _integer(count, "count", 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i in range(int(count)):
+    for i in range(count):
         child = [seed, i]
         if kind == "lebesgue-space":
             X = random_lebesgue_space(n, child)

@@ -31,7 +31,8 @@ from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
 from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
-                     WeightedLebesgue, _family_stack, _unstack, as_vector,
+                     NotPConvexError, WeightedLebesgue, _family_stack,
+                     _unstack, as_vector,
                      extreme_dual_vectors, kothe_dual_norm,
                      lattice_aggregate_norm, power_mean, power_mean_rows)
 
@@ -274,8 +275,14 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     grid-plus-polish search on the scaling side and return a lower bound.
     Neither search runs for a family of one vector: its scaling ball is
     ``[-1, 1]``, so the value is exactly ``‖f‖_X``.  A stack of families
-    ``(K, m, n)`` gives the ``(K,)`` values in one pass.
+    ``(K, m, n)`` gives the ``(K,)`` values in one pass.  For ``q > p``
+    the reduction needs a p-convex domain and raises
+    :class:`NotPConvexError` on any other.
     """
+    if not (e.is_extreme or X.is_p_convex_one(e.p)):
+        raise NotPConvexError(
+            f"space is not p-convex with constant one for p={e.p}; "
+            "the (p,q) family supremum needs it when q > p")
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _sup_lhs(X, e, G), F), single)
 
@@ -284,6 +291,7 @@ def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
     if e.is_extreme:
         return lattice_aggregate_norm(X, F, e.p)
     if isinstance(X, WeightedLebesgue) and X.s / e.p <= 1.0 + 1e-9:
+        # s = p; family_sup_lhs has ruled out s < p
         row_norms = power_mean_rows(F, e.p, X.space.weights)
         return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
     if F.shape[1] == 1:

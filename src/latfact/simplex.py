@@ -1,4 +1,4 @@
-"""Dense simplex with warm restarts for max-min problems over the simplex.
+"""Dense one-phase simplex for max-min problems over the simplex.
 
 The only linear program this package needs is
 
@@ -10,11 +10,12 @@ row mixture, with the duality identity used as an internal optimality
 check.  Problem sizes stay in the low hundreds, so a dense tableau with
 Dantzig pivoting (Bland's rule after a stall) is plenty.
 
-A cold solve runs two phases from an artificial basis.  A solution also
-carries its optimal basis, and a later solve over the same rows with more
-columns restarts phase 2 from it: new columns leave the old basis primal
-feasible, so one dense solve rebuilds the tableau and only the new
-columns' reduced costs have to be priced out.
+The LP always has a feasible vertex: all weight on one column, with t at
+that column's worst slack.  A cold solve starts from the best such
+vertex.  A solution also carries its optimal basis, and a later solve
+over the same rows with more columns starts from it instead: new columns
+leave the old basis primal feasible.  Either way one dense solve builds
+the tableau, and no phase 1 is needed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class MaxMinSolution:
     """Optimal value, simplex weights, adversarial row mixture, pivot count.
 
     ``basis`` lists the basic variable of each tableau row in the solver's
-    variable layout; :func:`solve_max_min` restarts from it when given the
+    variable layout; :func:`solve_max_min` starts from it when given the
     solution as ``warm``.
     """
 
@@ -47,7 +48,7 @@ class MaxMinSolution:
     weights: np.ndarray
     duals: np.ndarray
     iterations: int
-    basis: tuple[int, ...] = ()
+    basis: tuple[int, ...]
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -59,14 +60,14 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> int:
+def _optimize(T: np.ndarray, basis: list[int]) -> int:
     """Run the pivot loop on a tableau whose last row holds reduced costs."""
     m = T.shape[0] - 1
     iters = 0
     bland_after = 40 * (m + T.shape[1])
     while True:
         z = T[-1, :-1]
-        candidates = np.where(allowed & (z < -_PIVOT_TOL))[0]
+        candidates = np.where(z < -_PIVOT_TOL)[0]
         if candidates.size == 0:
             return iters
         if iters < bland_after:
@@ -95,26 +96,15 @@ def _optimize(T: np.ndarray, basis: list[int], allowed: np.ndarray) -> int:
             raise SimplexError("pivot limit exceeded")
 
 
-def _restart(An: np.ndarray, bn: np.ndarray, basis: list[int],
-             nvar: int) -> np.ndarray | None:
-    """Tableau ``B^-1 [An | I | bn]`` of a basis, or None if it cannot serve.
+def _tableau(Aeq: np.ndarray, beq: np.ndarray,
+             basis: list[int]) -> np.ndarray:
+    """Tableau ``B^-1 [Aeq | beq]`` of a basis above an empty cost row.
 
-    The basis serves phase 2 when it holds no artificial variable, its
-    matrix is nonsingular and its basic solution is primal feasible.
+    Raises ``LinAlgError`` when the basis matrix is singular.
     """
-    m = An.shape[0]
-    if max(basis) >= nvar:
-        return None
-    T = np.zeros((m + 1, nvar + m + 1))
-    try:
-        T[:m] = np.linalg.solve(An[:, basis],
-                                np.hstack([An, np.eye(m), bn[:, None]]))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(T)) or T[:m, -1].min() < -_FEAS_TOL:
-        return None
-    T[:m, basis] = np.eye(m)
-    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
+    m = Aeq.shape[0]
+    T = np.zeros((m + 1, Aeq.shape[1] + 1))
+    T[:m] = np.linalg.solve(Aeq[:, basis], np.hstack([Aeq, beq[:, None]]))
     return T
 
 
@@ -125,12 +115,13 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     mixture ``lam`` over rows, which satisfies the game identity
     ``value = max_k (lam @ A)[k] - lam @ b`` (checked internally).
 
-    ``warm`` is a solution of an LP over the same rows whose columns are a
-    prefix of ``A``'s columns.  Phase 2 then restarts from its optimal
-    basis, and ``iterations`` counts only the pivots after the restart.
-    When ``warm`` is None, has another row count or more columns than
-    ``A``, or its basis is not primal feasible for this LP, the solve runs
-    both phases from scratch.
+    A cold solve starts from the vertex ``xi = e_k`` of the column ``k``
+    that maximises ``min_j (A[j, k] - b[j])``.  ``warm`` is a solution of
+    an LP over the same rows whose columns are a prefix of ``A``'s
+    columns; the solve then starts from its optimal basis instead.  When
+    ``warm`` has another row count or more columns than ``A``, or its
+    basis is singular or not primal feasible for this LP, the solve starts
+    cold.  ``iterations`` counts the pivots after the start.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -159,56 +150,43 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     cost[K] = 1.0
     cost[K + 1] = -1.0
 
-    sign = np.where(beq < 0.0, -1.0, 1.0)
-    An = Aeq * sign[:, None]
-    bn = beq * sign
-    allowed = np.zeros(nvar + m, dtype=bool)
-    allowed[:nvar] = True
-
     T = None
-    iters = 0
-    if (warm is not None and warm.basis and warm.duals.shape == (J,)
+    if (warm is not None and warm.duals.shape == (J,)
             and warm.weights.size <= K):
         # the new columns sit after the old xi block, so every later
         # variable moves right by the number of new columns
         K0 = warm.weights.size
         basis = [v if v < K0 else v + K - K0 for v in warm.basis]
-        T = _restart(An, bn, basis, nvar)
+        try:
+            T = _tableau(Aeq, beq, basis)
+        except np.linalg.LinAlgError:
+            pass
+        # the old basis serves while its basic solution stays feasible
+        if T is not None and not (np.all(np.isfinite(T))
+                                  and T[:m, -1].min() >= -_FEAS_TOL):
+            T = None
     if T is None:
-        # tableau with artificial identity block and a reduced-cost row
-        T = np.zeros((m + 1, nvar + m + 1))
-        T[:m, :nvar] = An
-        T[:m, nvar:nvar + m] = np.eye(m)
-        T[:m, -1] = bn
-        basis = list(range(nvar, nvar + m))
+        # the vertex xi = e_k of the best single column k: t sits at the
+        # worst row j* of that column, in t+ or t- by its sign, and every
+        # other row keeps its slack, so the basis is feasible by construction
+        slack = A - b[:, None]
+        k = int(np.argmax(slack.min(axis=0)))
+        jstar = int(np.argmin(slack[:, k]))
+        basis = list(range(K + 2, nvar)) + [k]
+        basis[jstar] = K if slack[jstar, k] >= 0.0 else K + 1
+        T = _tableau(Aeq, beq, basis)
+    T[:m, basis] = np.eye(m)
+    T[:m, -1] = np.maximum(T[:m, -1], 0.0)
 
-        # phase 1: maximize minus the artificial sum
-        T[m, :nvar] = -An.sum(axis=0)
-        T[m, -1] = -bn.sum()
-        iters = _optimize(T, basis, allowed)
-        if T[m, -1] < -_FEAS_TOL:
-            raise SimplexError("phase 1 ended infeasible")
-
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= nvar:
-                row = T[i, :nvar]
-                pivots = np.where(np.abs(row) > _PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(T, basis, i, int(pivots[0]))
-
-    # phase 2: true objective
-    T[m, :] = 0.0
+    # reduced costs of the objective t+ - t-
     T[m, :nvar] = -cost
     for i, bi in enumerate(basis):
-        if bi < nvar and cost[bi] != 0.0:
+        if cost[bi] != 0.0:
             T[m, :] += cost[bi] * T[i, :]
-    iters += _optimize(T, basis, allowed)
+    iters = _optimize(T, basis)
 
     x = np.zeros(nvar)
-    for i, bi in enumerate(basis):
-        if bi < nvar:
-            x[bi] = T[i, -1]
+    x[basis] = T[:m, -1]
     weights = np.maximum(x[:K], 0.0)
     total = weights.sum()
     if total <= 0.0:
@@ -216,11 +194,9 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     weights = weights / total
     value = float(T[m, -1])
 
-    # duals off the artificial columns: they carry B^{-1} of the
-    # sign-normalized system, so y = c_B B^{-1} appears in the z-row
-    y_flipped = T[m, nvar:nvar + m]
-    y = y_flipped * sign
-    duals = np.maximum(y[:J], 0.0)
+    # duals off the slack columns: a slack is a unit column with zero
+    # cost, so its reduced cost is the row price y = c_B B^-1
+    duals = np.maximum(T[m, K + 2:nvar], 0.0)
     dsum = duals.sum()
     duals = duals / dsum if dsum > 0 else np.full(J, 1.0 / J)
 

@@ -250,7 +250,9 @@ class TestMainEntry:
         ("snorm-demo", "dirac", {"g": [0.5, 0.0]}),
         ("snorm-demo", "space", {"family": "lebesgue", "s": 1.0}),
         ("factorize", "space", {"family": "lebesgue", "s": 1.0}),
-        ("kakutani", "space", {"family": "lebesgue", "s": 1.0})])
+        ("kakutani", "space", {"family": "lebesgue", "s": 1.0}),
+        ("constants", "space", {"family": "lebesgue", "s": 1.0}),
+        ("snorm-demo", "expect_saturated", "false")])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
         doc = dict(field_document(), **{key: value})
@@ -294,9 +296,13 @@ class TestGenerate:
                                    out_dir=tmp_path / "again")
         assert paths[0].read_bytes() == again[0].read_bytes()
 
-    def test_count_zero_creates_nothing(self, tmp_path):
-        assert generate_instances("lebesgue-space", count=0, n=3, seed=0,
-                                  out_dir=tmp_path) == []
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_is_input_error(self, tmp_path, count):
+        with pytest.raises(InstanceError):
+            generate_instances("lebesgue-space", count=count, n=3, seed=0,
+                               out_dir=tmp_path)
+        assert main(["generate", "--kind", "lebesgue-space", "--count",
+                     str(count), "--out-dir", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_partition_xi_saturates(self, tmp_path):

@@ -13,7 +13,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
 from latfact import constants
 from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
                            UnsaturatedSpaceError, dirac_space, partition_space)
-from latfact.spaces import DualVector, extreme_dual_vectors
+from latfact.spaces import DualVector, NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
 
@@ -59,6 +59,20 @@ class TestFamilySupLhs:
             f = rng.normal(size=2)
             assert family_sup_lhs(X, e, f[None, :]) == pytest.approx(
                 X.norm(f), rel=1e-9)
+
+    def test_domain_that_is_not_p_convex_is_refused(self):
+        # L^1 is not 1.5-convex: with q > p the s = p closed form and the
+        # dual-ball reduction do not apply there, while p = q still does
+        X = make_space([1.0, 2.0, 0.5], 1.0)
+        F = np.random.default_rng(5).normal(size=(2, 3))
+        with pytest.raises(NotPConvexError):
+            family_sup_lhs(X, ExponentTriple(p=1.5, q=2.0), F)
+        with pytest.raises(NotPConvexError):
+            pq_concavity_ratio(identity_operator(X),
+                               ExponentTriple(p=1.5, q=2.0), F)
+        e = ExponentTriple(p=1.5, q=1.5)
+        assert family_sup_lhs(X, e, F) == pytest.approx(
+            brute_force_family_sup(X, e, F, step=1e-2), rel=1e-9)
 
 
 def reference_simplex_grid(m: int, step: float) -> np.ndarray:
