@@ -13,8 +13,12 @@ the operator norm of ``constants.operator_norm_estimate`` (which is also
 ``constants._weak_q`` and the polish of ``constants._curved_dual_sup``,
 and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
 numeric Köthe duals.  It iterates only live rows: a row whose line search
-finds no gain is never recomputed.  The two ``constants`` callers pass a
-stack of problems, one per family, so a stack of families is one ascent.
+finds no gain is never recomputed.  The violation oracle ascends with
+``keep_signs``, so entries stop at zero and its rows can settle on the
+faces where the seminorm's kink at ``p = 1`` puts the maximum; it returns
+the best ascended row of every sign pattern, one cut each for the Kelley
+round that called it.  The two ``constants`` callers pass a stack of
+problems, one per family, so a stack of families is one ascent.
 Both searches for ``‖Tf‖`` start from :func:`signed_starts`, which gives
 each distinct sign-pattern start once (a pattern times an indicator is
 only ``±e_i``), and :func:`unit_rows` is the one sphere normaliser.
@@ -104,6 +108,7 @@ def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
 
 def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
                      iters: int = 40, nonneg: bool = True,
+                     keep_signs: bool = False,
                      radial_rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gradient ascent with a geometric line search on the sphere.
 
@@ -117,7 +122,10 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
     and is never recomputed.  Monotone per row, hence a certified lower
     bound per start; deterministic.  ``radial_rows``, when given, returns
     the row-wise gradient of the normalization, which is projected out of
-    the ascent direction.
+    the ascent direction.  With ``keep_signs`` (and ``nonneg`` off) an
+    entry that a step would carry across zero stops at zero, so a row can
+    reach the faces ``f_i = 0`` where a kink of the objective puts its
+    maximum; a zero entry may leave its face either way.
 
     ``A0`` is ``(R, n)``, or a stack ``(K, R, n)`` of independent problems
     whose callbacks take stacks ``(K, L, n)`` and return ``(K, L)`` values
@@ -160,6 +168,8 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
         cand = flat[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]
         if nonneg:
             np.maximum(cand, 0.0, out=cand)
+        elif keep_signs:
+            cand[cand * flat[:, None, :] < 0.0] = 0.0
         cand = call(normalize_rows, cand.reshape(K, -1, n))
         cval = call(value_rows, cand).reshape(K, L, _ETAS.size)
         pick = cval.argmax(axis=2)

@@ -7,8 +7,11 @@ The only linear program this package needs is
 whose dual is a minimization over probability mixtures of the rows.  The
 solver returns both: the weights, the optimal value, and the adversarial
 row mixture, with the duality identity used as an internal optimality
-check.  Problem sizes stay in the low hundreds, so a dense tableau with
-Dantzig pivoting (Bland's rule after a stall) is plenty.
+check.  Problems stay small: with one witness row per violating sign
+pattern a round, the largest LP of the curved ``random_operator(8, 8,
+[7], s=2)`` solve at (p, q) = (1, 3) has 154 rows and 1111 columns, so a
+dense tableau with Dantzig pivoting (Bland's rule after a stall) is
+plenty.
 
 The LP always has a feasible vertex: all weight on one column, with t at
 that column's worst slack.  A cold solve starts from the best such
@@ -121,7 +124,9 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     columns; the solve then starts from its optimal basis instead.  When
     ``warm`` has another row count or more columns than ``A``, or its
     basis is singular or not primal feasible for this LP, the solve starts
-    cold.  ``iterations`` counts the pivots after the start.
+    cold; so it does when the warm solve ends in ``SimplexError``.
+    ``iterations`` counts the pivots of the solve that returns, after its
+    start.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -146,11 +151,7 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     beq[:J] = -b
     Aeq[J, :K] = 1.0
     beq[J] = 1.0
-    cost = np.zeros(nvar)
-    cost[K] = 1.0
-    cost[K + 1] = -1.0
 
-    T = None
     if (warm is not None and warm.duals.shape == (J,)
             and warm.weights.size <= K):
         # the new columns sit after the old xi block, so every later
@@ -160,25 +161,43 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
         try:
             T = _tableau(Aeq, beq, basis)
         except np.linalg.LinAlgError:
-            pass
-        # the old basis serves while its basic solution stays feasible
-        if T is not None and not (np.all(np.isfinite(T))
-                                  and T[:m, -1].min() >= -_FEAS_TOL):
             T = None
-    if T is None:
-        # the vertex xi = e_k of the best single column k: t sits at the
-        # worst row j* of that column, in t+ or t- by its sign, and every
-        # other row keeps its slack, so the basis is feasible by construction
-        slack = A - b[:, None]
-        k = int(np.argmax(slack.min(axis=0)))
-        jstar = int(np.argmin(slack[:, k]))
-        basis = list(range(K + 2, nvar)) + [k]
-        basis[jstar] = K if slack[jstar, k] >= 0.0 else K + 1
-        T = _tableau(Aeq, beq, basis)
+        # the old basis serves while its basic solution stays feasible
+        if T is not None and (np.all(np.isfinite(T))
+                              and T[:m, -1].min() >= -_FEAS_TOL):
+            try:
+                return _solve_from(A, b, T, basis)
+            except SimplexError:
+                pass  # a warm start lost to rounding is solved again cold
+    # the vertex xi = e_k of the best single column k: t sits at the
+    # worst row j* of that column, in t+ or t- by its sign, and every
+    # other row keeps its slack, so the basis is feasible by construction
+    slack = A - b[:, None]
+    k = int(np.argmax(slack.min(axis=0)))
+    jstar = int(np.argmin(slack[:, k]))
+    basis = list(range(K + 2, nvar)) + [k]
+    basis[jstar] = K if slack[jstar, k] >= 0.0 else K + 1
+    return _solve_from(A, b, _tableau(Aeq, beq, basis), basis)
+
+
+def _solve_from(A: np.ndarray, b: np.ndarray, T: np.ndarray,
+                basis: list[int]) -> MaxMinSolution:
+    """Pivot a feasible start tableau of ``solve_max_min``'s LP to optimum.
+
+    The tableau has an empty cost row; the objective is ``t+ - t-``, the
+    variables ``K`` and ``K + 1``.  Raises ``SimplexError`` when the
+    pivots fail or the duality identity does not hold at the end.
+    """
+    J, K = A.shape
+    m = J + 1
+    nvar = K + 2 + J
     T[:m, basis] = np.eye(m)
     T[:m, -1] = np.maximum(T[:m, -1], 0.0)
 
     # reduced costs of the objective t+ - t-
+    cost = np.zeros(nvar)
+    cost[K] = 1.0
+    cost[K + 1] = -1.0
     T[m, :nvar] = -cost
     for i, bi in enumerate(basis):
         if cost[bi] != 0.0:

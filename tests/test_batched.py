@@ -6,6 +6,8 @@ kept verbatim as references: the family search that calls a scalar ratio
 once per probe, the sphere ascent that recomputes every row until all rows
 have stalled three times, and the start rows with every repeat of the
 pattern × start product.  The batched versions must give the same bits.
+The ascent reference has one addition since: the ``keep_signs`` step,
+which stops an entry at zero instead of letting it change sign.
 """
 
 import numpy as np
@@ -84,7 +86,8 @@ def reference_polish_family(ratio, F, sweeps):
 
 
 def reference_projected_ascent(value_rows, grad_rows, normalize_rows, A0, *,
-                               iters=40, nonneg=True, radial_rows=None):
+                               iters=40, nonneg=True, keep_signs=False,
+                               radial_rows=None):
     A = normalize_rows(np.maximum(A0, 0.0) if nonneg else A0)
     R, n = A.shape
     val = value_rows(A)
@@ -104,6 +107,8 @@ def reference_projected_ascent(value_rows, grad_rows, normalize_rows, A0, *,
                 ).reshape(-1, n)
         if nonneg:
             np.maximum(cand, 0.0, out=cand)
+        elif keep_signs:
+            cand[cand * np.repeat(A, _ETAS.size, axis=0) < 0.0] = 0.0
         cand = normalize_rows(cand)
         cval = value_rows(cand).reshape(R, _ETAS.size)
         pick = cval.argmax(axis=1)
@@ -234,12 +239,12 @@ class TestProjectedAscent:
             T = lebesgue_target(T, target)
         e = ExponentTriple(p=1.0, q=2.0)
         S = dirac_space(T.domain, e, np.full(3, 0.5))
-        f, v = violation_oracle(T, S, C=C, budget=8, seed=1)
+        F, values = violation_oracle(T, S, C=C, budget=8, seed=1)
         monkeypatch.setattr(factorization, "projected_ascent",
                             reference_projected_ascent)
-        ref_f, ref_v = violation_oracle(T, S, C=C, budget=8, seed=1)
-        assert v == ref_v
-        assert np.array_equal(f, ref_f)
+        ref_F, ref_values = violation_oracle(T, S, C=C, budget=8, seed=1)
+        assert values[0] == ref_values[0]
+        assert np.array_equal(F[0], ref_F[0])
 
 
 class TestDistinctStarts:
@@ -268,8 +273,9 @@ class TestDistinctStarts:
 
         def searches():
             est = operator_norm_estimate(T, budget=budget, seed=2)
-            f, v = violation_oracle(T, S, C=C, budget=budget, seed=2)
-            return est.value, est.witness[0].tobytes(), v, f.tobytes()
+            F, values = violation_oracle(T, S, C=C, budget=budget, seed=2)
+            return (est.value, est.witness[0].tobytes(), values[0],
+                    F[0].tobytes())
 
         got = searches()
         monkeypatch.setattr(constants, "signed_starts",

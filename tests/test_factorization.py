@@ -7,8 +7,9 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      kakutani_equivalence, operator_norm_estimate,
                      pq_concavity_estimate, pq_concavity_ratio, s_norm,
                      verify_domination, violation_oracle, xi_saturation_check)
+from latfact import factorization
 from latfact.snorm import DiscreteRadonMeasure
-from latfact.spaces import DualVector
+from latfact.spaces import DualVector, dual_norm_of_pth_power
 from latfact.suite import random_operator
 from conftest import make_space
 
@@ -162,6 +163,29 @@ class TestCurvedRegime:
         # domination constant from below
         assert pq_concavity_ratio(T, e, cert.witnesses) <= cert.C * (1.0 + tol)
 
+    def test_five_atoms_converge_within_budget(self):
+        # random_operator(5, 5, [7], s=2) at (p,q) = (1,3): with one cut per
+        # oracle round it used up budget 40 at residual 4.8e-4
+        T = random_operator(5, 5, [7], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+
+    def test_converged_mixture_survives_other_oracle_seeds(self):
+        # at p = 1 the violation can peak on a face f_i = 0; an ascent that
+        # steps across the kink there found it at some seeds and not others
+        T = random_operator(4, 4, [503], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        S = cert.snorm_space(T.domain)
+        for seed in range(4):
+            _, values = violation_oracle(T, S, cert.C, seed=[seed, 5])
+            assert values[0] <= tol * cert.C ** e.q
+
 
 class TestViolationOracle:
     def test_huge_constant_has_no_violation(self):
@@ -169,7 +193,8 @@ class TestViolationOracle:
         T = LinearOperator(matrix=np.array([[1.0, 1.0]]), domain=X,
                            codomain=EuclideanNorm(dim=1))
         S = SNormSpace(base=X, e=E12, xi=unit_span_measure())
-        _, violation = violation_oracle(T, S, C=100.0, seed=0)
+        _, values = violation_oracle(T, S, C=100.0, seed=0)
+        violation = values[0]
         assert violation <= 0.0
 
     def test_zero_constant_recovers_operator_norm_power(self):
@@ -178,7 +203,8 @@ class TestViolationOracle:
         T = LinearOperator(matrix=rng.normal(size=(3, 3)), domain=X,
                            codomain=EuclideanNorm(dim=3))
         S = dirac_space(X, E12, np.ones(3))
-        _, violation = violation_oracle(T, S, C=0.0, seed=0)
+        _, values = violation_oracle(T, S, C=0.0, seed=0)
+        violation = values[0]
         opn = operator_norm_estimate(T, budget=8, seed=0).value
         assert violation == pytest.approx(opn ** E12.q, rel=1e-9)
 
@@ -186,8 +212,65 @@ class TestViolationOracle:
         X = make_space([1, 1], 2)
         S = dirac_space(X, E22, np.ones(2))
         T = identity_operator(X)
-        _, violation = violation_oracle(T, S, C=1.0, seed=0)
+        _, values = violation_oracle(T, S, C=1.0, seed=0)
+        violation = values[0]
         assert abs(violation) <= 1e-9
+
+
+class TestViolationCuts:
+    """The oracle returns one cut per sign pattern; violating ones are added."""
+
+    @staticmethod
+    def oracle_case(C):
+        T = random_operator(4, 4, [13], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
+        g = np.ones(4)
+        S = dirac_space(T.domain, e,
+                        g / dual_norm_of_pth_power(T.domain, e.p, g))
+        return violation_oracle(T, S, C=C, budget=16, seed=2)
+
+    @pytest.mark.parametrize("C", [3.5, 4.0, 5.0])
+    def test_values_are_sorted_best_first(self, C):
+        F, values = self.oracle_case(C)
+        assert len(F) == len(values) > 1
+        assert np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.parametrize("C", [3.5, 4.0, 5.0])
+    def test_rows_have_distinct_sign_patterns_up_to_a_flip(self, C):
+        F, _ = self.oracle_case(C)
+        P = np.sign(F)
+        same = (P[:, None, :] == P[None, :, :]).all(axis=2)
+        flipped = (P[:, None, :] == -P[None, :, :]).all(axis=2)
+        np.fill_diagonal(same, False)
+        assert not (same | flipped).any()
+
+    def test_every_added_witness_violates_at_the_target(self, monkeypatch):
+        calls = []
+
+        def recording_oracle(T, S, C, **kwargs):
+            F, values = violation_oracle(T, S, C, **kwargs)
+            calls.append((S, C, F, values))
+            return F, values
+
+        monkeypatch.setattr(factorization, "violation_oracle",
+                            recording_oracle)
+        T = random_operator(3, 3, [1], s=1.5)
+        tol = 1e-6
+        cert = find_domination_measure(T, E12, tol=tol, budget=40, seed=0)
+        assert cert.converged and len(calls) > 1
+        added = []
+        for S, C, F, values in calls[:-1]:
+            Cq = C ** E12.q
+            cuts = F[values > tol * Cq]
+            assert len(cuts) >= 1
+            # the violation recomputed from the cut rows themselves
+            image = T.codomain_norm_rows(cuts @ T.matrix.T) ** E12.q
+            assert np.all(image - Cq * S.seminorm_rows(cuts) ** E12.q
+                          > tol * Cq)
+            added.extend(cuts)
+        assert len(added) > len(calls) - 1
+        np.testing.assert_array_equal(np.vstack(cert.witnesses[-len(added):]),
+                                      np.vstack(added))
 
 
 class TestVerifyDomination:

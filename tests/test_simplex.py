@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from latfact.simplex import MaxMinSolution, SimplexError, solve_max_min
 
 DEGENERATE = Path(__file__).parent / "data" / "degenerate_max_min.npz"
+WARM_DUPLICATES = Path(__file__).parent / "data" / "warm_duplicate_rows.npz"
 
 
 def scipy_max_min(A, b):
@@ -343,3 +344,23 @@ class TestWarmStart:
         assert sol.basis == cold.basis
         assert sol.value == cold.value
         assert np.array_equal(sol.weights, cold.weights)
+
+    def test_failed_warm_solve_is_solved_again_cold(self):
+        # a 386 x 127 Kelley LP with 11 exact duplicate rows and the optimal
+        # basis of its 126-column prefix, from a domination solve that adds
+        # every violating ascent row of a 5-atom L^2 domain at (p,q) = (1,3);
+        # pivoting on from that basis ends with a duality gap of 2.7e-5
+        with np.load(WARM_DUPLICATES) as data:
+            A, b = data["A"], data["b"]
+            warm = MaxMinSolution(value=float(data["value"]),
+                                  weights=data["weights"],
+                                  duals=data["duals"], iterations=0,
+                                  basis=tuple(int(v) for v in data["basis"]))
+        assert len(np.unique(A, axis=0)) == A.shape[0] - 11
+        cold = solve_max_min(A, b)
+        sol = solve_max_min(A, b, warm=warm)
+        ref_value, _ = scipy_max_min(A, b)
+        assert sol.value == cold.value
+        assert sol.iterations == cold.iterations
+        assert sol.basis == cold.basis
+        assert sol.value == pytest.approx(ref_value, rel=1e-9)
