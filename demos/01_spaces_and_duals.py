@@ -7,9 +7,10 @@ Run:  python3 demos/01_spaces_and_duals.py
 
 import numpy as np
 
-from latfact import (MeasureSpace, WeightedLebesgue, kothe_dual_norm,
-                     p_convexity_estimate, pth_power_norm, pth_power_space,
-                     sample_positive_dual_ball)
+from latfact import (MeasureSpace, WeightedLebesgue, extreme_dual_vectors,
+                     kothe_dual_norm, p_convexity_estimate, pth_power_norm,
+                     pth_power_space)
+from latfact.spaces import dual_norm_of_pth_power
 
 # ---------------------------------------------------------------------------
 # a measure space is just a vector of strictly positive atom weights,
@@ -43,14 +44,17 @@ print("\ndual norm of (3, 4) against the 2-norm   closed:",
 
 # ---------------------------------------------------------------------------
 # the positive dual unit ball of the p-th power space is where mixture
-# weights live; when s = p it is the cube [0,1]^n with indicator extreme
-# points, otherwise a curved body sampled on its sphere
+# weights live, each a plain nonnegative weight row; when s = p it is the
+# cube [0,1]^n with indicator extreme points, otherwise a curved body whose
+# canonical candidates are the indicators scaled onto its sphere
 # ---------------------------------------------------------------------------
 X1 = WeightedLebesgue(space=mu, s=1.0)
-ball = sample_positive_dual_ball(X1, p=1.0, strategy="extreme", count=8)
-print("\nextreme candidates of the dual cube (s = p = 1):")
-for d in ball:
-    print("   ", d.h, " certified norm", d.certified_norm)
+print("\nextreme points of the dual cube (s = p = 1), one per row:")
+print(extreme_dual_vectors(X1, p=1.0))
+print("canonical candidates on the curved dual sphere (s = 2, p = 1):")
+for h in extreme_dual_vectors(X, p=1.0):
+    print("   ", np.round(h, 6), " dual norm",
+          round(dual_norm_of_pth_power(X, 1.0, h), 12))
 
 # ---------------------------------------------------------------------------
 # p-convexity constants via witness families: the 1-norm is 2-convex with

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mixture norms: q-averages of weighted L^p integrals against finitely
-many positive dual-ball weights.
+many positive dual-ball weights.  A mixture holds its weights as plain
+nonnegative rows; the mixture space checks that each lies in the dual ball.
 
 Three stories: a single full-support weight collapses the functional to a
 weighted L^p norm; weights restricted to partition blocks give a mixed
@@ -16,7 +17,6 @@ from latfact import (DiscreteRadonMeasure, ExponentTriple, MeasureSpace,
                      SNormSpace, WeightedLebesgue, dirac_space,
                      inclusion_bound_check, partition_space, s_norm,
                      xi_saturation_check)
-from latfact.spaces import DualVector
 
 mu = MeasureSpace(weights=np.ones(2))
 X = WeightedLebesgue(space=mu, s=1.0)
@@ -44,8 +44,7 @@ print("\npartition mixture of (1, 1):", s_norm(P, f),
 # a boundary weight annihilates an atom: the functional degrades to a
 # seminorm and refuses to act as a lattice norm
 # ---------------------------------------------------------------------------
-boundary = DualVector(h=np.array([1.0, 0.0]), certified_norm=1.0)
-xi = DiscreteRadonMeasure.from_pairs([(boundary, 1.0)])
+xi = DiscreteRadonMeasure.from_pairs([(np.array([1.0, 0.0]), 1.0)])
 S = SNormSpace(base=X, e=e, xi=xi)
 ok, witness = xi_saturation_check(S)
 print("\nboundary mixture saturated?", ok, " witness atom:", witness)

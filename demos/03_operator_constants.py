@@ -49,8 +49,7 @@ print("chain ordering holds:", report["chain_ok"])
 F = rng.normal(size=(2, 3))
 lhs_fast = family_sup_lhs(X, e, F)
 lhs_brute = brute_force_family_sup(X, e, F, step=1e-3)
-grid = extreme_dual_vectors(X, e.p)
-grid.append(attainment_point(X, e, F))
+grid = np.vstack([extreme_dual_vectors(X, e.p), attainment_point(X, e, F)])
 rhs = family_sup_rhs(X, e, F, grid)
 print("\nscaled-family supremum of a random pair:")
 print("    duality reduction :", lhs_fast)

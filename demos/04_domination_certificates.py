@@ -28,8 +28,9 @@ def show(cert, label):
     print(f"    converged  : {cert.converged} after {cert.iterations} oracle calls")
     print(f"    constant C : {cert.C:.8f}")
     print(f"    residual   : {cert.residual:.2e} (relative)")
-    for atom, mass in zip(cert.xi.atoms, cert.xi.masses):
-        print(f"    mass {mass:.6f} on weight {np.round(atom.h, 6)}")
+    # the mixture's atoms are weight rows, one per row of xi.atoms
+    for h, mass in zip(cert.xi.atoms, cert.xi.masses):
+        print(f"    mass {mass:.6f} on weight {np.round(h, 6)}")
 
 
 mu = MeasureSpace(weights=np.ones(2))

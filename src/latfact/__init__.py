@@ -24,10 +24,9 @@ from .simplex import MaxMinSolution, SimplexError, solve_max_min
 from .snorm import (DiscreteRadonMeasure, SNormSpace, UnsaturatedSpaceError,
                     dirac_space, inclusion_bound_check, partition_space,
                     s_norm, xi_saturation_check)
-from .spaces import (DimensionMismatchError, DualVector, ExponentTriple,
-                     LatticeNorm, MeasureSpace, NotPConvexError,
-                     WeightedLebesgue, extreme_dual_vectors, kothe_dual_norm,
-                     norm, p_convexity_estimate, pth_power_norm,
-                     pth_power_space, sample_positive_dual_ball)
+from .spaces import (DimensionMismatchError, ExponentTriple, LatticeNorm,
+                     MeasureSpace, NotPConvexError, WeightedLebesgue,
+                     extreme_dual_vectors, kothe_dual_norm, norm,
+                     p_convexity_estimate, pth_power_norm, pth_power_space)
 
 __version__ = "0.1.0"

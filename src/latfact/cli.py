@@ -211,8 +211,7 @@ def _build_snorm(sc: Scenario) -> SNormSpace:
     X, e = _p_convex_domain(sc)
     try:
         if "xi" in sc.instance:
-            xi = schemas.build_xi(sc.instance, X, e)
-            return SNormSpace(base=X, e=e, xi=xi)
+            return SNormSpace(base=X, e=e, xi=schemas.build_xi(sc.instance))
         if "dirac" in sc.instance:
             dirac = _section(sc.instance, "dirac", ("g",))
             return dirac_space(X, e, _positive_list(dirac["g"], "dirac g", X.n))
@@ -251,7 +250,7 @@ def _run_snorm_demo(sc: Scenario):
     if "dirac" in sc.instance or "partition" in sc.instance:
         # the mixture must match its closed mixed-norm expression exactly
         worst = 0.0
-        H = S.xi.atom_matrix
+        H = S.xi.atoms
         mu = S.space.weights
         for _ in range(samples):
             f = rng.normal(size=S.n)
@@ -332,8 +331,8 @@ def _run_lemma_verify(sc: Scenario):
             lemma_instances(count, seed=sc.seed, n_max=n_max, m_max=m_max,
                             pairs=pairs)):
         lhs = brute_force_family_sup(X, e, F, step=step)
-        grid = extreme_dual_vectors(X, e.p)
-        grid.append(attainment_point(X, e, F))
+        grid = np.vstack([extreme_dual_vectors(X, e.p),
+                          attainment_point(X, e, F)])
         rhs = family_sup_rhs(X, e, F, grid)
         gap = abs(lhs - rhs) / max(rhs, 1e-30)
         if gap > worst:

@@ -30,7 +30,7 @@ import numpy as np
 from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
 from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
-from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
+from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _family_stack,
                      _unstack, as_vector,
                      extreme_dual_vectors, kothe_dual_norm,
@@ -319,31 +319,22 @@ def _one_vector_norms(X: LatticeNorm, F: np.ndarray) -> np.ndarray:
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
     """Maximum over a dual-ball grid of the inner-integral aggregate.
 
-    Evaluates ``( sum_i (∫ |f_i|^p h dμ)^{q/p} )^{1/q}`` at every grid
-    point and returns the maximum.  The objective is monotone in ``h``, so
-    on cube-shaped dual balls the extreme-point sublist is already exact.
+    ``grid`` holds the weights as the rows of a matrix.  Evaluates
+    ``( sum_i (∫ |f_i|^p h dμ)^{q/p} )^{1/q}`` at every grid row and
+    returns the maximum.  The objective is monotone in ``h``, so on
+    cube-shaped dual balls the extreme-point sublist is already exact.
     """
     F = _family_matrix(F, X.n)
-    H = _grid_matrix(grid, X.n)
+    H = np.asarray(grid, dtype=float)
+    if H.ndim != 2 or H.shape[0] == 0 or H.shape[1] != X.n:
+        raise ValueError(f"dual-ball grid must be a nonempty (k, {X.n}) matrix")
     P = (np.abs(F) ** e.p) * X.space.weights
     vals = _psi_rows(H, P, e.t)
     return float(np.max(vals) ** (1.0 / e.q))
 
 
-def _grid_matrix(grid, n: int) -> np.ndarray:
-    rows = []
-    for g in grid:
-        rows.append(g.h if isinstance(g, DualVector) else np.asarray(g, dtype=float))
-    if not rows:
-        raise ValueError("dual-ball grid must be nonempty")
-    H = np.vstack(rows)
-    if H.shape[1] != n:
-        raise ValueError(f"grid vectors must have length {n}")
-    return H
-
-
-def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
-    """A dual-ball point (near-)maximizing the inner-integral aggregate.
+def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
+    """A dual-ball weight row (near-)maximizing the inner-integral aggregate.
 
     On cube-shaped dual balls the objective is monotone, so the all-ones
     weight is exact.  On curved weighted Lebesgue duals with ``p = q`` the
@@ -358,11 +349,11 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
     if isinstance(X, WeightedLebesgue):
         sigma = X.s / e.p
         if sigma <= 1.0 + 1e-9:
-            return DualVector(h=np.ones(X.n), certified_norm=1.0)
+            return np.ones(X.n)
         if not np.any(F):
             h = np.ones(X.n)
             nrm = power_mean(h, sigma / (sigma - 1.0), X.space.weights)
-            return DualVector(h=h / nrm, certified_norm=1.0)
+            return h / nrm
         if e.is_extreme:
             # psi(h) = ∫ g h dμ with g = sum_i |f_i|^p is linear, and
             # Hölder's equality case h ∝ g^(sigma-1) maximizes it
@@ -372,12 +363,10 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> DualVector:
             h = _curved_dual_sup(X, e, F[None])[1][0]
         sigma_dual = sigma / (sigma - 1.0)
         nrm = power_mean(h, sigma_dual, X.space.weights)
-        return DualVector(h=h / nrm, certified_norm=1.0)
-    candidates = extreme_dual_vectors(X, e.p)
+        return h / nrm
+    H = extreme_dual_vectors(X, e.p)
     P = (np.abs(F) ** e.p) * X.space.weights
-    H = np.vstack([c.h for c in candidates])
-    vals = _psi_rows(H, P, e.t)
-    return candidates[int(np.argmax(vals))]
+    return H[int(np.argmax(_psi_rows(H, P, e.t)))]
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +583,13 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     ``L^p`` space it collapses to and takes the same routes.  Where no
     closed route applies, a family of one vector is settled by Köthe
     duality: its value is ``‖f‖_X``.  Anything else runs a seeded
-    multistart ascent over the dual sphere and returns a certified lower
-    bound.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values in
-    one pass.
+    multistart ascent over the dual sphere.  On weighted Lebesgue domains
+    its rows are normalised by the closed-form dual norm, so the value is a
+    certified lower bound.  On other domains (the Köthe route) they are
+    divided by :func:`kothe_dual_norm`, which is itself a lower bound, so a
+    row can land outside the dual ball and the value is certified from
+    neither side.  A stack of families ``(K, m, n)`` gives the ``(K,)``
+    values in one pass.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
@@ -616,9 +609,9 @@ def _collapsed_mixture(X: LatticeNorm) -> LatticeNorm:
     if not isinstance(X, SNormSpace):
         return X
     if X.e.is_extreme:
-        w = X.xi.masses @ X.xi.atom_matrix
+        w = X.xi.masses @ X.xi.atoms
     elif len(X.xi) == 1:
-        w = float(X.xi.masses[0]) ** (X.e.p / X.e.q) * X.xi.atoms[0].h
+        w = float(X.xi.masses[0]) ** (X.e.p / X.e.q) * X.xi.atoms[0]
     else:
         return X
     if not np.all(w > 0.0):

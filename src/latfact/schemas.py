@@ -26,8 +26,8 @@ import numpy as np
 
 from .constants import EuclideanNorm, LinearOperator
 from .snorm import DiscreteRadonMeasure
-from .spaces import (DualVector, ExponentTriple, LatticeNorm, MeasureSpace,
-                     WeightedLebesgue, dual_norm_of_pth_power)
+from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
+                     WeightedLebesgue)
 
 SCHEMA_ID = "latfact/1"
 
@@ -149,7 +149,13 @@ def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
         raise InstanceError(str(exc)) from exc
 
 
-def build_xi(doc: dict, X: LatticeNorm, e: ExponentTriple) -> DiscreteRadonMeasure:
+def build_xi(doc: dict) -> DiscreteRadonMeasure:
+    """The ``xi`` section as a measure of weight rows.
+
+    Whether the rows lie in the dual unit ball of the domain is checked
+    when the measure meets its base space in
+    :class:`~latfact.snorm.SNormSpace`.
+    """
     raw = _require(doc, "xi")
     if not (isinstance(raw, dict) and isinstance(raw.get("atoms"), list)):
         raise InstanceError("'xi' must be an object with a list 'atoms'")
@@ -157,11 +163,7 @@ def build_xi(doc: dict, X: LatticeNorm, e: ExponentTriple) -> DiscreteRadonMeasu
     for i, atom in enumerate(raw["atoms"]):
         if not isinstance(atom, dict):
             raise InstanceError(f"xi atom {i} must be an object")
-        h = _vector(_require(atom, "h"), f"xi atom {i}")
-        if np.any(h < 0):
-            raise InstanceError(f"xi atom {i} has negative entries")
-        cert = dual_norm_of_pth_power(X, e.p, h)
-        pairs.append((DualVector(h=h, certified_norm=cert),
+        pairs.append((_vector(_require(atom, "h"), f"xi atom {i}"),
                       _require(atom, "mass")))
     normalized = raw.get("normalized")
     try:
@@ -202,8 +204,8 @@ def instance_to_doc(*, measure: MeasureSpace | None = None,
         }
     if xi is not None:
         doc["xi"] = {
-            "atoms": [{"h": [float(x) for x in a.h], "mass": float(m)}
-                      for a, m in zip(xi.atoms, xi.masses)],
+            "atoms": [{"h": [float(x) for x in h], "mass": float(m)}
+                      for h, m in zip(xi.atoms, xi.masses)],
             "normalized": bool(xi.normalized),
         }
     if extra:

@@ -10,6 +10,10 @@ is always a lattice seminorm.  It is a genuine norm exactly when the
 supports of the weight atoms jointly cover every atom of the measure
 space; unsaturated mixtures stay representable (the seminorm is still
 evaluable) but refuse to act as a :class:`~latfact.spaces.LatticeNorm`.
+
+The atoms ``h_k`` are plain nonnegative weight rows.  A measure knows
+nothing of a base space, so :class:`SNormSpace` is where each row is
+checked against the positive dual unit ball of ``X_p``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (DUAL_CERT_SLACK, DualVector, ExponentTriple, LatticeNorm,
+from .spaces import (DUAL_CERT_SLACK, ExponentTriple, LatticeNorm,
                      MeasureSpace, as_vector, dual_norm_of_pth_power)
 
 __all__ = [
@@ -39,54 +43,47 @@ class UnsaturatedSpaceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteRadonMeasure:
-    """Finitely many dual-ball atoms ``h_k`` with strictly positive masses.
+    """Finitely many weight atoms ``h_k`` with strictly positive masses.
 
-    ``atom_matrix`` stacks the atoms as rows (the k-th row is the weight
-    vector h_k); it is built once and read-only.
+    ``atoms`` is a read-only ``(k, n)`` matrix whose k-th row is the
+    nonnegative weight vector h_k.  Membership of the rows in a dual unit
+    ball is checked by :class:`SNormSpace`, which knows the base space.
     """
 
-    atoms: tuple[DualVector, ...]
+    atoms: np.ndarray
     masses: np.ndarray
     normalized: bool = field(default=False)
-    atom_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise ValueError("measure needs at least one atom")
-        n = atoms[0].h.shape[0]
-        for a in atoms:
-            if not isinstance(a, DualVector):
-                raise TypeError("atoms must be DualVector instances")
-            if a.h.shape[0] != n:
-                raise ValueError("atoms live on different measure spaces")
-            if not a.in_unit_ball:
-                raise ValueError(
-                    f"atom leaves the positive dual unit ball "
-                    f"(certified norm {a.certified_norm})")
+        try:
+            H = np.array(self.atoms, dtype=float)
+        except ValueError as exc:
+            raise ValueError("atoms must be weight rows of one length") from exc
+        if H.ndim != 2 or H.shape[0] == 0:
+            raise ValueError("measure needs a nonempty (k, n) stack of atoms")
+        if not np.all(np.isfinite(H)) or np.any(H < 0.0):
+            raise ValueError("atoms must be nonnegative and finite")
         masses = np.array(self.masses, dtype=float)
-        if masses.shape != (len(atoms),):
+        if masses.shape != (H.shape[0],):
             raise ValueError("one mass per atom is required")
         if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
             raise ValueError("atom masses must be strictly positive and finite")
-        masses.flags.writeable = False
-        H = np.vstack([a.h for a in atoms])
         H.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
+        masses.flags.writeable = False
+        object.__setattr__(self, "atoms", H)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "atom_matrix", H)
         if self.normalized and abs(self.total_mass - 1.0) > 1e-12:
             raise ValueError(
                 f"normalized flag set but total mass is {self.total_mass}")
 
     @classmethod
     def from_pairs(cls, pairs, normalized: bool | None = None) -> "DiscreteRadonMeasure":
-        """Build from ``(DualVector, mass)`` pairs; masses must be positive."""
-        atoms = [h for h, _ in pairs]
+        """Build from ``(h, mass)`` pairs; masses must be positive."""
         masses = np.array([float(m) for _, m in pairs])
         if normalized is None:
             normalized = bool(masses.size and abs(masses.sum() - 1.0) <= 1e-12)
-        return cls(atoms=tuple(atoms), masses=masses, normalized=normalized)
+        return cls(atoms=[h for h, _ in pairs], masses=masses,
+                   normalized=normalized)
 
     @property
     def total_mass(self) -> float:
@@ -99,18 +96,16 @@ class DiscreteRadonMeasure:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiscreteRadonMeasure)
-                and self.atoms == other.atoms
+                and np.array_equal(self.atoms, other.atoms)
                 and np.array_equal(self.masses, other.masses)
                 and self.normalized == other.normalized)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.atoms.shape[0]
 
 
 def _coverage(measure: DiscreteRadonMeasure) -> np.ndarray:
-    H = measure.atom_matrix
-    m = measure.masses
-    return (H[m > 0.0] > 0.0).any(axis=0)
+    return (measure.atoms[measure.masses > 0.0] > 0.0).any(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,14 +124,12 @@ class SNormSpace(LatticeNorm):
     saturated: bool = field(init=False)
 
     def __post_init__(self):
-        n = self.base.n
-        for a in self.xi.atoms:
-            if a.h.shape[0] != n:
-                raise ValueError("measure atoms do not match the base space")
-            # re-certify against the dual ball of this base's p-th power;
+        if self.xi.atoms.shape[1] != self.base.n:
+            raise ValueError("measure atoms do not match the base space")
+        for h in self.xi.atoms:
             # numeric dual norms are lower bounds, so exceeding the slack
             # is a definite violation
-            cert = dual_norm_of_pth_power(self.base, self.e.p, a.h)
+            cert = dual_norm_of_pth_power(self.base, self.e.p, h)
             if cert > 1.0 + DUAL_CERT_SLACK:
                 raise ValueError(
                     f"atom outside the positive dual unit ball (norm {cert})")
@@ -155,7 +148,7 @@ class SNormSpace(LatticeNorm):
             raise ValueError(
                 f"expected rows of length {self.n}, got {F.shape[-1]}")
         p, q = self.e.p, self.e.q
-        H = self.xi.atom_matrix
+        H = self.xi.atoms
         inner = (np.abs(F) ** p * self.space.weights) @ H.T
         return (np.maximum(inner, 0.0) ** (q / p) @ self.xi.masses) ** (1.0 / q)
 
@@ -173,14 +166,10 @@ class SNormSpace(LatticeNorm):
                 "not usable as a lattice norm")
         return self.seminorm_rows(F)
 
-    def norm_grad(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        return self.norm_grad_rows(f[None, :])[0]
-
     def norm_grad_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
         p, q = self.e.p, self.e.q
-        H = self.xi.atom_matrix
+        H = self.xi.atoms
         mu = self.space.weights
         inner = np.maximum((np.abs(F) ** p * mu) @ H.T, 0.0)
         value_q = inner ** (q / p) @ self.xi.masses
@@ -225,15 +214,10 @@ def dirac_space(X: LatticeNorm, e: ExponentTriple, g) -> SNormSpace:
     The resulting functional collapses to the weighted-L^p norm with weight
     ``g``: ``(sum |f|^p g dmu)^(1/p)``, independently of ``q``.
     """
-    gv = g.h if isinstance(g, DualVector) else as_vector(g, X.n)
+    gv = as_vector(g, X.n)
     if np.any(gv <= 0.0):
         raise ValueError("dirac weight must be strictly positive (a weak unit)")
-    cert = dual_norm_of_pth_power(X, e.p, gv)
-    if cert > 1.0 + DUAL_CERT_SLACK:
-        raise ValueError(
-            f"dirac weight leaves the positive dual unit ball (norm {cert})")
-    atom = DualVector(h=gv, certified_norm=cert)
-    xi = DiscreteRadonMeasure.from_pairs([(atom, 1.0)], normalized=True)
+    xi = DiscreteRadonMeasure(atoms=gv[None, :], masses=[1.0], normalized=True)
     return SNormSpace(base=X, e=e, xi=xi)
 
 
@@ -247,7 +231,7 @@ def partition_space(X: LatticeNorm, e: ExponentTriple, g, partition,
     ``( sum_b alpha_b ‖f‖_{L^p(g·1_b dmu)}^q )^(1/q)``.
     """
     n = X.n
-    gv = g.h if isinstance(g, DualVector) else as_vector(g, n)
+    gv = as_vector(g, n)
     if np.any(gv <= 0.0):
         raise ValueError("partition weight must be strictly positive (a weak unit)")
     blocks = [np.asarray(sorted(int(i) for i in block), dtype=int)
@@ -266,16 +250,10 @@ def partition_space(X: LatticeNorm, e: ExponentTriple, g, partition,
         raise ValueError("partition blocks overlap")
     if np.any(seen == 0):
         raise ValueError("partition blocks do not cover the space")
-    pairs = []
-    for block, mass in zip(blocks, alpha):
-        hv = np.zeros(n)
-        hv[block] = gv[block]
-        cert = dual_norm_of_pth_power(X, e.p, hv)
-        if cert > 1.0 + DUAL_CERT_SLACK:
-            raise ValueError(
-                f"restricted weight leaves the dual unit ball (norm {cert})")
-        pairs.append((DualVector(h=hv, certified_norm=cert), float(mass)))
-    xi = DiscreteRadonMeasure.from_pairs(pairs)
+    H = np.zeros((len(blocks), n))
+    for k, block in enumerate(blocks):
+        H[k, block] = gv[block]
+    xi = DiscreteRadonMeasure.from_pairs(list(zip(H, alpha)))
     return SNormSpace(base=X, e=e, xi=xi)
 
 

@@ -5,6 +5,11 @@ norms, Köthe duals and dual-ball geometry all reduce to dense vector
 arithmetic.  Weighted Lebesgue norms are evaluated in closed form; other
 lattice norms fall back to seeded projected-ascent searches whose results
 are certified lower bounds with a documented ~1e-9 slack.
+
+Points of a positive dual ball are plain nonnegative weight rows, and a
+set of them is a ``(k, n)`` matrix.  Whether a row lies in the dual ball
+of ``X_p`` depends on both ``X`` and ``p``; :class:`~latfact.snorm.SNormSpace`
+is the one place that knows both, and it decides.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ __all__ = [
     "LatticeNorm",
     "WeightedLebesgue",
     "ExponentTriple",
-    "DualVector",
     "norm",
     "pth_power_norm",
     "pth_power_space",
@@ -33,7 +37,6 @@ __all__ = [
     "kothe_dual_norm",
     "dual_norm_of_pth_power",
     "extreme_dual_vectors",
-    "sample_positive_dual_ball",
     "p_convexity_estimate",
 ]
 
@@ -167,21 +170,6 @@ class LatticeNorm:
         rows = F.reshape(-1, F.shape[-1])
         return np.array([self.norm(row) for row in rows]).reshape(F.shape[:-1])
 
-    def norm_grad(self, f) -> np.ndarray:
-        # numeric fallback; closed forms in subclasses
-        f = np.asarray(f, dtype=float)
-        h = 1e-7 * max(1.0, float(np.abs(f).max(initial=0.0)))
-        grad = np.zeros_like(f)
-        for i in range(f.size):
-            fp = f.copy(); fp[i] += h
-            fm = f.copy(); fm[i] -= h
-            grad[i] = (self.norm(fp) - self.norm(fm)) / (2 * h)
-        return grad
-
-    def norm_grad_rows(self, F) -> np.ndarray:
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        return np.vstack([self.norm_grad(row) for row in F])
-
     def is_p_convex_one(self, p: float) -> bool:
         # the triangle inequality is exactly 1-convexity
         return p <= 1.0 + 1e-12
@@ -206,14 +194,6 @@ class WeightedLebesgue(LatticeNorm):
 
     def norm_rows(self, F) -> np.ndarray:
         return power_mean_rows(F, self.s, self.space.weights)
-
-    def norm_grad(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        nrm = self.norm(f)
-        if nrm == 0.0:
-            return np.zeros_like(f)
-        scaled = np.abs(f) / nrm
-        return np.sign(f) * scaled ** (self.s - 1.0) * self.space.weights
 
     def norm_grad_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -265,36 +245,6 @@ class ExponentTriple:
     def t(self) -> float:
         """The inner exponent q/p (conjugate to r/p)."""
         return self.q / self.p
-
-
-@dataclass(frozen=True, eq=False)
-class DualVector:
-    """A nonnegative vector together with its certified dual-ball norm."""
-
-    h: np.ndarray
-    certified_norm: float
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=float)
-        if h.ndim != 1:
-            raise ValueError("dual vector must be one-dimensional")
-        if not np.all(np.isfinite(h)) or np.any(h < 0.0):
-            raise ValueError("dual vector must be nonnegative and finite")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "certified_norm", float(self.certified_norm))
-
-    @property
-    def in_unit_ball(self) -> bool:
-        return self.certified_norm <= 1.0 + DUAL_CERT_SLACK
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DualVector)
-                and np.array_equal(self.h, other.h)
-                and self.certified_norm == other.certified_norm)
-
-    def __hash__(self) -> int:
-        return hash((self.h.tobytes(), self.certified_norm))
 
 
 def norm(X: LatticeNorm, f) -> float:
@@ -418,91 +368,33 @@ def dual_norm_of_pth_power(X: LatticeNorm, p: float, h) -> float:
         lambda F: X.norm_rows(np.abs(F) ** (1.0 / p)) ** p, h, X.space.weights)
 
 
-def _certify(X: LatticeNorm, p: float, h: np.ndarray) -> DualVector:
-    h = np.maximum(np.asarray(h, dtype=float), 0.0)
-    cert = dual_norm_of_pth_power(X, p, h)
-    if cert > 1.0 + DUAL_CERT_SLACK:
-        h = h / cert
-        cert = dual_norm_of_pth_power(X, p, h)
-    return DualVector(h=h, certified_norm=cert)
-
-
 def _dual_is_sup_ball(X: LatticeNorm, p: float) -> bool:
     """True when the positive dual ball of X_p is the cube [0,1]^n."""
     return isinstance(X, WeightedLebesgue) and abs(X.s / p - 1.0) <= 1e-9
 
 
-def extreme_dual_vectors(X: LatticeNorm, p: float) -> list[DualVector]:
-    """Canonical extreme candidates of the positive dual ball of X_p.
+def extreme_dual_vectors(X: LatticeNorm, p: float) -> np.ndarray:
+    """Canonical extreme candidates of the positive dual ball of X_p, as rows.
 
     When the dual ball is the cube ``[0,1]^n`` (s = p for the weighted
     Lebesgue family) these are exactly its extreme points, every 0/1
     indicator pattern, enumerated in full for ``n <= 12``.  For curved dual
     balls the canonical candidates are the indicator directions scaled onto
-    the unit sphere (plus the origin); they seed searches but do not
-    exhaust the extreme set.
+    the unit sphere; they seed searches but do not exhaust the extreme set.
+    The last row is the origin.
     """
     n = X.n
-    masks: list[np.ndarray]
     if n <= _INDICATOR_CAP:
         order = sorted(range(1, 2 ** n),
                        key=lambda msk: (-bin(msk).count("1"), msk))
-        masks = []
-        for msk in order:
-            v = np.array([(msk >> i) & 1 for i in range(n)], dtype=float)
-            masks.append(v)
+        masks = np.array([[(msk >> i) & 1 for i in range(n)] for msk in order],
+                         dtype=float)
     else:
-        masks = [np.ones(n)]
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            masks.append(v)
-    out = []
-    if _dual_is_sup_ball(X, p):
-        for v in masks:
-            out.append(DualVector(h=v, certified_norm=float(v.max(initial=0.0))))
-        out.append(DualVector(h=np.zeros(n), certified_norm=0.0))
-    else:
-        for v in masks:
-            nrm = dual_norm_of_pth_power(X, p, v)
-            out.append(DualVector(h=v / nrm, certified_norm=1.0)
-                       if nrm > 0 else DualVector(h=v, certified_norm=0.0))
-        out.append(DualVector(h=np.zeros(n), certified_norm=0.0))
-    return out
-
-
-def sample_positive_dual_ball(X: LatticeNorm, p: float, strategy: str = "mixed",
-                              count: int = 64, seed=0) -> list[DualVector]:
-    """Sample ``count`` certified members of the positive dual ball of X_p.
-
-    Strategies: ``extreme`` lists the canonical extreme candidates (all 0/1
-    indicator patterns when the dual ball is a cube and ``n <= 12``),
-    ``random`` draws seeded directions scaled onto the dual sphere, and
-    ``mixed`` lists the extremes first and fills up with random points.
-    Deterministic given the seed; ``count`` caps the returned list.
-    """
-    if not X.is_p_convex_one(p):
-        raise NotPConvexError(
-            f"space is not p-convex with constant one for p={p}")
-    if strategy not in ("extreme", "random", "mixed"):
-        raise ValueError(f"unsupported dual-ball sampling strategy: {strategy!r}")
-    count = int(count)
-    if count <= 0:
-        return []
-    out: list[DualVector] = []
-    if strategy in ("extreme", "mixed"):
-        out.extend(extreme_dual_vectors(X, p))
-    if strategy in ("random", "mixed") and len(out) < count:
-        rng = np.random.default_rng([29, *np.atleast_1d(seed).astype(int).tolist()])
-        while len(out) < count:
-            direction = np.abs(rng.normal(size=X.n))
-            if not np.any(direction > 0):
-                continue
-            nrm = dual_norm_of_pth_power(X, p, direction)
-            if nrm == 0.0:
-                continue
-            out.append(_certify(X, p, direction / nrm))
-    return out[:count]
+        masks = np.vstack([np.ones(n), np.eye(n)])
+    if not _dual_is_sup_ball(X, p):
+        masks = masks / np.array([[dual_norm_of_pth_power(X, p, v)]
+                                  for v in masks])
+    return np.vstack([masks, np.zeros(n)])
 
 
 def p_convexity_estimate(X: LatticeNorm, p: float, budget: int = 32,

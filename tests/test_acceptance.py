@@ -18,7 +18,7 @@ from latfact import (ExponentTriple, SNormSpace, brute_force_family_sup,
                      q_summing_estimate, s_norm, verify_domination,
                      xi_saturation_check)
 from latfact.snorm import DiscreteRadonMeasure
-from latfact.spaces import DualVector, extreme_dual_vectors
+from latfact.spaces import extreme_dual_vectors
 from latfact.suite import lemma_instances, operator_suite
 from conftest import make_space
 
@@ -52,8 +52,8 @@ def test_criterion_1_scaled_family_equality():
     worst = 0.0
     for X, e, F in lemma_instances(100, seed=1007, n_max=4, m_max=3):
         lhs = brute_force_family_sup(X, e, F, step=1e-3)
-        grid = extreme_dual_vectors(X, e.p)
-        grid.append(attainment_point(X, e, F))
+        grid = np.vstack([extreme_dual_vectors(X, e.p),
+                          attainment_point(X, e, F)])
         rhs = family_sup_rhs(X, e, F, grid)
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-30))
     elapsed = time.time() - start
@@ -119,8 +119,7 @@ def test_criterion_3_partition_formula():
 
 def test_criterion_4_saturation_counterexample():
     X = make_space([1, 1], 1)
-    atom = DualVector(h=np.array([1.0, 0.0]), certified_norm=1.0)
-    xi = DiscreteRadonMeasure.from_pairs([(atom, 1.0)])
+    xi = DiscreteRadonMeasure.from_pairs([([1.0, 0.0], 1.0)])
     S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
     f = np.array([0.0, 5.0])  # nonzero, supported on the annihilated atom
     ok, witness = xi_saturation_check(S)
@@ -222,8 +221,8 @@ def test_criterion_8_identity_tightness(suite_certificates):
     for e in PAIRS:
         T, _, cert = certificates[(e.p, e.q, "identity")]
         ones_mass = 0.0
-        for atom, mass in zip(cert.xi.atoms, cert.xi.masses):
-            if np.allclose(atom.h, np.ones(T.n)):
+        for h, mass in zip(cert.xi.atoms, cert.xi.masses):
+            if np.allclose(h, np.ones(T.n)):
                 ones_mass += mass
         ok = (cert.converged and cert.C <= 1.0 + 1e-5
               and ones_mass >= 1.0 - TOL)
@@ -256,19 +255,22 @@ def test_criterion_9_collapse_at_equal_exponents(suite_certificates):
 
 
 def test_criterion_10_summing_constant_feasibility(suite_certificates):
+    # the least dominating constant is at most pi_q(T), which pi_hat
+    # estimates from below, so a certificate may exceed pi_hat only by the
+    # solve's tolerance
     certificates, _ = suite_certificates
     all_ok = True
     for (p, q, name), (T, e, cert) in certificates.items():
         pi_hat = q_summing_estimate(T, e.q, budget=12, seed=5).value
         if pi_hat == 0.0:
             continue
-        trial = find_domination_measure(T, e, tol=TOL, budget=40, seed=3,
-                                        C=pi_hat * (1.0 + 1e-4))
-        if not trial.converged:
+        if not (cert.converged and cert.C <= pi_hat * (1.0 + 1e-4)):
             all_ok = False
-            print(f"    infeasible at pi-hat constant: {name} ({p}, {q})")
+            print(f"    C above the pi-hat constant: {name} ({p}, {q}): "
+                  f"C={cert.C:.8f}, pi_hat={pi_hat:.8f}")
     report(10, all_ok,
-           "solver converged at C = pi_hat * (1 + 1e-4) for all 44 operators")
+           "converged certificates have C <= pi_hat * (1 + 1e-4) for all "
+           "44 operators")
 
 
 def test_criterion_11_kakutani_equivalence():

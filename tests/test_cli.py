@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latfact import ExponentTriple, MeasureSpace, WeightedLebesgue
+from latfact import ExponentTriple, MeasureSpace, SNormSpace, WeightedLebesgue
 from latfact.cli import Scenario, generate_instances, main, run
 from latfact.schemas import (InstanceError, SCHEMA_ID, build_measure,
                              build_operator, build_space, build_xi,
@@ -63,10 +63,12 @@ class TestSchemas:
         doc["xi"] = {"atoms": [{"h": [1.0, 0.0], "mass": 0.5},
                                {"h": [0.0, 1.0], "mass": 0.5}],
                      "normalized": True}
-        measure = build_measure(doc)
-        X = build_space(doc, measure)
-        xi = build_xi(doc, X, ExponentTriple(p=1.0, q=2.0))
+        xi = build_xi(doc)
         assert xi.normalized and len(xi) == 2
+        # the rows are certified where the measure meets its base space
+        X = build_space(doc, build_measure(doc))
+        S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
+        assert S.saturated
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(InstanceError):
@@ -252,7 +254,10 @@ class TestMainEntry:
         ("factorize", "space", {"family": "lebesgue", "s": 1.0}),
         ("kakutani", "space", {"family": "lebesgue", "s": 1.0}),
         ("constants", "space", {"family": "lebesgue", "s": 1.0}),
-        ("snorm-demo", "expect_saturated", "false")])
+        ("snorm-demo", "expect_saturated", "false"),
+        ("snorm-demo", "xi", {"atoms": [{"h": [-0.1, 0.1], "mass": 1.0}]}),
+        # dual norm 2·3^(1/4) > 1 in the dual of L^(4/3)(1, 2)
+        ("snorm-demo", "xi", {"atoms": [{"h": [2.0, 2.0], "mass": 1.0}]})])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
         doc = dict(field_document(), **{key: value})

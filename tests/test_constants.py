@@ -13,7 +13,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
 from latfact import constants
 from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
                            UnsaturatedSpaceError, dirac_space, partition_space)
-from latfact.spaces import DualVector, NotPConvexError, extreme_dual_vectors
+from latfact.spaces import NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
 
@@ -162,8 +162,8 @@ class TestFamilySupRhs:
     def test_attainment_point_closes_curved_grids(self):
         worst = 0.0
         for X, e, F in lemma_instances(60, seed=515):
-            grid = extreme_dual_vectors(X, e.p)
-            grid.append(attainment_point(X, e, F))
+            grid = np.vstack([extreme_dual_vectors(X, e.p),
+                              attainment_point(X, e, F)])
             rhs = family_sup_rhs(X, e, F, grid)
             lhs = family_sup_lhs(X, e, F)
             worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-30))
@@ -186,7 +186,7 @@ class TestClosedFormAttainment:
         F[:, 2] = 0.0  # a zero column of g
         sigma = s / p
         sigma_dual = sigma / (sigma - 1.0)
-        h = attainment_point(X, e, F).h
+        h = attainment_point(X, e, F)
         assert h[2] == 0.0
         assert abs(float((h ** sigma_dual) @ mu) ** (1.0 / sigma_dual)
                    - 1.0) <= 1e-12
@@ -304,9 +304,8 @@ class TestOneVectorDenominators:
 
     def test_unsaturated_mixture_still_raises(self):
         X = make_space([1.0, 1.0, 1.0], 1.0)
-        h = DualVector(h=np.array([1.0, 1.0, 0.0]), certified_norm=1.0)
         S = SNormSpace(base=X, e=E12, xi=DiscreteRadonMeasure.from_pairs(
-            [(h, 1.0)]))
+            [([1.0, 1.0, 0.0], 1.0)]))
         assert not S.saturated
         rng = np.random.default_rng(72)
         for F in (rng.normal(size=(1, 3)), rng.normal(size=(2, 3)),

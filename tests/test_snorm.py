@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latfact import (DiscreteRadonMeasure, DualVector, ExponentTriple,
+from latfact import (DiscreteRadonMeasure, ExponentTriple,
                      SNormSpace, UnsaturatedSpaceError, dirac_space,
                      family_sup_lhs, inclusion_bound_check, partition_space,
                      s_norm, xi_saturation_check)
@@ -9,16 +9,11 @@ from latfact.spaces import dual_norm_of_pth_power
 from conftest import make_space
 
 
-def dv(h):
-    h = np.asarray(h, dtype=float)
-    return DualVector(h=h, certified_norm=float(h.max(initial=0.0)))
-
-
 @pytest.fixture
 def half_half_space():
     # two point masses of weight one half on the two indicator weights
     X = make_space([1, 1], 1)
-    xi = DiscreteRadonMeasure.from_pairs([(dv([1, 0]), 0.5), (dv([0, 1]), 0.5)])
+    xi = DiscreteRadonMeasure.from_pairs([([1, 0], 0.5), ([0, 1], 0.5)])
     return SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
 
 
@@ -29,7 +24,7 @@ class TestSNormValues:
 
     def test_full_weight_atom_matches_l1(self):
         X = make_space([1, 1], 1)
-        xi = DiscreteRadonMeasure.from_pairs([(dv([1, 1]), 1.0)])
+        xi = DiscreteRadonMeasure.from_pairs([([1, 1], 1.0)])
         S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
         assert s_norm(S, [1, 1]) == pytest.approx(2.0, abs=1e-12)
         assert s_norm(S, [1, 1]) == pytest.approx(X.norm([1, 1]), abs=1e-12)
@@ -44,7 +39,7 @@ class TestSNormValues:
 class TestSaturation:
     def test_boundary_atom_fails_with_witness(self):
         X = make_space([1, 1], 1)
-        xi = DiscreteRadonMeasure.from_pairs([(dv([1, 0]), 1.0)])
+        xi = DiscreteRadonMeasure.from_pairs([([1, 0], 1.0)])
         S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
         ok, witness = xi_saturation_check(S)
         assert not ok and witness == 1
@@ -57,7 +52,7 @@ class TestSaturation:
 
     def test_strictly_positive_atom_passes(self):
         X = make_space([1, 1], 1)
-        xi = DiscreteRadonMeasure.from_pairs([(dv([1, 1]), 1.0)])
+        xi = DiscreteRadonMeasure.from_pairs([([1, 1], 1.0)])
         ok, witness = xi_saturation_check(SNormSpace(
             base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi))
         assert ok and witness is None
@@ -70,19 +65,47 @@ class TestSaturation:
 class TestMeasureValidation:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
-            DiscreteRadonMeasure.from_pairs([(dv([1, 0]), 0.0)])
+            DiscreteRadonMeasure.from_pairs([([1, 0], 0.0)])
 
     def test_rejects_atom_outside_ball(self):
-        big = DualVector(h=np.array([2.0, 0.0]), certified_norm=2.0)
+        # the measure takes any weight row; the space it meets decides
+        # (dual norm in L^2(μ): (4 μ_0)^(1/2), 2 at μ_0 = 1, 0.89 at 0.2)
+        xi = DiscreteRadonMeasure.from_pairs([([2.0, 0.0], 1.0)])
+        e = ExponentTriple(p=1.0, q=2.0)
+        with pytest.raises(ValueError, match="dual unit ball"):
+            SNormSpace(base=make_space([1, 1], 2), e=e, xi=xi)
+        SNormSpace(base=make_space([0.2, 0.2], 2), e=e, xi=xi)
+
+    def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            DiscreteRadonMeasure.from_pairs([(big, 1.0)])
+            DiscreteRadonMeasure.from_pairs([([-0.1, 0.2], 1.0)])
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DiscreteRadonMeasure.from_pairs([([0.5, bad], 1.0)])
+
+    def test_rejects_rows_of_wrong_shape(self):
+        # rows of two lengths, a bare vector, a stack of matrices, no rows
+        for atoms in ([[1.0, 0.0], [1.0]], [1.0, 0.0], [[[1.0, 0.0]]],
+                      np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                DiscreteRadonMeasure(atoms=atoms, masses=np.ones(len(atoms)))
+
+    def test_atoms_are_a_read_only_matrix(self):
+        rows = np.array([[1.0, 0.0], [0.5, 0.5]])
+        xi = DiscreteRadonMeasure(atoms=rows, masses=[0.5, 0.5])
+        rows[0, 0] = 3.0
+        assert xi.atoms.shape == (2, 2) and xi.atoms[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            xi.atoms[0, 0] = 2.0
 
     def test_normalized_flag_checked(self):
         with pytest.raises(ValueError):
-            DiscreteRadonMeasure.from_pairs([(dv([1, 1]), 0.7)], normalized=True)
+            DiscreteRadonMeasure.from_pairs([([1, 1], 0.7)], normalized=True)
 
     def test_probability_rescaling(self):
-        xi = DiscreteRadonMeasure.from_pairs([(dv([1, 0]), 2.0), (dv([0, 1]), 2.0)])
+        xi = DiscreteRadonMeasure.from_pairs([([1, 0], 2.0), ([0, 1], 2.0)])
         assert not xi.normalized
         prob = xi.scaled_to_probability()
         assert prob.normalized and prob.total_mass == pytest.approx(1.0)
@@ -213,8 +236,7 @@ class TestNormProperties:
         for _ in range(3):
             h = np.abs(rng.normal(size=3)) + 0.05
             h = h / dual_norm_of_pth_power(X, e.p, h)
-            pairs.append((DualVector(h=h, certified_norm=1.0),
-                          float(rng.uniform(0.2, 0.6))))
+            pairs.append((h, float(rng.uniform(0.2, 0.6))))
         return SNormSpace(base=X, e=e, xi=DiscreteRadonMeasure.from_pairs(pairs))
 
     def test_norm_axioms(self, saturated_space):
@@ -252,7 +274,7 @@ class TestNormProperties:
     def test_inclusion_bound_scales_with_total_mass(self):
         X = make_space([1, 1], 1)
         e = ExponentTriple(p=1.0, q=2.0)
-        xi = DiscreteRadonMeasure.from_pairs([(dv([1, 1]), 4.0)])  # mass 2^q
+        xi = DiscreteRadonMeasure.from_pairs([([1, 1], 4.0)])  # mass 2^q
         S = SNormSpace(base=X, e=e, xi=xi)
         ratio = inclusion_bound_check(S, samples=512, seed=3)
         assert ratio <= 2.0 + 1e-9

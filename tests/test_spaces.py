@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfact import (DimensionMismatchError, DualVector, ExponentTriple,
-                     MeasureSpace, NotPConvexError, WeightedLebesgue,
+from latfact import (DimensionMismatchError, ExponentTriple, MeasureSpace,
+                     NotPConvexError, WeightedLebesgue, extreme_dual_vectors,
                      kothe_dual_norm, p_convexity_estimate, pth_power_norm,
-                     pth_power_space, sample_positive_dual_ball)
+                     pth_power_space)
+from latfact.spaces import dual_norm_of_pth_power
 from conftest import make_space
 
 
@@ -167,27 +168,16 @@ class TestExponentTriple:
 class TestDualBallSampling:
     def test_extreme_patterns_on_sup_ball(self):
         X = make_space([1, 1], 1)
-        got = sample_positive_dual_ball(X, 1.0, strategy="extreme", count=16)
-        vectors = {tuple(d.h) for d in got}
+        vectors = {tuple(h) for h in extreme_dual_vectors(X, 1.0)}
         assert {(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)} <= vectors
 
-    def test_count_zero_gives_empty(self, lebesgue2):
-        assert sample_positive_dual_ball(lebesgue2, 2.0, count=0) == []
-
     def test_all_samples_certified(self, lebesgue2):
-        for d in sample_positive_dual_ball(lebesgue2, 2.0, strategy="mixed",
-                                           count=40, seed=5):
-            assert d.certified_norm <= 1.0 + 1e-9
-            assert np.all(d.h >= 0)
-
-    def test_deterministic_given_seed(self, lebesgue2):
-        a = sample_positive_dual_ball(lebesgue2, 2.0, count=20, seed=9)
-        b = sample_positive_dual_ball(lebesgue2, 2.0, count=20, seed=9)
-        assert all(x == y for x, y in zip(a, b))
-
-    def test_unknown_strategy_rejected(self, lebesgue2):
-        with pytest.raises(ValueError):
-            sample_positive_dual_ball(lebesgue2, 2.0, strategy="magic")
+        # p = 1: the dual ball of L^2 is curved, so the rows are scaled
+        H = extreme_dual_vectors(lebesgue2, 1.0)
+        assert H.shape == (4, 2) and np.all(H >= 0.0)
+        norms = [dual_norm_of_pth_power(lebesgue2, 1.0, h) for h in H]
+        assert max(norms) <= 1.0 + 1e-9
+        assert norms[:-1] == pytest.approx([1.0] * 3, rel=1e-12)
 
 
 class TestPConvexityEstimate:
@@ -232,9 +222,3 @@ class TestPConvexityEstimate:
         num = X.norm(np.sqrt((F ** 2).sum(axis=0)))
         den = math.sqrt(float(np.sum(X.norm_rows(F) ** 2)))
         assert est.value == pytest.approx(num / den, rel=1e-9)
-
-
-class TestDualVector:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            DualVector(h=np.array([-0.1, 0.2]), certified_norm=0.5)
