@@ -26,7 +26,8 @@ from .snorm import (DiscreteRadonMeasure, SNormSpace, UnsaturatedSpaceError,
                     s_norm, xi_saturation_check)
 from .spaces import (DimensionMismatchError, ExponentTriple, LatticeNorm,
                      MeasureSpace, NotPConvexError, WeightedLebesgue,
-                     extreme_dual_vectors, kothe_dual_norm, norm,
-                     p_convexity_estimate, pth_power_norm, pth_power_space)
+                     dual_norm_rows, extreme_dual_vectors, kothe_dual_norm,
+                     norm, p_convexity_estimate, pairings, pth_power_norm,
+                     pth_power_space)
 
 __version__ = "0.1.0"

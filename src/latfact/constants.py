@@ -31,10 +31,10 @@ from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
 from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
-                     NotPConvexError, WeightedLebesgue, _family_stack,
-                     _unstack, as_vector,
-                     extreme_dual_vectors, kothe_dual_norm,
-                     lattice_aggregate_norm, power_mean, power_mean_rows)
+                     NotPConvexError, WeightedLebesgue, _dual_is_cube,
+                     _family_stack, _unstack, as_vector, dual_norm_rows,
+                     extreme_dual_vectors, lattice_aggregate_norm, power_mean,
+                     power_mean_rows)
 
 __all__ = [
     "EuclideanNorm",
@@ -207,15 +207,8 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     P = G * mu
     PT = P.transpose(0, 2, 1)
 
-    if sigma_dual <= 64.0:  # scaled power mean only for huge exponents
-        def dual_norms(H: np.ndarray) -> np.ndarray:
-            return (H ** sigma_dual @ mu) ** (1.0 / sigma_dual)
-    else:
-        def dual_norms(H: np.ndarray) -> np.ndarray:
-            return power_mean_rows(H, sigma_dual, mu)
-
     def dual_sphere(H: np.ndarray) -> np.ndarray:
-        return unit_rows(H, dual_norms)
+        return unit_rows(H, lambda H: dual_norm_rows(X, p, H))
 
     # starts: uniform, the norming profile of each |f_i|^p (uniform again
     # for a zero row), indicators and seeded noise
@@ -290,7 +283,7 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
 def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
     if e.is_extreme:
         return lattice_aggregate_norm(X, F, e.p)
-    if isinstance(X, WeightedLebesgue) and X.s / e.p <= 1.0 + 1e-9:
+    if _dual_is_cube(X, e.p):
         # s = p; family_sup_lhs has ruled out s < p
         row_norms = power_mean_rows(F, e.p, X.space.weights)
         return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
@@ -343,27 +336,23 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
     (``sigma = s/p``); for a single function this is the classical norming
     weight of ``|f|^p``.  For ``q > p`` the fixed point of
     :func:`_curved_dual_sup` is returned.  Other domains fall back to the
-    best canonical candidate.
+    best canonical candidate.  Raises :class:`NotPConvexError` when X is
+    not p-convex.
     """
     F = _family_matrix(F, X.n)
+    if _dual_is_cube(X, e.p):
+        return np.ones(X.n)
     if isinstance(X, WeightedLebesgue):
-        sigma = X.s / e.p
-        if sigma <= 1.0 + 1e-9:
-            return np.ones(X.n)
         if not np.any(F):
             h = np.ones(X.n)
-            nrm = power_mean(h, sigma / (sigma - 1.0), X.space.weights)
-            return h / nrm
-        if e.is_extreme:
+        elif e.is_extreme:
             # psi(h) = ∫ g h dμ with g = sum_i |f_i|^p is linear, and
             # Hölder's equality case h ∝ g^(sigma-1) maximizes it
             g = (np.abs(F) ** e.p).sum(axis=0)
-            h = (g / g.max()) ** (sigma - 1.0)
+            h = (g / g.max()) ** (X.s / e.p - 1.0)
         else:
             h = _curved_dual_sup(X, e, F[None])[1][0]
-        sigma_dual = sigma / (sigma - 1.0)
-        nrm = power_mean(h, sigma_dual, X.space.weights)
-        return h / nrm
+        return h / dual_norm_rows(X, e.p, h)
     H = extreme_dual_vectors(X, e.p)
     P = (np.abs(F) ** e.p) * X.space.weights
     return H[int(np.argmax(_psi_rows(H, P, e.t)))]
@@ -586,10 +575,10 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     multistart ascent over the dual sphere.  On weighted Lebesgue domains
     its rows are normalised by the closed-form dual norm, so the value is a
     certified lower bound.  On other domains (the Köthe route) they are
-    divided by :func:`kothe_dual_norm`, which is itself a lower bound, so a
-    row can land outside the dual ball and the value is certified from
-    neither side.  A stack of families ``(K, m, n)`` gives the ``(K,)``
-    values in one pass.
+    divided by the numeric :func:`~latfact.spaces.dual_norm_rows`, which is
+    itself a lower bound, so a row can land outside the dual ball and the
+    value is certified from neither side.  A stack of families
+    ``(K, m, n)`` gives the ``(K,)`` values in one pass.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
@@ -626,29 +615,24 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
     K, _, n = F.shape
     A = F * X.space.weights  # pairing matrices: <h, f_i> = (A h)_i
     AT = A.transpose(0, 2, 1)
-    if isinstance(X, WeightedLebesgue):
-        if X.s == 1.0 and n <= 16:
-            U = sign_patterns(n, cap=16) @ AT
-            return _lq_rows(U, q).max(axis=1)
-        if X.s == 2.0 and q == 2.0:
-            scaled = F * np.sqrt(X.space.weights)
-            return np.linalg.svd(scaled, compute_uv=False)[:, 0]
+    cube = _dual_is_cube(X, 1.0)
+    if cube and n <= 16:
+        U = sign_patterns(n, cap=16) @ AT
+        return _lq_rows(U, q).max(axis=1)
+    if isinstance(X, WeightedLebesgue) and X.s == 2.0 and q == 2.0:
+        scaled = F * np.sqrt(X.space.weights)
+        return np.linalg.svd(scaled, compute_uv=False)[:, 0]
     if F.shape[1] == 1:
         return _one_vector_norms(X, F)
 
     # multistart ascent over the signed dual sphere
     radial_rows = None
-    if isinstance(X, WeightedLebesgue) and X.s > 1.0:
-        dual_space = WeightedLebesgue(space=X.space, s=X.conjugate_exponent())
-        dual_norms = dual_space.norm_rows
-        radial_rows = dual_space.norm_grad_rows
-    elif isinstance(X, WeightedLebesgue):
-        def dual_norms(H: np.ndarray) -> np.ndarray:
-            return np.abs(H).max(axis=-1)
-    else:
-        def dual_norms(H: np.ndarray) -> np.ndarray:
-            norms = [kothe_dual_norm(X, row) for row in H.reshape(-1, n)]
-            return np.array(norms).reshape(H.shape[:-1])
+    if isinstance(X, WeightedLebesgue) and not cube:
+        radial_rows = WeightedLebesgue(
+            space=X.space, s=X.conjugate_exponent()).norm_grad_rows
+
+    def dual_sphere(H: np.ndarray) -> np.ndarray:
+        return unit_rows(H, lambda H: dual_norm_rows(X, 1.0, H))
 
     def value_rows(H: np.ndarray) -> np.ndarray:
         return _lq_rows(H @ AT, q)
@@ -670,8 +654,7 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
     noise = rng.normal(size=(max(4, int(budget)), n))
     starts = np.concatenate([np.broadcast_to(head, (K, *head.shape)), top,
                              np.broadcast_to(noise, (K, *noise.shape))], axis=1)
-    _, vals = projected_ascent(value_rows, grad_rows,
-                               lambda H: unit_rows(H, dual_norms),
+    _, vals = projected_ascent(value_rows, grad_rows, dual_sphere,
                                starts, iters=60, nonneg=False,
                                radial_rows=radial_rows)
     return vals.max(axis=1)

@@ -38,8 +38,8 @@ from .estimates import seed_list
 from .search import projected_ascent, signed_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
-from .spaces import (ExponentTriple, LatticeNorm, NotPConvexError,
-                     dual_norm_of_pth_power)
+from .spaces import (ExponentTriple, LatticeNorm, dual_norm_of_pth_power,
+                     pairings)
 
 __all__ = [
     "SolverConvergenceError",
@@ -114,28 +114,6 @@ def default_domination_grid(X: LatticeNorm, e: ExponentTriple) -> np.ndarray:
     return (ones / dual_norm_of_pth_power(X, e.p, ones))[None, :]
 
 
-def _phi_matrix(X: LatticeNorm, e: ExponentTriple, F: np.ndarray,
-                H: np.ndarray) -> np.ndarray:
-    """phi[j, k] = (∫ |f_j|^p h_k dμ)^{q/p}."""
-    P = (np.abs(F) ** e.p) * X.space.weights
-    return np.maximum(P @ H.T, 0.0) ** e.t
-
-
-def _snorm_q_slopes(S: SNormSpace, F: np.ndarray) -> np.ndarray:
-    """Row-wise derivative of ``s(f)^q`` in ``|f_i|^p``, times ``p``.
-
-    The gradient of ``s(f)^q`` is ``sign(f) |f|^{p-1}`` times this; at
-    ``p = 1`` it is the one-sided slope of ``s(f)^q`` in ``|f_i|``, which
-    stays positive where ``f_i = 0``.
-    """
-    q, t = S.e.q, S.e.t
-    mu = S.space.weights
-    H = S.xi.atoms
-    inner = np.maximum((np.abs(F) ** S.e.p * mu) @ H.T, 0.0)
-    W = S.xi.masses * inner ** (t - 1.0)
-    return q * mu * (W @ H)
-
-
 def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
                      budget: int = 16, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Most violating function of each sign pattern at constant C.
@@ -170,7 +148,7 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
         img = T.codomain_norm_rows(U)
         img_pow = np.where(img > 0.0, img ** (q - 1.0), 0.0)
         g1 = q * img_pow[:, None] * (T.codomain.norm_grad_rows(U) @ T.matrix)
-        slopes = Cq * _snorm_q_slopes(S, F)
+        slopes = Cq * S.q_slope_rows(F)
         G = g1 - np.sign(F) * np.abs(F) ** (S.e.p - 1.0) * slopes
         if S.e.p == 1.0:
             # s(f)^q has a kink where f_i = 0: the entry leaves zero only
@@ -216,12 +194,10 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     mixture is a probability measure that passes the saturation check:
     boundary-supported solutions are repaired by mixing in ``tol`` mass of
     the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of the
-    constant.
+    constant.  Raises :class:`~latfact.spaces.NotPConvexError` when the
+    domain is not p-convex.
     """
     X = T.domain
-    if not X.is_p_convex_one(e.p):
-        raise NotPConvexError(
-            f"domain is not p-convex with constant one for p={e.p}")
     base = seed_list(seed)
     H = default_domination_grid(X, e)
 
@@ -232,7 +208,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     seeds.extend(unit_rows(rng.normal(size=(2, T.n)), X.norm_rows))
     W = unit_rows(np.vstack(seeds), X.norm_rows)
     bvec = T.codomain_norm_rows(W @ T.matrix.T) ** e.q
-    Phi = _phi_matrix(X, e, W, H)
+    Phi = pairings(X, e.p, W, H) ** e.t
 
     lp_values: list[float] = []
     t = witness_cap = math.inf  # witness_cap: the LP value before a witness
@@ -268,7 +244,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
             lam = sol.duals[active] / (bvec[rows] * kappa)
             h_star = attainment_point(X, e,
                                       lam[:, None] ** (1.0 / e.q) * W[rows])
-            column = _phi_matrix(X, e, W, h_star[None, :])
+            column = pairings(X, e.p, W, h_star[None, :]) ** e.t
             if float(lam @ column[rows, 0]) > sol.value * (1.0 + 0.5 * tol):
                 H = np.vstack([H, h_star])
                 Phi = np.hstack([Phi, column])
@@ -293,7 +269,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         cuts = F_star[values > tol * Cq]
         W = np.vstack([W, cuts])
         bvec = np.append(bvec, T.codomain_norm_rows(cuts @ T.matrix.T) ** e.q)
-        Phi = np.vstack([Phi, _phi_matrix(X, e, cuts, H)])
+        Phi = np.vstack([Phi, pairings(X, e.p, cuts, H) ** e.t])
         witness_cap = t
         warm = None
 

@@ -12,8 +12,10 @@ space; unsaturated mixtures stay representable (the seminorm is still
 evaluable) but refuse to act as a :class:`~latfact.spaces.LatticeNorm`.
 
 The atoms ``h_k`` are plain nonnegative weight rows.  A measure knows
-nothing of a base space, so :class:`SNormSpace` is where each row is
-checked against the positive dual unit ball of ``X_p``.
+nothing of a base space, so :class:`SNormSpace` is where the rows are
+checked against the positive dual unit ball of ``X_p``, all in one
+:func:`~latfact.spaces.dual_norm_rows` call; its seminorm and gradients
+take the inner integrals from :func:`~latfact.spaces.pairings`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (DUAL_CERT_SLACK, ExponentTriple, LatticeNorm,
-                     MeasureSpace, as_vector, dual_norm_of_pth_power)
+                     MeasureSpace, as_vector, dual_norm_rows, pairings)
 
 __all__ = [
     "UnsaturatedSpaceError",
@@ -126,13 +128,14 @@ class SNormSpace(LatticeNorm):
     def __post_init__(self):
         if self.xi.atoms.shape[1] != self.base.n:
             raise ValueError("measure atoms do not match the base space")
-        for h in self.xi.atoms:
-            # numeric dual norms are lower bounds, so exceeding the slack
-            # is a definite violation
-            cert = dual_norm_of_pth_power(self.base, self.e.p, h)
-            if cert > 1.0 + DUAL_CERT_SLACK:
-                raise ValueError(
-                    f"atom outside the positive dual unit ball (norm {cert})")
+        # numeric dual norms are lower bounds, so exceeding the slack is a
+        # definite violation
+        norms = dual_norm_rows(self.base, self.e.p, self.xi.atoms)
+        outside = np.flatnonzero(norms > 1.0 + DUAL_CERT_SLACK)
+        if outside.size:
+            k = int(outside[0])
+            raise ValueError(f"atom {k} outside the positive dual unit ball "
+                             f"(norm {float(norms[k])})")
         object.__setattr__(self, "saturated", bool(_coverage(self.xi).all()))
 
     @property
@@ -147,10 +150,8 @@ class SNormSpace(LatticeNorm):
         if F.shape[-1] != self.n:
             raise ValueError(
                 f"expected rows of length {self.n}, got {F.shape[-1]}")
-        p, q = self.e.p, self.e.q
-        H = self.xi.atoms
-        inner = (np.abs(F) ** p * self.space.weights) @ H.T
-        return (np.maximum(inner, 0.0) ** (q / p) @ self.xi.masses) ** (1.0 / q)
+        inner = pairings(self.base, self.e.p, F, self.xi.atoms)
+        return (inner ** self.e.t @ self.xi.masses) ** (1.0 / self.e.q)
 
     def norm(self, f) -> float:
         if not self.saturated:
@@ -166,19 +167,31 @@ class SNormSpace(LatticeNorm):
                 "not usable as a lattice norm")
         return self.seminorm_rows(F)
 
+    def _coefficients(self, F: np.ndarray):
+        """Pairings ``c_k`` with the atoms, and ``sum_k mass_k c_k^{t-1} h_k``."""
+        inner = pairings(self.base, self.e.p, F, self.xi.atoms)
+        coeff = (self.xi.masses * inner ** (self.e.t - 1.0)) @ self.xi.atoms
+        return inner, coeff
+
     def norm_grad_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
         p, q = self.e.p, self.e.q
-        H = self.xi.atoms
-        mu = self.space.weights
-        inner = np.maximum((np.abs(F) ** p * mu) @ H.T, 0.0)
-        value_q = inner ** (q / p) @ self.xi.masses
+        inner, coeff = self._coefficients(F)
+        value_q = inner ** self.e.t @ self.xi.masses
         values = np.where(value_q > 0.0, value_q ** (1.0 / q), 1.0)
-        coeff = (self.xi.masses * inner ** (q / p - 1.0)) @ H
-        grads = (np.sign(F) * np.abs(F) ** (p - 1.0) * mu * coeff
-                 * values[:, None] ** (1.0 - q))
+        grads = (np.sign(F) * np.abs(F) ** (p - 1.0) * self.space.weights
+                 * coeff * values[:, None] ** (1.0 - q))
         grads[value_q == 0.0] = 0.0
         return grads
+
+    def q_slope_rows(self, F: np.ndarray) -> np.ndarray:
+        """Row-wise derivative of ``s(f)^q`` in ``|f_i|^p``, times ``p``.
+
+        The gradient of ``s(f)^q`` is ``sign(f) |f|^{p-1}`` times this; at
+        ``p = 1`` it is the one-sided slope of ``s(f)^q`` in ``|f_i|``,
+        which stays positive where ``f_i = 0``.
+        """
+        return self.e.q * self.space.weights * self._coefficients(F)[1]
 
     def is_p_convex_one(self, p: float) -> bool:
         return p <= self.e.p + 1e-12

@@ -7,9 +7,11 @@ lattice norms fall back to seeded projected-ascent searches whose results
 are certified lower bounds with a documented ~1e-9 slack.
 
 Points of a positive dual ball are plain nonnegative weight rows, and a
-set of them is a ``(k, n)`` matrix.  Whether a row lies in the dual ball
-of ``X_p`` depends on both ``X`` and ``p``; :class:`~latfact.snorm.SNormSpace`
-is the one place that knows both, and it decides.
+set of them is a ``(k, n)`` matrix.  The duality of ``X_p`` with its
+Köthe dual lives in two functions: :func:`dual_norm_rows` (the dual norms
+of weight rows) and :func:`pairings` (``∫ |f|^p h dμ``).  Whether a row
+lies in the dual ball depends on both ``X`` and ``p``;
+:class:`~latfact.snorm.SNormSpace` is the one place that knows both.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ __all__ = [
     "pth_power_space",
     "lattice_aggregate_norm",
     "kothe_dual_norm",
+    "dual_norm_rows",
     "dual_norm_of_pth_power",
+    "pairings",
     "extreme_dual_vectors",
     "p_convexity_estimate",
 ]
@@ -291,9 +295,8 @@ def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float | np.ndarray:
     return _unstack(np.array([X.norm(a) for a in agg]), single)
 
 
-def _linear_sup_over_ball(norm_rows, h: np.ndarray, weights: np.ndarray,
-                          seed=0) -> float:
-    """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖ <= 1}``, norms by rows.
+def _linear_sup_over_ball(X: LatticeNorm, p: float, h: np.ndarray) -> float:
+    """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖_{X_p} <= 1}``.
 
     Candidates: every indicator (corner attainment, exact for sup-norm
     duals), the power profiles of ``|h| μ`` and ``|h|`` (which contain the
@@ -305,16 +308,19 @@ def _linear_sup_over_ball(norm_rows, h: np.ndarray, weights: np.ndarray,
     exercised here.
     """
     density = np.abs(h)
-    g = density * weights
+    g = density * X.space.weights
     if not np.any(g > 0):
         return 0.0
     n = g.size
-    rng = np.random.default_rng([17, *np.atleast_1d(seed).astype(int).tolist()])
+    rng = np.random.default_rng([17, 0])
     starts = [np.ones(n)]
     starts.extend(np.eye(n))
     for base in (g / g.max(), density / density.max()):
         starts.extend(base ** c for c in np.geomspace(0.1, 12.0, 24))
     starts.extend(np.abs(rng.normal(size=(8, n))))
+
+    def norm_rows(F: np.ndarray) -> np.ndarray:
+        return X.norm_rows(np.abs(F) ** (1.0 / p)) ** p
 
     def sphere(F: np.ndarray) -> np.ndarray:
         return unit_rows(F, norm_rows)
@@ -335,42 +341,75 @@ def _linear_sup_over_ball(norm_rows, h: np.ndarray, weights: np.ndarray,
     return float(max(scores.max(), vals.max()))
 
 
-def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto", seed=0) -> float:
+def _dual_is_cube(X: LatticeNorm, p: float) -> bool:
+    """True when the positive dual ball of X_p is the cube ``[0, 1]^n``.
+
+    That is the weighted Lebesgue family at ``s = p``.  Raises
+    :class:`NotPConvexError` when X is not p-convex, where X_p is no norm.
+    """
+    if not X.is_p_convex_one(p):
+        raise NotPConvexError(
+            f"space is not p-convex with constant one for p={p}")
+    return isinstance(X, WeightedLebesgue) and X.s / p <= 1.0 + 1e-9
+
+
+def dual_norm_rows(X: LatticeNorm, p: float, H) -> float | np.ndarray:
+    """Norm of each row of ``H`` in the Köthe dual of the p-th power X_p.
+
+    ``H`` is one vector ``(n,)``, giving a float, or a stack ``(..., n)``,
+    giving one norm per row.  Weighted Lebesgue spaces take the closed
+    form with ``sigma = s/p``: the sup norm at ``sigma = 1``, else the
+    ``L^sigma'`` norm, ``sigma' = sigma/(sigma - 1)``; one vector goes
+    through :func:`power_mean`, and a stack takes
+    ``(|H|^sigma' μ)^(1/sigma')`` up to ``sigma' = 64`` and the scaled
+    :func:`power_mean_rows` above.  Other spaces run the numeric sup of
+    :func:`_linear_sup_over_ball` row by row, a lower bound tight to about
+    1e-9.  Raises :class:`NotPConvexError` when X is not p-convex.
+    """
+    H = np.asarray(H, dtype=float)
+    if _dual_is_cube(X, p):
+        norms = np.abs(H).max(axis=-1, initial=0.0)
+    elif not isinstance(X, WeightedLebesgue):
+        norms = np.array([_linear_sup_over_ball(X, p, h)
+                          for h in H.reshape(-1, X.n)]).reshape(H.shape[:-1])
+    else:
+        sigma = X.s / p
+        sigma_dual = sigma / (sigma - 1.0)
+        mu = X.space.weights
+        if H.ndim == 1:
+            norms = power_mean(H, sigma_dual, mu)
+        elif sigma_dual <= 64.0:
+            norms = (np.abs(H) ** sigma_dual @ mu) ** (1.0 / sigma_dual)
+        else:
+            norms = power_mean_rows(H, sigma_dual, mu)
+    return float(norms) if H.ndim == 1 else norms
+
+
+def pairings(X: LatticeNorm, p: float, F, H) -> np.ndarray:
+    """The matrix ``max((|F|^p μ) H^T, 0)`` of pairings ``∫ |f|^p h dμ``."""
+    return np.maximum((np.abs(F) ** p * X.space.weights) @ H.T, 0.0)
+
+
+def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto") -> float:
     """Köthe-dual norm ``sup {∫|h f| dμ : ‖f‖_X <= 1}``.
 
-    Weighted Lebesgue spaces use the conjugate-exponent closed form (the
-    sup norm when ``s = 1``).  Other variants run a projected-ascent sup
-    over the positive unit sphere; the value is a lower bound, tight to
-    about 1e-9 here and validated against the closed form at 1e-7.
+    :func:`dual_norm_rows` at ``p = 1``.  ``method="numeric"`` runs the
+    numeric sup of other variants on a weighted Lebesgue space too, which
+    audits it against the closed form at 1e-7.
     """
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown dual-norm method {method!r}")
     h = as_vector(h, X.n)
-    closed = isinstance(X, WeightedLebesgue) and method in ("auto", "closed")
     if method == "closed" and not isinstance(X, WeightedLebesgue):
         raise ValueError("closed-form dual norm only for WeightedLebesgue")
-    if closed:
-        if X.s == 1.0:
-            return float(np.abs(h).max(initial=0.0))
-        return power_mean(h, X.conjugate_exponent(), X.space.weights)
-    return _linear_sup_over_ball(X.norm_rows, h, X.space.weights, seed=seed)
+    if method == "numeric":
+        return _linear_sup_over_ball(X, 1.0, h)
+    return dual_norm_rows(X, 1.0, h)
 
 
 def dual_norm_of_pth_power(X: LatticeNorm, p: float, h) -> float:
-    """Norm of ``h`` in the Köthe dual of the p-th power of X."""
-    if isinstance(X, WeightedLebesgue):
-        return kothe_dual_norm(pth_power_space(X, p), h)
-    if not X.is_p_convex_one(p):
-        raise NotPConvexError(
-            f"space is not p-convex with constant one for p={p}")
-    h = as_vector(h, X.n)
-    return _linear_sup_over_ball(
-        lambda F: X.norm_rows(np.abs(F) ** (1.0 / p)) ** p, h, X.space.weights)
-
-
-def _dual_is_sup_ball(X: LatticeNorm, p: float) -> bool:
-    """True when the positive dual ball of X_p is the cube [0,1]^n."""
-    return isinstance(X, WeightedLebesgue) and abs(X.s / p - 1.0) <= 1e-9
+    """Norm of one vector ``h`` in the Köthe dual of the p-th power of X."""
+    return dual_norm_rows(X, p, as_vector(h, X.n))
 
 
 def extreme_dual_vectors(X: LatticeNorm, p: float) -> np.ndarray:
@@ -391,9 +430,8 @@ def extreme_dual_vectors(X: LatticeNorm, p: float) -> np.ndarray:
                          dtype=float)
     else:
         masks = np.vstack([np.ones(n), np.eye(n)])
-    if not _dual_is_sup_ball(X, p):
-        masks = masks / np.array([[dual_norm_of_pth_power(X, p, v)]
-                                  for v in masks])
+    if not _dual_is_cube(X, p):
+        masks = masks / dual_norm_rows(X, p, masks)[:, None]
     return np.vstack([masks, np.zeros(n)])
 
 

@@ -14,7 +14,6 @@ from .spaces import ExponentTriple, MeasureSpace, WeightedLebesgue
 
 __all__ = [
     "LEMMA_PAIRS",
-    "random_measure",
     "random_lebesgue_space",
     "lemma_instance",
     "lemma_instances",
@@ -25,11 +24,6 @@ __all__ = [
 ]
 
 LEMMA_PAIRS = ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 3.0))
-
-
-def random_measure(n: int, seed) -> MeasureSpace:
-    rng = np.random.default_rng([101, *seed_list(seed)])
-    return MeasureSpace(weights=rng.uniform(0.5, 2.0, size=n))
 
 
 def random_lebesgue_space(n: int, seed, s: float | None = None,

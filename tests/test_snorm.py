@@ -76,6 +76,16 @@ class TestMeasureValidation:
             SNormSpace(base=make_space([1, 1], 2), e=e, xi=xi)
         SNormSpace(base=make_space([0.2, 0.2], 2), e=e, xi=xi)
 
+    def test_rejects_a_last_atom_outside_ball(self):
+        # all atoms are checked in one stacked call; the only bad one is last
+        inside = [([0.5, 0.5], 0.25), ([0.0, 0.9], 0.25), ([0.7, 0.0], 0.25)]
+        xi = DiscreteRadonMeasure.from_pairs(inside + [([2.0, 0.0], 0.25)])
+        e = ExponentTriple(p=1.0, q=2.0)
+        with pytest.raises(ValueError, match="atom 3 outside"):
+            SNormSpace(base=make_space([1, 1], 2), e=e, xi=xi)
+        SNormSpace(base=make_space([1, 1], 2), e=e,
+                   xi=DiscreteRadonMeasure.from_pairs(inside))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             DiscreteRadonMeasure.from_pairs([([-0.1, 0.2], 1.0)])

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfact import (DimensionMismatchError, ExponentTriple, MeasureSpace,
-                     NotPConvexError, WeightedLebesgue, extreme_dual_vectors,
-                     kothe_dual_norm, p_convexity_estimate, pth_power_norm,
-                     pth_power_space)
-from latfact.spaces import dual_norm_of_pth_power
+from latfact import (DimensionMismatchError, DiscreteRadonMeasure,
+                     ExponentTriple, MeasureSpace, NotPConvexError, SNormSpace,
+                     WeightedLebesgue, attainment_point, dirac_space,
+                     dual_norm_rows, extreme_dual_vectors, kothe_dual_norm,
+                     p_convexity_estimate, pth_power_norm, pth_power_space)
+from latfact.spaces import dual_norm_of_pth_power, power_mean
 from conftest import make_space
 
 
@@ -138,6 +139,71 @@ class TestKotheDual:
                 pairing = float(np.sum(np.abs(h * f) * X.space.weights))
                 bound = X.norm(f) * kothe_dual_norm(X, h)
                 assert pairing <= bound * (1 + 1e-10) + 1e-12
+
+
+class TestDualNormRows:
+    # (s, p): sigma = s/p is 1 (the cube), 3, 2 and 1.5 (sigma' <= 64), and
+    # 1.01 (sigma' = 101, the scaled power mean)
+    @pytest.mark.parametrize("s, p", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.0),
+                                      (4.0, 2.0), (1.5, 1.0), (1.01, 1.0)])
+    def test_stack_matches_single_rows_on_lebesgue(self, s, p):
+        rng = np.random.default_rng(23)
+        X = make_space(rng.uniform(0.5, 2.0, size=5), s)
+        H = np.abs(rng.normal(size=(3, 4, 5)))
+        H[0, 0] = 0.0
+        stacked = dual_norm_rows(X, p, H)
+        assert stacked.shape == (3, 4)
+        single = [[dual_norm_rows(X, p, h) for h in rows] for rows in H]
+        assert all(isinstance(v, float) for row in single for v in row)
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(dual_norm_rows(X, p, H[1]), single[1],
+                                   rtol=1e-14, atol=0.0)
+        assert stacked[0, 0] == 0.0
+
+    @pytest.mark.parametrize("s, p", [(3.0, 1.0), (1.01, 1.0)])
+    def test_single_vector_is_the_power_mean(self, s, p):
+        rng = np.random.default_rng(27)
+        X = make_space(rng.uniform(0.5, 2.0, size=4), s)
+        sigma = s / p
+        for h in np.abs(rng.normal(size=(20, 4))):
+            assert dual_norm_rows(X, p, h) == power_mean(
+                h, sigma / (sigma - 1.0), X.space.weights)
+
+    def test_dirac_mixture_is_a_weighted_sup_norm(self):
+        # the p-th power of the dirac space with weight g is L^1(g μ), whose
+        # Köthe dual norm is max |h| / g; the numeric route runs here
+        rng = np.random.default_rng(29)
+        X = make_space(rng.uniform(0.5, 2.0, size=3), 2.0)
+        g0 = rng.uniform(0.5, 2.0, size=3)
+        S = dirac_space(X, ExponentTriple(p=2.0, q=3.0), g0 / g0.max())
+        H = np.abs(rng.normal(size=(4, 3)))
+        stacked = dual_norm_rows(S, 2.0, H)
+        single = [dual_norm_rows(S, 2.0, h) for h in H]
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0.0)
+        exact = (H * g0.max() / g0).max(axis=1)
+        np.testing.assert_allclose(stacked, exact, rtol=1e-9)
+
+
+E23 = ExponentTriple(p=2.0, q=3.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda X: dual_norm_rows(X, 2.0, np.ones((3, 2))),
+    lambda X: dual_norm_rows(X, 2.0, np.ones(2)),
+    lambda X: dual_norm_of_pth_power(X, 2.0, [1.0, 1.0]),
+    lambda X: extreme_dual_vectors(X, 2.0),
+    lambda X: dirac_space(X, E23, [0.5, 0.5]),
+    lambda X: SNormSpace(base=X, e=E23, xi=DiscreteRadonMeasure(
+        atoms=[[0.5, 0.5]], masses=[1.0])),
+    lambda X: attainment_point(X, E23, [[1.0, 0.5]]),
+    lambda X: attainment_point(X, ExponentTriple(p=2.0, q=2.0), [[1.0, 0.5]]),
+], ids=["dual_norm_rows-stack", "dual_norm_rows-vector",
+        "dual_norm_of_pth_power", "extreme_dual_vectors", "dirac_space",
+        "SNormSpace", "attainment_point", "attainment_point-p=q"])
+def test_dual_ball_entry_points_reject_a_domain_that_is_not_p_convex(entry):
+    # L^1 is not 2-convex: its square-root power is no norm, so no dual ball
+    with pytest.raises(NotPConvexError):
+        entry(make_space([1.0, 2.0], 1.0))
 
 
 class TestExponentTriple:
