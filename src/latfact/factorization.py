@@ -341,6 +341,10 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
 
     This is the operator norm of the same matrix with the saturated mixture
     space ``S`` as its domain, so :func:`operator_norm_estimate` computes it.
+    A mixture with one atom, or any mixture at ``p = q``, is a weighted
+    ``L^p`` space; at ``p = 1``, and at ``p = 2`` into a Euclidean target,
+    the value is then exact: ``max_j ‖T e_j‖ / (w_j μ_j)`` and
+    ``σ_max(T diag(w μ)^{-1/2})`` on the collapsed weight ``w``.
     """
     if not S.saturated:
         raise ValueError("extension norm needs a saturated mixture")

@@ -215,8 +215,9 @@ class TestProjectedAscent:
     """Live rows give the bits of the loop that recomputes every row."""
 
     @pytest.mark.parametrize("s, target", [
-        (1.0, None), (1.5, None), (2.0, None), (3.0, None), (1.5, 3.0)],
-        ids=["1.0", "1.5", "2.0", "3.0", "1.5-L3"])
+        (1.0, None), (1.5, None), (2.0, None), (3.0, None), (1.5, 3.0),
+        (2.0, 3.0)],
+        ids=["1.0", "1.5", "2.0", "3.0", "1.5-L3", "2.0-L3"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_operator_norm_estimate(self, monkeypatch, s, target, seed):
         T = random_operator(3, 3, [seed, 11], s=s)

@@ -5,7 +5,8 @@ import pytest
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      attainment_point, brute_force_family_sup,
-                     constant_chain_report, family_sup_lhs, family_sup_rhs,
+                     constant_chain_report, extension_norm_estimate,
+                     family_sup_lhs, family_sup_rhs,
                      identity_operator, operator_norm_estimate,
                      pq_concavity_estimate, pq_concavity_ratio,
                      q_concavity_estimate, q_concavity_ratio,
@@ -13,6 +14,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
 from latfact import constants
 from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
                            UnsaturatedSpaceError, dirac_space, partition_space)
+from latfact.search import projected_ascent
 from latfact.spaces import NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
@@ -469,13 +471,98 @@ class TestOperatorNorm:
                                           rel=1e-7)
 
     def test_scaling_the_operator_scales_the_estimate(self):
-        T = random_operator(3, 3, [1], s=2.0)
-        ref = operator_norm_estimate(T).value
-        for c in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
-            cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
-                                codomain=T.codomain)
-            assert operator_norm_estimate(cT).value / c == pytest.approx(
-                ref, rel=1e-12)
+        for s in (1.0, 2.0):
+            T = random_operator(3, 3, [1], s=s)
+            ref = operator_norm_estimate(T).value
+            for c in (1e-8, 1e-6, 1e-4, 1e4, 1e8):
+                cT = LinearOperator(matrix=c * T.matrix, domain=T.domain,
+                                    codomain=T.codomain)
+                assert operator_norm_estimate(cT).value / c == pytest.approx(
+                    ref, rel=1e-12)
+
+
+class TestExactOperatorNorm:
+    """Weighted L^1 and L^2 domains start the ascent at the maximiser."""
+
+    MU = np.array([0.6, 1.7, 0.9, 1.3])
+
+    @staticmethod
+    def operator(s, target=None, seed=71):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(3, 4))
+        codomain = (EuclideanNorm(dim=3) if target is None
+                    else make_space([1.4, 0.7, 1.1], target))
+        return LinearOperator(matrix=M,
+                              domain=make_space(TestExactOperatorNorm.MU, s),
+                              codomain=codomain)
+
+    @pytest.mark.parametrize("target", [None, 3.0], ids=["l2", "L3"])
+    def test_l1_value_is_the_best_column(self, target):
+        T = self.operator(1.0, target)
+        expected = max(T.codomain_norm(T.matrix[:, j]) / self.MU[j]
+                       for j in range(T.n))
+        est = operator_norm_estimate(T, budget=8, seed=0)
+        assert est.value == pytest.approx(expected, rel=1e-12)
+
+    def test_l2_value_is_the_top_singular_value(self):
+        T = self.operator(2.0)
+        expected = np.linalg.svd(T.matrix / np.sqrt(self.MU),
+                                 compute_uv=False)[0]
+        est = operator_norm_estimate(T, budget=8, seed=0)
+        assert est.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("s, target", [(1.0, None), (1.0, 3.0),
+                                           (2.0, None)],
+                             ids=["L1", "L1-L3", "L2"])
+    def test_one_start_row_and_a_replayable_witness(self, monkeypatch,
+                                                       s, target):
+        T = self.operator(s, target)
+        starts = []
+
+        def recording(value_rows, grad_rows, normalize_rows, A0, **kw):
+            starts.append(np.array(A0))
+            return projected_ascent(value_rows, grad_rows, normalize_rows,
+                                    A0, **kw)
+
+        monkeypatch.setattr(constants, "projected_ascent", recording)
+        est = operator_norm_estimate(T, budget=8, seed=0)
+        assert len(starts) == 1 and starts[0].shape == (1, T.n)
+        f = est.witness[0]
+        assert T.codomain_norm(T.apply(f)) / T.domain.norm(f) == \
+            pytest.approx(est.value, rel=1e-12)
+        assert f[np.flatnonzero(f)[0]] > 0.0
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_zero_operator(self, s):
+        T = LinearOperator(matrix=np.zeros((3, 4)),
+                           domain=make_space(self.MU, s),
+                           codomain=EuclideanNorm(dim=3))
+        est = operator_norm_estimate(T, budget=8, seed=0)
+        assert est.value == 0.0 and est.witness == ()
+
+    def test_one_atom_mixture_takes_the_l1_closed_form(self):
+        T = self.operator(1.0)
+        g = np.array([0.5, 1.0, 0.8, 0.3])
+        S = SNormSpace(base=T.domain, e=E12,
+                       xi=DiscreteRadonMeasure(atoms=g[None], masses=[0.6]))
+        w = 0.6 ** (E12.p / E12.q) * g * self.MU
+        expected = max(np.linalg.norm(T.matrix[:, j]) / w[j]
+                       for j in range(T.n))
+        assert extension_norm_estimate(T, S, seed=0) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_equal_exponent_mixture_takes_the_l2_closed_form(self):
+        T = self.operator(2.0)
+        e = ExponentTriple(p=2.0, q=2.0)
+        atoms = np.random.default_rng(73).uniform(0.2, 1.0, size=(3, 4))
+        masses = np.array([0.2, 0.3, 0.5])
+        S = SNormSpace(base=T.domain, e=e,
+                       xi=DiscreteRadonMeasure(atoms=atoms, masses=masses,
+                                               normalized=True))
+        w = masses @ atoms * self.MU
+        expected = np.linalg.svd(T.matrix / np.sqrt(w), compute_uv=False)[0]
+        assert extension_norm_estimate(T, S, seed=0) == pytest.approx(
+            expected, rel=1e-12)
 
 
 class TestFamilySearchScale:

@@ -345,6 +345,43 @@ class TestExtensionNorm:
         mpq = pq_concavity_estimate(T, E12, budget=12, seed=0).value
         assert ext >= mpq * (1.0 - 1e-6)
 
+    @pytest.mark.parametrize("s, p, q", [(1.0, 1.0, 2.0), (2.0, 2.0, 2.0),
+                                         (1.5, 1.0, 1.0), (3.0, 2.0, 2.0)])
+    def test_collapsed_certificates_meet_the_extension_norm(self, s, p, q):
+        # a mixture with one atom, or any mixture at p = q, is a weighted
+        # L^p space, where the extension norm is exact: it meets the LP
+        # constant C / (1 + tol) of the certificate from both sides
+        e = ExponentTriple(p=p, q=q)
+        tol = 1e-6
+        checked = 0
+        for k in range(4):
+            T = random_operator(3, 3, [500 + k], s=s)
+            cert = find_domination_measure(T, e, tol=tol, seed=0)
+            if not (cert.converged and (e.is_extreme or len(cert.xi) == 1)):
+                continue
+            ext = extension_norm_estimate(T, cert.snorm_space(T.domain))
+            bound = cert.C / (1.0 + tol)
+            # a saturation repair appends the uniform starting row to the
+            # mixture and multiplies C by (1 + tol)^(1/q); the repaired
+            # mixture is then bounded by that constant, not equal to it
+            grid = factorization.default_domination_grid(T.domain, e)
+            if len(cert.xi) > 1 and np.array_equal(cert.xi.atoms[-1],
+                                                   grid[0]):
+                assert ext <= bound * (1.0 + 1e-12)
+            else:
+                assert ext == pytest.approx(bound, rel=1e-12)
+            checked += 1
+        assert checked
+
+    def test_multi_atom_certificates_bound_the_extension_norm(self):
+        e = ExponentTriple(p=1.0, q=2.0)
+        for k in range(4):
+            T = random_operator(3, 3, [500 + k], s=2.0)
+            cert = find_domination_measure(T, e, seed=0)
+            assert cert.converged and len(cert.xi) >= 3
+            ext = extension_norm_estimate(T, cert.snorm_space(T.domain))
+            assert ext <= cert.C
+
 
 class TestKakutani:
     def test_matching_exponent_gives_equal_norms(self):
