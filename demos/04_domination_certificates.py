@@ -8,9 +8,11 @@ and a constant C with
 
 alternating a dense LP over mixture masses (the smallest constant that
 covers the current witness functions) with an oracle that searches the
-domain sphere for the most violating function.  Certificates carry the
-mixture, the constant, the oracle residual and all witnesses, and can be
-re-verified on fresh samples.
+unit sphere of the mixture norm for the most violating function.  The
+residual is relative, the worst (|Tf| / (C mixture_norm(f)))^q - 1 the
+oracle found.  Certificates carry the mixture, the constant, the oracle
+residual, why the solve stopped and all witnesses, and can be re-verified
+on fresh samples in the same measure.
 
 Run:  python3 demos/04_domination_certificates.py
 """
@@ -25,9 +27,10 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
 
 def show(cert, label):
     print(f"{label}:")
-    print(f"    converged  : {cert.converged} after {cert.iterations} oracle calls")
+    print(f"    converged  : {cert.converged} after {cert.iterations} oracle calls"
+          f" (stop: {cert.stop})")
     print(f"    constant C : {cert.C:.8f}")
-    print(f"    residual   : {cert.residual:.2e} (relative)")
+    print(f"    residual   : {cert.residual:.2e} (on (|Tf| / (C s(f)))^q - 1)")
     # the mixture's atoms are weight rows, one per row of xi.atoms
     for h, mass in zip(cert.xi.atoms, cert.xi.masses):
         print(f"    mass {mass:.6f} on weight {np.round(h, 6)}")
@@ -62,8 +65,8 @@ show(cert_f, "\nintegration functional, p = 1, q = 2")
 
 # ---------------------------------------------------------------------------
 # a random operator: solve, then re-verify on ten thousand fresh
-# unit-sphere samples; the worst value of |Tf| - C * mixture(f) stays
-# below the solve tolerance
+# unit-sphere samples; the worst value of (|Tf| / (C mixture(f)))^q - 1
+# stays below the solve tolerance
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(1)
 X3 = WeightedLebesgue(space=MeasureSpace(weights=rng.uniform(0.5, 2.0, 3)),

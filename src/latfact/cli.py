@@ -376,7 +376,7 @@ def _summarize(report: dict) -> str:
         lines.append(f"  certificate: C={cert['C']:.9g}  "
                      f"residual={cert['residual']:.3g}  "
                      f"iterations={cert['iterations']}  "
-                     f"converged={cert['converged']}")
+                     f"converged={cert['converged']}  stop={cert['stop']}")
         lines.append("      mass      weight")
         for atom in cert["xi"]["atoms"]:
             weight = "  ".join(f"{x:.6g}" for x in atom["h"])

@@ -691,31 +691,51 @@ def q_summing_ratio(T: LinearOperator, q: float, F, budget: int = 16,
         weak_q_norm(T.domain, F, q, budget=budget, seed=seed)), single)
 
 
+def _norm_maximisers(T: LinearOperator, Y: LatticeNorm) -> np.ndarray | None:
+    """Rows of the unit sphere of ``Y`` where ``‖Tf‖`` is largest, best first.
+
+    - On weighted ``L^1`` (any target) ``‖Tf‖`` is convex, so its supremum
+      on the ball sits at an extreme point ``±e_j/μ_j`` (Rockafellar,
+      *Convex Analysis*, Cor. 32.3.2): the rows are the ``n`` vertices
+      ``e_j/μ_j`` by ``‖T e_j‖ / μ_j``, largest first (ties keep index
+      order).
+    - On weighted ``L^2`` into a Euclidean target the one row is ``r v``,
+      ``r = μ^{-1/2}``, with ``v`` the top right singular vector of
+      ``T diag(r)``, its first nonzero entry made positive; its value is
+      the top singular value.
+    - Elsewhere there is no closed form, and the result is None.
+    """
+    if _dual_is_cube(Y, 1.0):
+        vertices = np.diag(1.0 / Y.space.weights)
+        norms = T.codomain_norm_rows(vertices @ T.matrix.T)
+        return vertices[np.argsort(-norms, kind="stable")]
+    if (isinstance(Y, WeightedLebesgue) and Y.s == 2.0
+            and isinstance(T.codomain, EuclideanNorm)):
+        r = 1.0 / np.sqrt(Y.space.weights)
+        v = np.linalg.svd(T.matrix * r)[2][0]
+        v = v * np.sign(v[np.flatnonzero(v)[0]])
+        return (r * v)[None]
+    return None
+
+
 def operator_norm_estimate(T: LinearOperator, budget: int = 16,
                            seed=0) -> ConstantEstimate:
     """Lower bound on ``sup ‖Tf‖ / ‖f‖`` via one sphere ascent.
 
-    The start rows come from the domain after the collapse of a saturated
-    mixture to its weighted ``L^p`` space (see :func:`weak_q_norm`):
-
-    - on weighted ``L^1`` (any target) ``‖Tf‖`` is convex, so its
-      supremum on the ball sits at an extreme point ``±e_j/μ_j``; the
-      start is the best of them (the first on ties), and the value is
-      ``max_j ‖T e_j‖ / μ_j``;
-    - on weighted ``L^2`` into a Euclidean target the start is ``r v``,
-      ``r = μ^{-1/2}``, with ``v`` the top right singular vector of
-      ``T diag(r)``, its first nonzero entry made positive; the value is
-      the top singular value;
-    - elsewhere each distinct sign pattern times a canonical start
-      (:func:`~latfact.search.signed_starts`), since signs matter only
-      through the image.
+    The ascent starts from the exact maximiser where one is known: after
+    the collapse of a saturated mixture to its weighted ``L^p`` space (see
+    :func:`weak_q_norm`), on weighted ``L^1`` and on weighted ``L^2`` into
+    a Euclidean target (:func:`_norm_maximisers`; the best vertex, first
+    on ties, on ``L^1``).  Elsewhere it starts from each distinct sign
+    pattern times a canonical start
+    (:func:`~latfact.search.signed_starts`), since signs matter only
+    through the image.
 
     The ascent runs on signed vectors on the domain unit sphere; from an
     exact start it stops after one line search, and the witness is the
     row it ends on.
     """
     X = T.domain
-    Y = _collapsed_mixture(X)
 
     def value_rows(F: np.ndarray) -> np.ndarray:
         return T.codomain_norm_rows(F @ T.matrix.T)
@@ -723,17 +743,9 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
     def grad_rows(F: np.ndarray) -> np.ndarray:
         return T.codomain.norm_grad_rows(F @ T.matrix.T) @ T.matrix
 
-    if _dual_is_cube(Y, 1.0):
-        vertices = np.diag(1.0 / Y.space.weights)
-        A0 = vertices[[int(np.argmax(value_rows(vertices)))]]
-    elif (isinstance(Y, WeightedLebesgue) and Y.s == 2.0
-          and isinstance(T.codomain, EuclideanNorm)):
-        r = 1.0 / np.sqrt(Y.space.weights)
-        v = np.linalg.svd(T.matrix * r)[2][0]
-        v = v * np.sign(v[np.flatnonzero(v)[0]])
-        A0 = (r * v)[None]
-    else:
-        A0 = signed_starts(T.n, max(4, min(int(budget), 16)), seed)
+    exact = _norm_maximisers(T, _collapsed_mixture(X))
+    A0 = (signed_starts(T.n, max(4, min(int(budget), 16)), seed)
+          if exact is None else exact[:1])
 
     A, vals = projected_ascent(value_rows, grad_rows,
                                lambda B: unit_rows(B, X.norm_rows), A0,

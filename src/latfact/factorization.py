@@ -14,14 +14,19 @@ linearisation of the fractional program).  The solver wraps it in a
 Kelley cutting-plane loop on both sides: the grid starts from the uniform
 dual weight alone, the attainment weight of the LP's adversarial witness
 combination enriches it while it beats the LP value, and a violation
-oracle hunts for functions that break the mixture at ``C (1 + tol)``.  An
-oracle round adds one cut per sign pattern: the best ascended function of
-every pattern that violates the mixture becomes a witness row in the same
-round, so one round cuts off every violating region the ascent reached.
-Neither a starting constant nor grid columns are guessed; the loop builds
-the support of the mixture and returns the grid-minimal constant.
-Certificates store the mixture, the constant, the relative residual at
-termination and every witness generated, so they can be replayed and
+oracle hunts for functions that break the mixture at ``C (1 + tol)``.
+The oracle measures a violation on the unit sphere of the mixture
+seminorm ``s``, so the tolerance bounds ``(‖Tf‖ / (C s(f)))^q - 1``
+whatever the support of ``f``.  Where the mixture is a weighted ``L^1``,
+or a weighted ``L^2`` under a Euclidean target, the oracle's rows are the
+exact maximisers.  Elsewhere an oracle round adds one cut per sign
+pattern: the best ascended function of every pattern that violates the
+mixture becomes a witness row in the same round, so one round cuts off
+every violating region the ascent reached.  Neither a starting constant
+nor grid columns are guessed; the loop builds the support of the mixture
+and returns the grid-minimal constant.  Certificates store the mixture,
+the constant, the relative residual at termination, why the solve
+stopped and every witness generated, so they can be replayed and
 independently re-verified on fresh samples.
 """
 
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (LinearOperator, attainment_point, identity_operator,
+from .constants import (LinearOperator, _collapsed_mixture, _norm_maximisers,
+                        attainment_point, identity_operator,
                         operator_norm_estimate)
 from .estimates import seed_list
 from .search import projected_ascent, signed_starts, unit_rows
@@ -56,6 +62,12 @@ __all__ = [
 # with one cut per violating sign pattern a round, curved q > p solves take
 # a few hundred LP solves at n <= 6 and about 1100 at n = 8
 _MAX_LP_SOLVES = 2000
+# how an unbounded violation reads in certificates and reports, which hold
+# finite numbers only
+_UNBOUNDED = float(np.finfo(float).max)
+# why a solve stopped: the oracle found no violation above tol, the oracle
+# budget ran out, or the loop ran through _MAX_LP_SOLVES LP solves
+STOP_REASONS = ("converged", "budget", "lp-limit")
 
 
 class SolverConvergenceError(RuntimeError):
@@ -67,10 +79,13 @@ class DominationCertificate:
     """A mixture, a constant, and the evidence they dominate the operator.
 
     ``residual`` is relative: the largest value of
-    ``(‖Tf‖^q - C^q s(f)^q) / C^q`` found by the oracle at termination
-    (at most the solve tolerance when ``converged``).  ``witnesses`` are
-    the unit-sphere functions generated during the solve, replayable
-    against the stored mixture.  ``lp_values`` records the LP value
+    ``(‖Tf‖ / (C s(f)))^q - 1`` found by the oracle at termination (at
+    most the solve tolerance when ``converged``; the largest float when
+    the last oracle round met an ``f`` with ``s(f) = 0 < ‖Tf‖``).
+    ``stop`` says why the solve ended, one of :data:`STOP_REASONS`;
+    ``converged`` is ``stop == "converged"``.  ``witnesses`` are the
+    unit-sphere functions generated during the solve, replayable against
+    the stored mixture.  ``lp_values`` records the LP value
     ``t = C_lp^{-q}`` after each solve: it never rises when a witness is
     added and rises when the grid is enriched.
     """
@@ -83,6 +98,13 @@ class DominationCertificate:
     converged: bool
     exponents: ExponentTriple
     lp_values: tuple[float, ...] = ()
+    stop: str = "converged"
+
+    def __post_init__(self):
+        if (self.stop not in STOP_REASONS
+                or (self.stop == "converged") != bool(self.converged)):
+            raise ValueError(f"stop reason {self.stop!r} does not match "
+                             f"converged={self.converged}")
 
     def snorm_space(self, X: LatticeNorm) -> SNormSpace:
         return SNormSpace(base=X, e=self.exponents, xi=self.xi)
@@ -98,6 +120,7 @@ class DominationCertificate:
             "residual": float(self.residual),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "stop": self.stop,
             "p": self.exponents.p,
             "q": self.exponents.q,
             "witnesses": [[float(x) for x in w] for w in self.witnesses],
@@ -114,29 +137,52 @@ def default_domination_grid(X: LatticeNorm, e: ExponentTriple) -> np.ndarray:
     return (ones / dual_norm_of_pth_power(X, e.p, ones))[None, :]
 
 
+def _ratios(image: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``image / bound`` per row: ``inf`` where ``bound = 0 < image``, and
+    0 where both vanish."""
+    return np.divide(image, bound, where=bound > 0.0,
+                     out=np.where(image > 0.0, np.inf, 0.0))
+
+
 def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
                      budget: int = 16, seed=0) -> tuple[np.ndarray, np.ndarray]:
-    """Most violating function of each sign pattern at constant C.
+    """Most violating functions at constant C, on the unit sphere of s.
 
-    Maximizes ``‖Tf‖^q - C^q s(f)^q`` over the unit sphere of the domain
-    norm (the objective is q-homogeneous, so the sign of the supremum on
-    the sphere decides feasibility).  Signs enter only through ``Tf``, so
-    the search ascends from every sign pattern times the given number of
-    restarts.  A step stops an entry at zero instead of changing its sign,
-    and at ``p = 1``, where ``s(f)^q`` has a kink at ``f_i = 0``, a zero
-    entry leaves its face only where ``‖Tf‖^q`` pulls harder than the
-    seminorm's one-sided slope: the maximum often lies on such a face.
+    A violation is measured as ``‖Tf‖^q - C^q`` at ``s(f) = 1``, that is
+    ``C^q ((‖Tf‖ / (C s(f)))^q - 1)``: its supremum is ``‖T̃‖^q - C^q``
+    for the extension ``T̃`` of ``T`` to the mixture space, so a
+    tolerance on it bounds the ratio whatever the support of ``f``.
 
-    Returns ``(F, values)``: the best ascended row of each sign pattern of
-    the results, best first (ties keep the ascent's row order), so
-    ``F[0]`` is the most violating function found.  The objective is even
-    in f, so a pattern and its negative are one: each row is compared
-    after the flip that makes its first nonzero entry positive.  A
-    non-positive ``values[0]`` means no violation was found.
+    - **Closed route.** When the mixture collapses to a weighted ``L^p``
+      space (one atom, or ``p = q``; see
+      ``constants._collapsed_mixture``) that is ``L^1``, or ``L^2`` under a
+      Euclidean target, the rows are the exact maximisers of
+      ``constants._norm_maximisers``: all ``n`` vertices at ``p = 1``, the
+      top right singular row at ``p = 2``.  No ascent runs.
+    - **Ascent route.** Elsewhere the search maximizes
+      ``‖Tf‖^q - C^q s(f)^q`` over the unit sphere of the domain norm.
+      Signs enter only through ``Tf``, so it ascends from every sign
+      pattern times the given number of restarts.  A step stops an entry
+      at zero instead of changing its sign, and at ``p = 1``, where
+      ``s(f)^q`` has a kink at ``f_i = 0``, a zero entry leaves its face
+      only where ``‖Tf‖^q`` pulls harder than the seminorm's one-sided
+      slope: the maximum often lies on such a face.  The best ascended
+      row of each sign pattern is kept (a pattern and its negative are
+      one: each row is compared after the flip that makes its first
+      nonzero entry positive), rescaled to ``s(f) = 1`` and measured
+      there.  A row with ``s(f) = 0 < ‖Tf‖`` violates at every ``C``: it
+      stays on the domain sphere with value ``inf``.
+
+    Returns ``(F, values)``, best first (ties keep the row order), so
+    ``F[0]`` is the most violating function found.  A non-positive
+    ``values[0]`` means no violation was found.
     """
     X = T.domain
     q = S.e.q
     Cq = float(C) ** q
+    exact = _norm_maximisers(T, _collapsed_mixture(S))
+    if exact is not None:
+        return exact, T.codomain_norm_rows(exact @ T.matrix.T) ** q - Cq
     A0 = signed_starts(T.n, max(4, int(budget)), seed)
 
     def value_rows(F: np.ndarray) -> np.ndarray:
@@ -168,8 +214,15 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
     first = {}
     for row, pattern in zip(order, (signs * lead[:, None]).astype(np.int8)):
         first.setdefault(pattern.tobytes(), row)
-    keep = list(first.values())
-    return A[keep], vals[keep]
+    F = A[list(first.values())]
+    # the same rows measured on the unit sphere of s
+    image = T.codomain_norm_rows(F @ T.matrix.T)
+    mixture = S.seminorm_rows(F)
+    bounded = mixture > 0.0
+    F[bounded] /= mixture[bounded, None]
+    values = _ratios(image, mixture) ** q - Cq
+    order = np.argsort(-values, kind="stable")
+    return F[order], values[order]
 
 
 def find_domination_measure(T: LinearOperator, e: ExponentTriple,
@@ -185,12 +238,18 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     the LP's dual witness combination to the grid while it beats the LP
     value by more than ``tol / 2``; and otherwise runs the violation oracle
     at ``C_lp * (1 + tol)``.  The oracle's best value decides the
-    residual and convergence; when it violates, every function it returns
-    whose value exceeds ``tol * C^q`` (one per sign pattern) is added as a
-    witness in that one round.  The returned constant is therefore the
-    grid-minimal one, up to ``1 + tol``.
+    residual and convergence: it measures ``‖Tf‖^q - C^q`` on the unit
+    sphere of the mixture seminorm, so ``residual`` and ``tol`` bound
+    ``(‖Tf‖ / (C s(f)))^q - 1``.  When it violates, every function it
+    returns whose value exceeds ``tol * C^q`` (one per sign pattern on the
+    ascent route, every violating vertex on the closed ``L^1`` route) is
+    added as a witness in that one round, scaled to the domain's unit
+    sphere.  The returned constant is therefore the grid-minimal one, up
+    to ``1 + tol``.
 
-    ``budget`` bounds oracle calls.  On success the returned
+    ``budget`` bounds oracle calls, and the loop stops after
+    ``_MAX_LP_SOLVES`` LP solves; the certificate's ``stop`` names which
+    of the two ended a solve that did not converge.  On success the returned
     mixture is a probability measure that passes the saturation check:
     boundary-supported solutions are repaired by mixing in ``tol`` mass of
     the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of the
@@ -213,8 +272,8 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     lp_values: list[float] = []
     t = witness_cap = math.inf  # witness_cap: the LP value before a witness
     oracle_calls = 0
-    converged = False
-    residual = math.inf
+    stop = "lp-limit"
+    residual = _UNBOUNDED
     xi_weights = np.full(H.shape[0], 1.0 / H.shape[0])
     C_lp = 0.0
     # the last LP solution while only columns were added since: its basis
@@ -223,6 +282,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
 
     for _ in range(_MAX_LP_SOLVES):
         if oracle_calls >= budget:
+            stop = "budget"
             break
         pos = np.where(bvec > 0.0)[0]
         if pos.size:
@@ -261,12 +321,12 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                                           seed=base + [211 + oracle_calls])
         oracle_calls += 1
         Cq = max(target ** e.q, 1e-300)
-        residual = max(values[0], 0.0) / Cq
+        residual = min(max(float(values[0]), 0.0) / Cq, _UNBOUNDED)
         if values[0] <= tol * Cq:
-            converged = True
+            stop = "converged"
             break
-        # one cut per violating sign pattern, all added in this round
-        cuts = F_star[values > tol * Cq]
+        # every violating row of the round is a cut, on the domain sphere
+        cuts = unit_rows(F_star[values > tol * Cq], X.norm_rows)
         W = np.vstack([W, cuts])
         bvec = np.append(bvec, T.codomain_norm_rows(cuts @ T.matrix.T) ** e.q)
         Phi = np.vstack([Phi, pairings(X, e.p, cuts, H) ** e.t])
@@ -294,22 +354,21 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     return DominationCertificate(
         xi=final_xi, C=float(C), residual=float(residual),
         witnesses=tuple(np.array(w) for w in W),
-        iterations=oracle_calls, converged=converged, exponents=e,
-        lp_values=tuple(lp_values))
+        iterations=oracle_calls, converged=stop == "converged", exponents=e,
+        lp_values=tuple(lp_values), stop=stop)
 
 
 def verify_domination(cert: DominationCertificate, T: LinearOperator,
                       e: ExponentTriple, sample_count: int = 10000,
                       seed=0) -> float:
-    """Largest value of ``‖Tf‖ - C s(f)`` on fresh unit-sphere samples.
+    """Largest value of ``(‖Tf‖ / (C s(f)))^q - 1`` on fresh samples.
 
-    Samples are drawn independently of the solve and the stored witnesses
-    are replayed as well.  The value is an absolute gap in first powers,
-    while the solve's tolerance is relative to ``C^q`` in q-th powers, so
-    a converged certificate can read above ``tol`` with no violation
-    beyond it: on ``random_operator(2, 2, [501], s=2)`` at ``(p, q) =
-    (1, 3)`` this reads 2.88e-6, where the worst relative violation
-    ``(‖Tf‖^q - C^q s(f)^q) / C^q`` on the unit circle is 9.44e-7.
+    Samples are drawn on the domain's unit sphere independently of the
+    solve, and the stored witnesses are replayed as well.  The reading is
+    the measure of the solve's ``residual`` and ``tol``, so a converged
+    certificate reads at most ``tol`` wherever the oracle found the worst
+    violation.  A function with ``s(f) = 0 < ‖Tf‖`` reads as the largest
+    float.
     """
     X = T.domain
     S = SNormSpace(base=X, e=e, xi=cert.xi)
@@ -319,8 +378,8 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     image = T.codomain_norm_rows(F @ T.matrix.T)
-    mixture = S.seminorm_rows(F)
-    return float(np.max(image - cert.C * mixture))
+    ratio = _ratios(image, cert.C * S.seminorm_rows(F))
+    return min(float(np.max(ratio ** e.q)) - 1.0, _UNBOUNDED)
 
 
 def collapse_weight(cert: DominationCertificate) -> np.ndarray:

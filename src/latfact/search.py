@@ -19,12 +19,14 @@ faces where the seminorm's kink at ``p = 1`` puts the maximum; it returns
 the best ascended row of every sign pattern, one cut each for the Kelley
 round that called it.  The two ``constants`` callers pass a stack of
 problems, one per family, so a stack of families is one ascent.
-The violation oracle starts from :func:`signed_starts`, which gives each
-distinct sign-pattern start once (a pattern times an indicator is only
-``±e_i``); the operator norm starts from it too, except on weighted
-``L^1`` and on weighted ``L^2`` into a Euclidean target, where it starts
-from the exact maximiser.  :func:`unit_rows` is the one sphere
-normaliser.
+On weighted ``L^1``, and on weighted ``L^2`` into a Euclidean target,
+the maximiser of ``‖Tf‖`` is known in closed form
+(``constants._norm_maximisers``): the operator norm starts its ascent
+there, and the violation oracle, on a mixture that collapses to such a
+space, returns it and runs no ascent.  Elsewhere both start from
+:func:`signed_starts`, which gives each distinct sign-pattern start once
+(a pattern times an indicator is only ``±e_i``).  :func:`unit_rows` is
+the one sphere normaliser.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its

@@ -20,9 +20,8 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      violation_oracle, weak_q_norm)
 from latfact import constants, estimates, factorization
 from latfact.search import _ETAS, sign_patterns, signed_starts
-from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
-from conftest import make_space
+from conftest import make_space, two_atom_space
 
 
 def reference_polish_family(ratio, F, sweeps):
@@ -238,8 +237,8 @@ class TestProjectedAscent:
         T = random_operator(3, 3, [3], s=s)
         if target is not None:
             T = lebesgue_target(T, target)
-        e = ExponentTriple(p=1.0, q=2.0)
-        S = dirac_space(T.domain, e, np.full(3, 0.5))
+        # a two-atom q > p mixture takes the oracle's ascent route
+        S = two_atom_space(T.domain, ExponentTriple(p=1.0, q=2.0))
         F, values = violation_oracle(T, S, C=C, budget=8, seed=1)
         monkeypatch.setattr(factorization, "projected_ascent",
                             reference_projected_ascent)
@@ -268,9 +267,8 @@ class TestDistinctStarts:
     @pytest.mark.parametrize("C", [0.5, 1.5])
     def test_searches_keep_their_bits(self, monkeypatch, s, budget, C):
         T = random_operator(4, 4, [13], s=s)
-        g = np.array([0.4, 1.0, 0.7, 0.9])
-        S = dirac_space(T.domain, E12,
-                        g / dual_norm_of_pth_power(T.domain, E12.p, g))
+        # a two-atom q > p mixture takes the oracle's ascent route
+        S = two_atom_space(T.domain, E12)
 
         def searches():
             est = operator_norm_estimate(T, budget=budget, seed=2)

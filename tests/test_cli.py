@@ -94,6 +94,7 @@ class TestRunners:
         assert report["status"] == "pass"
         assert report["certificate"]["C"] == pytest.approx(1.0, abs=1e-5)
         assert report["certificate"]["converged"]
+        assert report["certificate"]["stop"] == "converged"
         assert "collapse_weight" in report
 
     def test_check_space(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,11 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      pq_concavity_estimate, pq_concavity_ratio, s_norm,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact import factorization
+from latfact.search import unit_rows
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
-from conftest import make_space
+from conftest import make_space, two_atom_space
 
 
 E12 = ExponentTriple(p=1.0, q=2.0)
@@ -208,15 +212,13 @@ class TestViolationOracle:
 
 
 class TestViolationCuts:
-    """The oracle returns one cut per sign pattern; violating ones are added."""
+    """The ascent route returns one cut per sign pattern; violating ones are added."""
 
     @staticmethod
     def oracle_case(C):
         T = random_operator(4, 4, [13], s=2.0)
         e = ExponentTriple(p=1.0, q=3.0)
-        g = np.ones(4)
-        S = dirac_space(T.domain, e,
-                        g / dual_norm_of_pth_power(T.domain, e.p, g))
+        S = two_atom_space(T.domain, e)
         return violation_oracle(T, S, C=C, budget=16, seed=2)
 
     @pytest.mark.parametrize("C", [3.5, 4.0, 5.0])
@@ -244,23 +246,242 @@ class TestViolationCuts:
 
         monkeypatch.setattr(factorization, "violation_oracle",
                             recording_oracle)
-        T = random_operator(3, 3, [1], s=1.5)
+        T = random_operator(4, 4, [503], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
         tol = 1e-6
-        cert = find_domination_measure(T, E12, tol=tol, budget=40, seed=0)
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
         assert cert.converged and len(calls) > 1
+        # after the one-atom first round the mixtures no longer collapse
+        assert all(len(S.xi) > 1 for S, *_ in calls[1:])
         added = []
         for S, C, F, values in calls[:-1]:
-            Cq = C ** E12.q
+            Cq = C ** e.q
             cuts = F[values > tol * Cq]
             assert len(cuts) >= 1
-            # the violation recomputed from the cut rows themselves
-            image = T.codomain_norm_rows(cuts @ T.matrix.T) ** E12.q
-            assert np.all(image - Cq * S.seminorm_rows(cuts) ** E12.q
+            # the rows lie on the unit sphere of s, and the violation
+            # recomputed from them is the one the oracle measured
+            np.testing.assert_allclose(S.seminorm_rows(cuts), 1.0,
+                                       rtol=1e-12)
+            image = T.codomain_norm_rows(cuts @ T.matrix.T) ** e.q
+            assert np.all(image - Cq * S.seminorm_rows(cuts) ** e.q
                           > tol * Cq)
             added.extend(cuts)
         assert len(added) > len(calls) - 1
-        np.testing.assert_array_equal(np.vstack(cert.witnesses[-len(added):]),
-                                      np.vstack(added))
+        # the certificate keeps the cuts scaled to the domain's unit sphere
+        np.testing.assert_array_equal(
+            np.vstack(cert.witnesses[-len(added):]),
+            unit_rows(np.vstack(added), T.domain.norm_rows))
+
+
+def closed_case(route, n, seed=0):
+    """``(T, S, w)``: a collapsible mixture ``S`` and its weight ``w μ``.
+
+    The vertex route is a one-atom mixture at ``(p, q) = (1, 3)``, whose
+    collapsed weight is ``mass^{1/3} h``; the SVD route is a two-atom
+    mixture at ``p = q = 2``, whose collapsed weight is ``masses @ atoms``.
+    """
+    rng = np.random.default_rng([seed, n, 37])
+    if route == "vertex":
+        T = random_operator(n, n, [seed, 41], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
+        g = rng.uniform(0.3, 1.0, n)
+        g /= dual_norm_of_pth_power(T.domain, e.p, g)
+        xi = DiscreteRadonMeasure(atoms=g[None, :], masses=[1.0],
+                                  normalized=True)
+        w = g
+    else:
+        T = random_operator(n, n, [seed, 43], s=3.0)
+        e = E22
+        G = rng.uniform(0.3, 1.0, (2, n))
+        G /= np.array([dual_norm_of_pth_power(T.domain, e.p, g)
+                       for g in G])[:, None]
+        xi = DiscreteRadonMeasure(atoms=G, masses=[0.3, 0.7],
+                                  normalized=True)
+        w = xi.masses @ G
+    return T, SNormSpace(base=T.domain, e=e, xi=xi), w * T.domain.space.weights
+
+
+def circle_scan(T, S, n, points):
+    """``max (‖Tf‖ / s(f))^q`` over a dense grid of the sphere, n = 2 or 3.
+
+    The grid holds every coordinate axis, so it meets every vertex.
+    """
+    if n == 2:
+        th = np.linspace(0.0, np.pi, points)
+        F = np.stack([np.cos(th), np.sin(th)], axis=1)
+    else:
+        side = int(np.sqrt(points / 2))
+        a, b = np.meshgrid(np.linspace(-np.pi / 2, np.pi / 2, side + 1),
+                           np.linspace(0.0, np.pi, 2 * side + 1))
+        a, b = a.ravel(), b.ravel()
+        F = np.stack([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b),
+                      np.sin(a)], axis=1)
+    ratio = T.codomain_norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
+    return float(np.max(ratio ** S.e.q))
+
+
+class TestClosedRoute:
+    """Collapsible mixtures get the exact maximisers, and no ascent runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_ascent(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route ran an ascent")
+
+        monkeypatch.setattr(factorization, "projected_ascent", refuse)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_vertex_route_matches_the_best_column(self, n):
+        T, S, w = closed_case("vertex", n)
+        C = 1.5
+        F, values = violation_oracle(T, S, C=C)
+        column = np.linalg.norm(T.matrix, axis=0) / w
+        assert len(F) == n
+        np.testing.assert_allclose(values + C ** 3, np.sort(column)[::-1] ** 3,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(S.seminorm_rows(F), 1.0, rtol=1e-12)
+        assert np.count_nonzero(F[0]) == 1
+        assert np.argmax(np.abs(F[0])) == np.argmax(column)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_svd_route_matches_the_top_singular_value(self, n):
+        T, S, w = closed_case("svd", n)
+        C = 0.7
+        F, values = violation_oracle(T, S, C=C)
+        sigma = np.linalg.svd(T.matrix / np.sqrt(w), compute_uv=False)[0]
+        assert len(F) == 1
+        assert values[0] + C ** 2 == pytest.approx(sigma ** 2, rel=1e-12)
+        assert S.seminorm_rows(F)[0] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("route", ["vertex", "svd"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_dense_scan_meets_the_closed_value(self, route, n):
+        T, S, _ = closed_case(route, n, seed=1)
+        _, values = violation_oracle(T, S, C=0.0)
+        scan = circle_scan(T, S, n, 200001)
+        assert scan <= values[0] * (1.0 + 1e-12)
+        # the grid holds the vertices; the smooth SVD peak lies between
+        # grid points, at most a few squared spacings below
+        assert scan >= values[0] * (1.0 - (1e-12 if route == "vertex"
+                                           else 1e-4))
+
+    @pytest.mark.parametrize("route", ["vertex", "svd"])
+    @pytest.mark.parametrize("c", [1e-3, 7.0])
+    def test_scaling_the_operator_scales_the_value(self, route, c):
+        T, S, _ = closed_case(route, 4)
+        cT = LinearOperator(c * T.matrix, T.domain, T.codomain)
+        F, values = violation_oracle(T, S, C=0.0)
+        cF, c_values = violation_oracle(cT, S, C=0.0)
+        assert c_values[0] == pytest.approx(c ** S.e.q * values[0],
+                                            rel=1e-12)
+        np.testing.assert_allclose(np.abs(cF[0]), np.abs(F[0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("route", ["vertex", "svd"])
+    def test_permuting_the_atoms_keeps_the_value(self, route):
+        T, S, _ = closed_case(route, 4)
+        perm = np.array([2, 0, 3, 1])
+        X = T.domain
+        PX = make_space(X.space.weights[perm], X.s)
+        PT = LinearOperator(T.matrix[:, perm], PX, T.codomain)
+        PS = SNormSpace(base=PX, e=S.e, xi=DiscreteRadonMeasure(
+            atoms=S.xi.atoms[:, perm], masses=S.xi.masses, normalized=True))
+        F, values = violation_oracle(T, S, C=1.0)
+        PF, p_values = violation_oracle(PT, PS, C=1.0)
+        np.testing.assert_allclose(p_values, values, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(PF[0]), np.abs(F[0][perm]),
+                                   rtol=1e-12)
+
+
+def unsaturated_case():
+    """Two atoms that both vanish on the first point, under ``diag(3, 1, 1)``.
+
+    ``e_1`` maximizes ``‖Tf‖`` on the domain sphere and has ``s(e_1) = 0``,
+    so the ascent from it stays there.
+    """
+    X = make_space([1, 1, 1], 2)
+    T = LinearOperator(np.diag([3.0, 1.0, 1.0]), X, EuclideanNorm(dim=3))
+    e = ExponentTriple(p=1.0, q=3.0)
+    xi = DiscreteRadonMeasure(atoms=[[0.0, 0.6, 0.3], [0.0, 0.2, 0.7]],
+                              masses=[0.5, 0.5], normalized=True)
+    return T, SNormSpace(base=X, e=e, xi=xi)
+
+
+class TestUnsaturatedMixture:
+    """``s(f) = 0 < ‖Tf‖`` is an unbounded violation, kept finite in reports."""
+
+    def test_unbounded_row_is_a_cut_on_the_domain_sphere(self):
+        T, S = unsaturated_case()
+        assert not S.saturated
+        F, values = violation_oracle(T, S, C=2.0, seed=0)
+        assert values[0] == np.inf
+        assert np.all(np.isfinite(values[1:]))
+        assert T.domain.norm_rows(F[:1])[0] == pytest.approx(1.0, rel=1e-12)
+        assert S.seminorm_rows(F[:1])[0] == 0.0
+        np.testing.assert_allclose(S.seminorm_rows(F[1:]), 1.0, rtol=1e-12)
+
+    def test_solve_reads_an_unbounded_violation_finite(self, monkeypatch):
+        T, bad = unsaturated_case()
+        real_oracle = factorization.violation_oracle
+
+        def unsaturated_oracle(T, S, C, **kwargs):
+            return real_oracle(T, bad, C, **kwargs)
+
+        monkeypatch.setattr(factorization, "violation_oracle",
+                            unsaturated_oracle)
+        cert = find_domination_measure(T, bad.e, budget=1, seed=0)
+        assert (cert.stop, cert.iterations) == ("budget", 1)
+        assert cert.residual == factorization._UNBOUNDED
+        json.dumps(cert.to_jsonable(), allow_nan=False)
+        # the unbounded cut is a witness on the domain sphere
+        cut = cert.witnesses[-1]
+        assert bad.seminorm_rows(cut)[0] == 0.0
+        assert T.domain.norm(cut) == pytest.approx(1.0, rel=1e-12)
+
+    def test_verification_reads_an_unbounded_violation_finite(self):
+        T, S = unsaturated_case()
+        cert = factorization.DominationCertificate(
+            xi=S.xi, C=2.0, residual=0.0, witnesses=(np.eye(3)[0],),
+            iterations=0, converged=True, exponents=S.e)
+        reading = verify_domination(cert, T, S.e, sample_count=100)
+        assert reading == factorization._UNBOUNDED
+        json.dumps(reading, allow_nan=False)
+
+
+class TestStopReason:
+    """A certificate says which of the three causes ended its solve."""
+
+    @staticmethod
+    def curved_case():
+        # two oracle rounds: the first one-atom mixture is violated
+        return random_operator(3, 3, [1], s=1.5), E12
+
+    def test_converged(self):
+        T, e = self.curved_case()
+        cert = find_domination_measure(T, e, seed=0)
+        assert (cert.stop, cert.converged) == ("converged", True)
+        assert cert.to_jsonable()["stop"] == "converged"
+
+    def test_budget(self):
+        T, e = self.curved_case()
+        cert = find_domination_measure(T, e, budget=1, seed=0)
+        assert (cert.stop, cert.converged, cert.iterations) == ("budget",
+                                                                False, 1)
+        assert cert.to_jsonable()["stop"] == "budget"
+
+    def test_lp_limit(self, monkeypatch):
+        monkeypatch.setattr(factorization, "_MAX_LP_SOLVES", 1)
+        T, e = self.curved_case()
+        cert = find_domination_measure(T, e, seed=0)
+        assert (cert.stop, cert.converged) == ("lp-limit", False)
+        assert len(cert.lp_values) == 1 and cert.iterations <= 1
+        assert cert.to_jsonable()["stop"] == "lp-limit"
+
+    def test_stop_must_match_convergence(self):
+        cert = find_domination_measure(*self.curved_case(), seed=0)
+        for stop, converged in (("budget", True), ("converged", False),
+                                ("stalled", False)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cert, stop=stop, converged=converged)
 
 
 class TestVerifyDomination:
@@ -273,6 +494,18 @@ class TestVerifyDomination:
         assert cert.converged
         assert verify_domination(cert, T, E12, sample_count=10000,
                                  seed=99) <= 1e-6
+
+    def test_reading_is_the_ratio_and_meets_a_dense_scan(self):
+        # the former absolute gap ‖Tf‖ - C s(f) read 2.88e-6 here, and the
+        # X-sphere oracle left a ratio violation of 1.66e-5 on the circle
+        T = random_operator(2, 2, [501], s=2.0)
+        e = ExponentTriple(p=1.0, q=3.0)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+        scan = circle_scan(T, cert.snorm_space(T.domain), 2, 200001)
+        assert scan / cert.C ** e.q - 1.0 <= tol
 
     def test_halved_constant_shows_violation(self):
         X = make_space([1, 1], 1)
