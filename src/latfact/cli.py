@@ -120,7 +120,7 @@ class Scenario:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise schemas.InstanceError(f"unknown command {self.command!r}")
-        self.seed = _integer(self.instance.get("seed", self.seed), "seed")
+        self.seed = _integer(self.instance.get("seed", self.seed), "seed", 0)
         self.tol = _positive(self.instance.get("tol", self.tol), "tol")
         self.budget = _integer(self.instance.get("budget", self.budget),
                                "budget", 1)
@@ -394,6 +394,7 @@ def generate_instances(kind: str, count: int, n: int, seed: int,
     if n > 12:
         raise schemas.InstanceError("instance generator caps n at 12")
     count = _integer(count, "count", 1)
+    seed = _integer(seed, "seed", 0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -718,6 +718,18 @@ def _norm_maximisers(T: LinearOperator, Y: LatticeNorm) -> np.ndarray | None:
     return None
 
 
+def _image_norm(T: LinearOperator):
+    """``‖Tf‖`` per row and its gradient: the objective of every
+    operator-norm ascent, whatever sphere it runs on."""
+    def value_rows(F: np.ndarray) -> np.ndarray:
+        return T.codomain_norm_rows(F @ T.matrix.T)
+
+    def grad_rows(F: np.ndarray) -> np.ndarray:
+        return T.codomain.norm_grad_rows(F @ T.matrix.T) @ T.matrix
+
+    return value_rows, grad_rows
+
+
 def operator_norm_estimate(T: LinearOperator, budget: int = 16,
                            seed=0) -> ConstantEstimate:
     """Lower bound on ``sup ‖Tf‖ / ‖f‖`` via one sphere ascent.
@@ -736,13 +748,7 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
     row it ends on.
     """
     X = T.domain
-
-    def value_rows(F: np.ndarray) -> np.ndarray:
-        return T.codomain_norm_rows(F @ T.matrix.T)
-
-    def grad_rows(F: np.ndarray) -> np.ndarray:
-        return T.codomain.norm_grad_rows(F @ T.matrix.T) @ T.matrix
-
+    value_rows, grad_rows = _image_norm(T)
     exact = _norm_maximisers(T, _collapsed_mixture(X))
     A0 = (signed_starts(T.n, max(4, min(int(budget), 16)), seed)
           if exact is None else exact[:1])

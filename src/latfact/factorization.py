@@ -15,19 +15,22 @@ Kelley cutting-plane loop on both sides: the grid starts from the uniform
 dual weight alone, the attainment weight of the LP's adversarial witness
 combination enriches it while it beats the LP value, and a violation
 oracle hunts for functions that break the mixture at ``C (1 + tol)``.
-The oracle measures a violation on the unit sphere of the mixture
-seminorm ``s``, so the tolerance bounds ``(‖Tf‖ / (C s(f)))^q - 1``
-whatever the support of ``f``.  Where the mixture is a weighted ``L^1``,
-or a weighted ``L^2`` under a Euclidean target, the oracle's rows are the
-exact maximisers.  Elsewhere an oracle round adds one cut per sign
-pattern: the best ascended function of every pattern that violates the
-mixture becomes a witness row in the same round, so one round cuts off
-every violating region the ascent reached.  Neither a starting constant
-nor grid columns are guessed; the loop builds the support of the mixture
-and returns the grid-minimal constant.  Certificates store the mixture,
-the constant, the relative residual at termination, why the solve
-stopped and every witness generated, so they can be replayed and
-independently re-verified on fresh samples.
+The oracle is the one search for the norm of the extension ``T̃`` of
+``T`` to the mixture space: it ascends ``‖Tf‖`` on the unit sphere of the
+mixture seminorm ``s`` and subtracts ``C^q`` only at the end, so the
+tolerance bounds ``(‖Tf‖ / (C s(f)))^q - 1`` whatever the support of
+``f``, and :func:`extension_norm_estimate` reads the same search at
+``C = 0``.  Where the mixture is a weighted ``L^1``, or a weighted ``L^2``
+under a Euclidean target, the oracle's rows are the exact maximisers.
+Elsewhere an oracle round adds one cut per sign pattern: the best
+ascended function of every pattern that violates the mixture becomes a
+witness row in the same round, so one round cuts off every violating
+region the ascent reached.  Neither a starting constant nor grid columns
+are guessed; the loop builds the support of the mixture and returns the
+grid-minimal constant.  Certificates store the mixture, the constant, the
+relative residual at termination, why the solve stopped and every
+witness generated, so they can be replayed and independently re-verified
+on fresh samples.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (LinearOperator, _collapsed_mixture, _norm_maximisers,
-                        attainment_point, identity_operator,
+from .constants import (LinearOperator, _collapsed_mixture, _image_norm,
+                        _norm_maximisers, attainment_point, identity_operator,
                         operator_norm_estimate)
 from .estimates import seed_list
 from .search import projected_ascent, signed_starts, unit_rows
@@ -137,92 +140,66 @@ def default_domination_grid(X: LatticeNorm, e: ExponentTriple) -> np.ndarray:
     return (ones / dual_norm_of_pth_power(X, e.p, ones))[None, :]
 
 
-def _ratios(image: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """``image / bound`` per row: ``inf`` where ``bound = 0 < image``, and
-    0 where both vanish."""
-    return np.divide(image, bound, where=bound > 0.0,
-                     out=np.where(image > 0.0, np.inf, 0.0))
-
-
 def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
                      budget: int = 16, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Most violating functions at constant C, on the unit sphere of s.
 
-    A violation is measured as ``‖Tf‖^q - C^q`` at ``s(f) = 1``, that is
+    A violation is ``‖Tf‖^q - C^q`` at ``s(f) = 1``, that is
     ``C^q ((‖Tf‖ / (C s(f)))^q - 1)``: its supremum is ``‖T̃‖^q - C^q``
-    for the extension ``T̃`` of ``T`` to the mixture space, so a
-    tolerance on it bounds the ratio whatever the support of ``f``.
+    for the extension ``T̃`` of ``T`` to the mixture space.  The search
+    is for ``‖T̃‖``, and ``C`` enters only in the final subtraction.
 
-    - **Closed route.** When the mixture collapses to a weighted ``L^p``
-      space (one atom, or ``p = q``; see
-      ``constants._collapsed_mixture``) that is ``L^1``, or ``L^2`` under a
-      Euclidean target, the rows are the exact maximisers of
-      ``constants._norm_maximisers``: all ``n`` vertices at ``p = 1``, the
-      top right singular row at ``p = 2``.  No ascent runs.
-    - **Ascent route.** Elsewhere the search maximizes
-      ``‖Tf‖^q - C^q s(f)^q`` over the unit sphere of the domain norm.
-      Signs enter only through ``Tf``, so it ascends from every sign
-      pattern times the given number of restarts.  A step stops an entry
-      at zero instead of changing its sign, and at ``p = 1``, where
-      ``s(f)^q`` has a kink at ``f_i = 0``, a zero entry leaves its face
-      only where ``‖Tf‖^q`` pulls harder than the seminorm's one-sided
-      slope: the maximum often lies on such a face.  The best ascended
-      row of each sign pattern is kept (a pattern and its negative are
-      one: each row is compared after the flip that makes its first
-      nonzero entry positive), rescaled to ``s(f) = 1`` and measured
-      there.  A row with ``s(f) = 0 < ‖Tf‖`` violates at every ``C``: it
-      stays on the domain sphere with value ``inf``.
+    - **Closed route.** A mixture that collapses to weighted ``L^1``, or
+      to ``L^2`` under a Euclidean target (``constants._collapsed_mixture``),
+      gets the exact maximisers of ``constants._norm_maximisers``.
+    - **Unseen points.** A point that no atom sees while ``T`` moves it has
+      ``s = 0 < ‖Tf‖``: each such point is a row on the domain sphere with
+      value ``inf``.
+    - **Ascent route.** Otherwise ``‖Tf‖`` ascends on the unit sphere of
+      ``s`` from every signed start and every 2-support row ``e_i ± e_j``.
+      Entries stop at zero, and a zero entry leaves its face only where
+      ``|∂‖Tf‖/∂f_i| > ‖Tf‖ ∂s/∂|f_i|`` (a kink of ``s`` at ``p = 1``).
+      The best row of each sign pattern, up to a global flip, is kept.
 
     Returns ``(F, values)``, best first (ties keep the row order), so
     ``F[0]`` is the most violating function found.  A non-positive
     ``values[0]`` means no violation was found.
     """
-    X = T.domain
     q = S.e.q
     Cq = float(C) ** q
     exact = _norm_maximisers(T, _collapsed_mixture(S))
     if exact is not None:
         return exact, T.codomain_norm_rows(exact @ T.matrix.T) ** q - Cq
-    A0 = signed_starts(T.n, max(4, int(budget)), seed)
-
-    def value_rows(F: np.ndarray) -> np.ndarray:
-        U = F @ T.matrix.T
-        return T.codomain_norm_rows(U) ** q - Cq * S.seminorm_rows(F) ** q
+    E = np.eye(T.n)
+    unseen = E[T.matrix.any(axis=0) & ~S.xi.atoms.any(axis=0)]
+    if len(unseen):
+        return (unit_rows(unseen, T.domain.norm_rows),
+                np.full(len(unseen), np.inf))
+    value_rows, image_grad = _image_norm(T)
 
     def grad_rows(F: np.ndarray) -> np.ndarray:
-        U = F @ T.matrix.T
-        img = T.codomain_norm_rows(U)
-        img_pow = np.where(img > 0.0, img ** (q - 1.0), 0.0)
-        g1 = q * img_pow[:, None] * (T.codomain.norm_grad_rows(U) @ T.matrix)
-        slopes = Cq * S.q_slope_rows(F)
-        G = g1 - np.sign(F) * np.abs(F) ** (S.e.p - 1.0) * slopes
-        if S.e.p == 1.0:
-            # s(f)^q has a kink where f_i = 0: the entry leaves zero only
-            # where the image gradient beats the seminorm's slope
-            zero = F == 0.0
-            G[zero] = np.sign(g1[zero]) * np.maximum(
-                np.abs(g1[zero]) - slopes[zero], 0.0)
+        G = image_grad(F)
+        zero = F == 0.0
+        if zero.any():
+            pull = np.abs(G) - value_rows(F)[:, None] * S.slope_rows(F)
+            G[zero] = (np.sign(G) * np.maximum(pull, 0.0))[zero]
         return G
 
+    i, j = np.triu_indices(T.n, 1)
+    A0 = np.vstack([signed_starts(T.n, max(4, int(budget)), seed),
+                    E[i] + E[j], E[i] - E[j]])
     A, vals = projected_ascent(value_rows, grad_rows,
-                               lambda B: unit_rows(B, X.norm_rows), A0,
+                               lambda B: unit_rows(B, S.seminorm_rows), A0,
                                iters=50, nonneg=False, keep_signs=True,
-                               radial_rows=X.norm_grad_rows)
+                               radial_rows=S.norm_grad_rows)
     order = np.argsort(-vals, kind="stable")
     signs = np.sign(A[order])
     lead = signs[np.arange(len(signs)), np.argmax(signs != 0.0, axis=1)]
     first = {}
     for row, pattern in zip(order, (signs * lead[:, None]).astype(np.int8)):
         first.setdefault(pattern.tobytes(), row)
-    F = A[list(first.values())]
-    # the same rows measured on the unit sphere of s
-    image = T.codomain_norm_rows(F @ T.matrix.T)
-    mixture = S.seminorm_rows(F)
-    bounded = mixture > 0.0
-    F[bounded] /= mixture[bounded, None]
-    values = _ratios(image, mixture) ** q - Cq
-    order = np.argsort(-values, kind="stable")
-    return F[order], values[order]
+    rows = list(first.values())
+    return A[rows], vals[rows] ** q - Cq
 
 
 def find_domination_measure(T: LinearOperator, e: ExponentTriple,
@@ -378,7 +355,10 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
     image = T.codomain_norm_rows(F @ T.matrix.T)
-    ratio = _ratios(image, cert.C * S.seminorm_rows(F))
+    bound = cert.C * S.seminorm_rows(F)
+    # inf where bound = 0 < image, and 0 where both vanish
+    ratio = np.divide(image, bound, where=bound > 0.0,
+                      out=np.where(image > 0.0, np.inf, 0.0))
     return min(float(np.max(ratio ** e.q)) - 1.0, _UNBOUNDED)
 
 
@@ -398,17 +378,17 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
                             budget: int = 16, seed=0) -> float:
     """Lower bound on ``sup { ‖Tf‖ : s(f) = 1 }`` (the extended operator norm).
 
-    This is the operator norm of the same matrix with the saturated mixture
-    space ``S`` as its domain, so :func:`operator_norm_estimate` computes it.
-    A mixture with one atom, or any mixture at ``p = q``, is a weighted
-    ``L^p`` space; at ``p = 1``, and at ``p = 2`` into a Euclidean target,
-    the value is then exact: ``max_j ‖T e_j‖ / (w_j μ_j)`` and
-    ``σ_max(T diag(w μ)^{-1/2})`` on the collapsed weight ``w``.
+    It is ``‖Tf‖`` on the best row of :func:`violation_oracle` at ``C = 0``,
+    the one search for this supremum.  A mixture with one atom, or any
+    mixture at ``p = q``, is a weighted ``L^p`` space; at ``p = 1``, and at
+    ``p = 2`` into a Euclidean target, the value is then exact:
+    ``max_j ‖T e_j‖ / (w_j μ_j)`` and ``σ_max(T diag(w μ)^{-1/2})`` on the
+    collapsed weight ``w``.
     """
     if not S.saturated:
         raise ValueError("extension norm needs a saturated mixture")
-    return operator_norm_estimate(LinearOperator(T.matrix, S, T.codomain),
-                                  budget, seed).value
+    F, _ = violation_oracle(T, S, 0.0, budget, seed)
+    return float(T.codomain_norm_rows(F[:1] @ T.matrix.T)[0])
 
 
 def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,

@@ -7,26 +7,29 @@ n) and ascends over nonnegative magnitudes on a unit sphere.  Batches put
 restarts in rows so the whole search is a handful of dense numpy ops.
 
 :func:`projected_ascent` is the one sphere ascent of the package.  It runs
-the operator norm of ``constants.operator_norm_estimate`` (which is also
-``factorization.extension_norm_estimate``), the violation of
-``factorization.violation_oracle``, the dual-sphere suprema of
-``constants._weak_q`` and the polish of ``constants._curved_dual_sup``,
-and the linear suprema of ``spaces._linear_sup_over_ball`` behind the
-numeric Köthe duals.  It iterates only live rows: a row whose line search
-finds no gain is never recomputed.  The violation oracle ascends with
-``keep_signs``, so entries stop at zero and its rows can settle on the
-faces where the seminorm's kink at ``p = 1`` puts the maximum; it returns
-the best ascended row of every sign pattern, one cut each for the Kelley
-round that called it.  The two ``constants`` callers pass a stack of
-problems, one per family, so a stack of families is one ascent.
+``‖Tf‖`` (the objective ``constants._image_norm``) on two spheres: the
+domain's, for ``constants.operator_norm_estimate``, and the mixture's,
+for ``factorization.violation_oracle``, the one search for the extension
+norm (``factorization.extension_norm_estimate`` is that search at
+``C = 0``).  It also runs the dual-sphere suprema of ``constants._weak_q``
+and the polish of ``constants._curved_dual_sup``, and the linear suprema
+of ``spaces._linear_sup_over_ball`` behind the numeric Köthe duals.  It
+iterates only live rows: a row whose line search finds no gain is never
+recomputed.  The violation oracle ascends with ``keep_signs``, so entries
+stop at zero and its rows can settle on the faces where the seminorm's
+kink at ``p = 1`` puts the maximum; it returns the best ascended row of
+every sign pattern, one cut each for the Kelley round that called it.
+The two ``constants`` callers pass a stack of problems, one per family,
+so a stack of families is one ascent.
 On weighted ``L^1``, and on weighted ``L^2`` into a Euclidean target,
 the maximiser of ``‖Tf‖`` is known in closed form
 (``constants._norm_maximisers``): the operator norm starts its ascent
 there, and the violation oracle, on a mixture that collapses to such a
 space, returns it and runs no ascent.  Elsewhere both start from
 :func:`signed_starts`, which gives each distinct sign-pattern start once
-(a pattern times an indicator is only ``±e_i``).  :func:`unit_rows` is
-the one sphere normaliser.
+(a pattern times an indicator is only ``±e_i``); the oracle adds every
+2-support row ``e_i ± e_j``, since its maximisers often lie on sparse
+faces.  :func:`unit_rows` is the one sphere normaliser.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its

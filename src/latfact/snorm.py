@@ -167,31 +167,27 @@ class SNormSpace(LatticeNorm):
                 "not usable as a lattice norm")
         return self.seminorm_rows(F)
 
-    def _coefficients(self, F: np.ndarray):
-        """Pairings ``c_k`` with the atoms, and ``sum_k mass_k c_k^{t-1} h_k``."""
-        inner = pairings(self.base, self.e.p, F, self.xi.atoms)
-        coeff = (self.xi.masses * inner ** (self.e.t - 1.0)) @ self.xi.atoms
-        return inner, coeff
+    def slope_rows(self, F) -> np.ndarray:
+        """Row-wise derivative ``∂s/∂|f_i|``, zero on rows where ``s(f) = 0``.
 
-    def norm_grad_rows(self, F) -> np.ndarray:
+        It is ``|f_i|^{p-1} μ_i sum_k mass_k c_k^{t-1} h_k(i) / s(f)^{q-1}``
+        with ``c_k`` the pairings of ``f`` with the atoms.  At ``p = 1`` it
+        is the one-sided slope of ``s`` in ``|f_i|``, which stays positive
+        where ``f_i = 0``: ``s`` has a kink there.
+        """
         F = np.atleast_2d(np.asarray(F, dtype=float))
         p, q = self.e.p, self.e.q
-        inner, coeff = self._coefficients(F)
+        inner = pairings(self.base, p, F, self.xi.atoms)
+        coeff = (self.xi.masses * inner ** (self.e.t - 1.0)) @ self.xi.atoms
         value_q = inner ** self.e.t @ self.xi.masses
         values = np.where(value_q > 0.0, value_q ** (1.0 / q), 1.0)
-        grads = (np.sign(F) * np.abs(F) ** (p - 1.0) * self.space.weights
-                 * coeff * values[:, None] ** (1.0 - q))
-        grads[value_q == 0.0] = 0.0
-        return grads
+        slopes = (np.abs(F) ** (p - 1.0) * self.space.weights * coeff
+                  * values[:, None] ** (1.0 - q))
+        slopes[value_q == 0.0] = 0.0
+        return slopes
 
-    def q_slope_rows(self, F: np.ndarray) -> np.ndarray:
-        """Row-wise derivative of ``s(f)^q`` in ``|f_i|^p``, times ``p``.
-
-        The gradient of ``s(f)^q`` is ``sign(f) |f|^{p-1}`` times this; at
-        ``p = 1`` it is the one-sided slope of ``s(f)^q`` in ``|f_i|``,
-        which stays positive where ``f_i = 0``.
-        """
-        return self.e.q * self.space.weights * self._coefficients(F)[1]
+    def norm_grad_rows(self, F) -> np.ndarray:
+        return np.sign(F) * self.slope_rows(F)
 
     def is_p_convex_one(self, p: float) -> bool:
         return p <= self.e.p + 1e-12

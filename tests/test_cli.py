@@ -210,9 +210,10 @@ class TestMainEntry:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("key, value", [
-        ("seed", "abc"), ("seed", 1.5), ("tol", 0.0), ("tol", -1e-6),
-        ("tol", float("inf")), ("tol", "small"), ("budget", 0),
-        ("budget", -3), ("budget", 2.5), ("samples", 0), ("samples", "many")])
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("tol", 0.0),
+        ("tol", -1e-6), ("tol", float("inf")), ("tol", "small"),
+        ("budget", 0), ("budget", -3), ("budget", 2.5), ("samples", 0),
+        ("samples", "many")])
     def test_invalid_knob_is_input_error(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(identity_instance(), **{key: value})))
@@ -258,7 +259,8 @@ class TestMainEntry:
         ("snorm-demo", "expect_saturated", "false"),
         ("snorm-demo", "xi", {"atoms": [{"h": [-0.1, 0.1], "mass": 1.0}]}),
         # dual norm 2·3^(1/4) > 1 in the dual of L^(4/3)(1, 2)
-        ("snorm-demo", "xi", {"atoms": [{"h": [2.0, 2.0], "mass": 1.0}]})])
+        ("snorm-demo", "xi", {"atoms": [{"h": [2.0, 2.0], "mass": 1.0}]}),
+        ("check-space", "seed", -1), ("snorm-demo", "seed", -1)])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
         doc = dict(field_document(), **{key: value})
@@ -277,6 +279,14 @@ class TestMainEntry:
         path = tmp_path / "good.json"
         path.write_text(json.dumps(field_document()))
         assert main([command, "--instance", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["check-space", "snorm-demo",
+                                         "factorize"])
+    def test_negative_seed_flag_is_input_error(self, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(field_document()))
+        assert main([command, "--instance", str(path), "--seed", "-1"]) == 2
+        assert not (tmp_path / "doc.report.json").exists()
 
     def test_seed_override_changes_report_seed(self, tmp_path):
         path = tmp_path / "identity.json"
@@ -309,6 +319,14 @@ class TestGenerate:
                                out_dir=tmp_path)
         assert main(["generate", "--kind", "lebesgue-space", "--count",
                      str(count), "--out-dir", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_input_error(self, tmp_path):
+        with pytest.raises(InstanceError):
+            generate_instances("random-operator", count=1, n=2, seed=-1,
+                               out_dir=tmp_path)
+        assert main(["generate", "--kind", "random-operator", "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_partition_xi_saturates(self, tmp_path):

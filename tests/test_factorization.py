@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      pq_concavity_estimate, pq_concavity_ratio, s_norm,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact import factorization
-from latfact.search import unit_rows
+from latfact.search import projected_ascent, unit_rows
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
@@ -20,6 +22,9 @@ from conftest import make_space, two_atom_space
 
 E12 = ExponentTriple(p=1.0, q=2.0)
 E22 = ExponentTriple(p=2.0, q=2.0)
+# the n = 5 [7] (1,3) certificate of an oracle that ascended on the X-sphere
+# from full-support starts only; tests/data/README.md gives its provenance
+CURVED_N5 = Path(__file__).parent / "data" / "curved_certificate_n5.npz"
 
 
 def unit_span_measure():
@@ -180,6 +185,19 @@ class TestCurvedRegime:
             _, values = violation_oracle(T, S, cert.C, seed=[seed, 5])
             assert values[0] <= tol * cert.C ** e.q
 
+    def test_the_oracle_breaks_a_captured_certificate(self):
+        # the captured solve converged, but its worst violation lies on a
+        # 2-support face that its oracle's X-sphere ascent did not reach
+        data = np.load(CURVED_N5)
+        T = random_operator(5, 5, [7], s=2.0)
+        S = SNormSpace(base=T.domain, e=ExponentTriple(p=1.0, q=3.0),
+                       xi=DiscreteRadonMeasure(atoms=data["atoms"],
+                                               masses=data["masses"],
+                                               normalized=True))
+        C = float(data["C"])
+        _, values = violation_oracle(T, S, C, seed=[0, 5])
+        assert values[0] > 1e-6 * C ** 3
+
 
 class TestViolationOracle:
     def test_huge_constant_has_no_violation(self):
@@ -235,6 +253,29 @@ class TestViolationCuts:
         flipped = (P[:, None, :] == -P[None, :, :]).all(axis=2)
         np.fill_diagonal(same, False)
         assert not (same | flipped).any()
+
+    def test_starts_hold_every_two_support_row(self, monkeypatch):
+        starts = []
+
+        def recording(value_rows, grad_rows, normalize_rows, A0, **kwargs):
+            starts.append(A0)
+            return projected_ascent(value_rows, grad_rows, normalize_rows,
+                                    A0, **kwargs)
+
+        monkeypatch.setattr(factorization, "projected_ascent", recording)
+        self.oracle_case(4.0)
+        rows = {tuple(row) for row in (starts[0] + 0.0).tolist()}
+        E = np.eye(4)
+        for i, j in itertools.combinations(range(4), 2):
+            assert tuple(E[i] + E[j]) in rows
+            assert tuple(E[i] - E[j]) in rows
+
+    def test_rows_do_not_depend_on_the_constant(self):
+        F0, values0 = self.oracle_case(0.0)
+        for C in (3.5, 4.0, 5.0, 6.0):
+            F, values = self.oracle_case(C)
+            np.testing.assert_allclose(F, F0, rtol=1e-12)
+            np.testing.assert_allclose(values + C ** 3, values0, rtol=1e-12)
 
     def test_every_added_witness_violates_at_the_target(self, monkeypatch):
         calls = []
@@ -339,6 +380,8 @@ class TestClosedRoute:
         assert len(F) == n
         np.testing.assert_allclose(values + C ** 3, np.sort(column)[::-1] ** 3,
                                    rtol=1e-12)
+        assert extension_norm_estimate(T, S) == pytest.approx(column.max(),
+                                                              rel=1e-12)
         np.testing.assert_allclose(S.seminorm_rows(F), 1.0, rtol=1e-12)
         assert np.count_nonzero(F[0]) == 1
         assert np.argmax(np.abs(F[0])) == np.argmax(column)
@@ -351,6 +394,8 @@ class TestClosedRoute:
         sigma = np.linalg.svd(T.matrix / np.sqrt(w), compute_uv=False)[0]
         assert len(F) == 1
         assert values[0] + C ** 2 == pytest.approx(sigma ** 2, rel=1e-12)
+        assert extension_norm_estimate(T, S) == pytest.approx(sigma,
+                                                              rel=1e-12)
         assert S.seminorm_rows(F)[0] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("route", ["vertex", "svd"])
@@ -395,8 +440,8 @@ class TestClosedRoute:
 def unsaturated_case():
     """Two atoms that both vanish on the first point, under ``diag(3, 1, 1)``.
 
-    ``e_1`` maximizes ``‖Tf‖`` on the domain sphere and has ``s(e_1) = 0``,
-    so the ascent from it stays there.
+    No atom sees ``e_1`` while ``T`` moves it, so ``s(e_1) = 0 < ‖T e_1‖``
+    and the oracle returns it without an ascent.
     """
     X = make_space([1, 1, 1], 2)
     T = LinearOperator(np.diag([3.0, 1.0, 1.0]), X, EuclideanNorm(dim=3))
@@ -414,6 +459,8 @@ class TestUnsaturatedMixture:
         assert not S.saturated
         F, values = violation_oracle(T, S, C=2.0, seed=0)
         assert values[0] == np.inf
+        # the unbounded rows are the points no atom sees: here e_1 alone
+        np.testing.assert_array_equal(F[values == np.inf], np.eye(3)[:1])
         assert np.all(np.isfinite(values[1:]))
         assert T.domain.norm_rows(F[:1])[0] == pytest.approx(1.0, rel=1e-12)
         assert S.seminorm_rows(F[:1])[0] == 0.0
@@ -605,6 +652,18 @@ class TestExtensionNorm:
                 assert ext == pytest.approx(bound, rel=1e-12)
             checked += 1
         assert checked
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_oracle_at_zero_is_the_extension_norm(self, n, q):
+        # a two-atom q > p mixture takes the oracle's ascent route
+        T = random_operator(n, n, [13], s=2.0)
+        S = two_atom_space(T.domain, ExponentTriple(p=1.0, q=q))
+        _, values = violation_oracle(T, S, C=0.0)
+        assert values[0] == pytest.approx(
+            extension_norm_estimate(T, S) ** q, rel=1e-12)
+        assert values[0] == pytest.approx(circle_scan(T, S, n, 200001),
+                                          rel=1e-9)
 
     def test_multi_atom_certificates_bound_the_extension_norm(self):
         e = ExponentTriple(p=1.0, q=2.0)
