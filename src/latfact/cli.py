@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schemas
+from .schemas import _number
 from .constants import (BRUTE_FORCE_GRID_CAP, brute_force_family_sup,
                         brute_force_grid_size, constant_chain_report,
                         family_sup_rhs, attainment_point, identity_operator)
@@ -39,10 +39,6 @@ from .suite import (LEMMA_PAIRS, lemma_instances, random_lebesgue_space,
 COMMANDS = ("check-space", "constants", "snorm-demo", "factorize", "kakutani",
             "lemma-verify")
 GENERATE_KINDS = ("lebesgue-space", "random-operator", "partition-xi")
-
-
-def _number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _integer(value, name: str, minimum: float = -math.inf) -> int:

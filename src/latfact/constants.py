@@ -382,6 +382,8 @@ def _scaling_objective(X: LatticeNorm, e: ExponentTriple, F: np.ndarray):
 # largest starting grid brute_force_family_sup builds; the default step
 # 1e-3 gives 501,501 points at m = 3
 BRUTE_FORCE_GRID_CAP = 10 ** 6
+# steps of the polish after the grid, each a coordinate move or a line search
+_POLISH_ROUNDS = 200
 
 
 def _grid_denominator(m: int, step: float) -> int:
@@ -424,7 +426,7 @@ def _simplex_grid(m: int, step: float) -> np.ndarray:
 
 
 def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
-                           step: float = 1e-3, rounds: int = 200) -> float:
+                           step: float = 1e-3) -> float:
     """Grid-plus-polish reference value for the scaled-family supremum.
 
     Enumerates scalings on the unit sphere of the exponent-``r`` sequence
@@ -455,7 +457,7 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
         beta = Beta[best].copy()
         best_val = float(vals[best])
         delta = 0.25
-        for _ in range(rounds):
+        for _ in range(_POLISH_ROUNDS):
             cands = []
             for i in range(m):
                 for d in (delta, -delta):
@@ -525,7 +527,7 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
     vals = value(B)
     etas = np.geomspace(1e-9, 0.5, 25)
     stall = 0
-    for _ in range(int(rounds)):
+    for _ in range(_POLISH_ROUNDS):
         Gt = grad_rows(B)
         radial = np.maximum(B, 0.0) ** (rp - 1.0)
         rn = np.linalg.norm(radial, axis=1)
@@ -767,11 +769,11 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
 def q_concavity_estimate(T: LinearOperator, q: float, budget: int = 16,
                          seed=0) -> ConstantEstimate:
     """Lower bound on the q-concavity constant ``M_q(T)`` with witness."""
-    value, witness, used = family_search(lambda F: q_concavity_ratio(T, q, F),
+    value, witness = family_search(lambda F: q_concavity_ratio(T, q, F),
                                          T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="M_q", value=value, witness=witness,
-                            budget_used=used)
+                            budget_used=int(budget))
 
 
 def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
@@ -782,26 +784,30 @@ def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
     identical seeds and budgets reproduce :func:`q_concavity_estimate`
     bit for bit.
     """
-    value, witness, used = family_search(lambda F: pq_concavity_ratio(T, e, F),
+    value, witness = family_search(lambda F: pq_concavity_ratio(T, e, F),
                                          T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="M_pq", value=value, witness=witness,
-                            budget_used=used)
+                            budget_used=int(budget))
 
 
 def q_summing_estimate(T: LinearOperator, q: float, budget: int = 16,
                        seed=0) -> ConstantEstimate:
     """Lower bound on the q-summing constant ``pi_q(T)`` with witness."""
-    value, witness, used = family_search(
+    value, witness = family_search(
         lambda F: q_summing_ratio(T, q, F, budget=8, seed=seed), T.n, m_max=8,
                                          budget=budget, seed=seed)
     return ConstantEstimate(kind="pi_q", value=value, witness=witness,
-                            budget_used=used)
+                            budget_used=int(budget))
+
+
+# slack of the chain check relative to its largest value, for the error of
+# the numeric denominators
+_CHAIN_SLACK = 1e-6
 
 
 def constant_chain_report(T: LinearOperator, e: ExponentTriple,
-                          budget: int = 16, seed=0,
-                          slack: float = 1e-6) -> dict:
+                          budget: int = 16, seed=0) -> dict:
     """Estimate all four constants and check the witness-transfer chain.
 
     Each estimator's witness is replayed through the next ratio in the
@@ -821,10 +827,7 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
     def transfer(name, fro, to, families):
         best = 0.0
         for F in families:
-            if len(F) == 0:
-                continue
-            val = name(F)
-            best = max(best, val)
+            best = max(best, name(F))
         transfers.append({"from": fro, "to": to, "witness_ratio": best})
         return best
 
@@ -844,9 +847,8 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
                                                 seed=base + [4]),
                       "M_pq", "pi_q", fam_mpq + fam_mq + singleton))
 
-    scale = max(v3, 1.0)
-    chain_ok = (v0 <= v1 + slack * scale and v1 <= v2 + slack * scale
-                and v2 <= v3 + slack * scale)
+    slack = _CHAIN_SLACK * max(v3, 1.0)
+    chain_ok = v0 <= v1 + slack and v1 <= v2 + slack and v2 <= v3 + slack
     return {
         "estimates": {
             "operator_norm": est_norm.to_jsonable(),
@@ -857,5 +859,5 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
         "chain": {"operator_norm": v0, "M_q": v1, "M_pq": v2, "pi_q": v3},
         "transfers": transfers,
         "chain_ok": chain_ok,
-        "slack": slack,
+        "slack": _CHAIN_SLACK,
     }

@@ -195,17 +195,16 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
 
 def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
                   m_max: int = 6, budget: int = 16,
-                  seed=0) -> tuple[float, tuple[np.ndarray, ...], int]:
+                  seed=0) -> tuple[float, tuple[np.ndarray, ...]]:
     """Maximize ``ratio`` over families of at most ``m_max`` vectors.
 
     ``ratio`` is stacked: it maps families ``(K, m, n)`` to ``(K,)``.
-    Returns ``(value, witness_family, budget_used)``.  ``budget`` counts
+    Returns ``(value, witness_family)``.  ``budget`` counts
     independent restarts; restart ``k`` uses its own child seed, so a longer
     budget can only extend the list of candidates (monotonicity), and ties
     keep the first-found family (determinism).
     """
     base = seed_list(seed)
-    budget = int(budget)
 
     def run(k: int) -> tuple[float, np.ndarray]:
         rng = np.random.default_rng(base + [k])
@@ -213,7 +212,7 @@ def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
         F = _initial_family(rng, m, n, k % 3)
         return _polish_family(ratio, F, _SWEEPS)
 
-    results = [run(k) for k in range(budget)]
+    results = [run(k) for k in range(int(budget))]
     best_val = 0.0
     best_F = np.zeros((0, n))
     for val, F in results:
@@ -221,4 +220,4 @@ def family_search(ratio: Callable[[np.ndarray], np.ndarray], n: int, *,
             best_val = val
             best_F = F
     witness = tuple(np.array(row) for row in best_F) if best_val > 0.0 else ()
-    return float(best_val), witness, budget
+    return float(best_val), witness

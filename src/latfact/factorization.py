@@ -9,9 +9,9 @@ dual-ball weights and a constant ``C`` such that
 With witness functions ``f_j``, ``b_j = ‖T f_j‖^q`` and a dual-ball grid
 of weights ``h_k``, the smallest constant any grid mixture achieves is
 ``C^q = 1/t`` with ``t = max_xi min_j (Phi xi)_j / b_j`` and
-``Phi[j, k] = (∫ |f_j|^p h_k dμ)^{q/p}``: one dense LP (Dinkelbach's
-linearisation of the fractional program).  The solver wraps it in a
-Kelley cutting-plane loop on both sides: the grid starts from the uniform
+``Phi[j, k] = (∫ |f_j|^p h_k dμ)^{q/p}``: the value of the matrix game
+``Phi[j, k] / b_j``, one dense LP.  The solver wraps it in a Kelley
+cutting-plane loop on both sides: the grid starts from the uniform
 dual weight alone, the attainment weight of the LP's adversarial witness
 combination enriches it while it beats the LP value, and a violation
 oracle hunts for functions that break the mixture at ``C (1 + tol)``.
@@ -86,7 +86,7 @@ class DominationCertificate:
     most the solve tolerance when ``converged``; the largest float when
     the last oracle round met an ``f`` with ``s(f) = 0 < ‖Tf‖``).
     ``stop`` says why the solve ended, one of :data:`STOP_REASONS`;
-    ``converged`` is ``stop == "converged"``.  ``witnesses`` are the
+    :attr:`converged` is ``stop == "converged"``.  ``witnesses`` are the
     unit-sphere functions generated during the solve, replayable against
     the stored mixture.  ``lp_values`` records the LP value
     ``t = C_lp^{-q}`` after each solve: it never rises when a witness is
@@ -98,16 +98,17 @@ class DominationCertificate:
     residual: float
     witnesses: tuple[np.ndarray, ...]
     iterations: int
-    converged: bool
     exponents: ExponentTriple
     lp_values: tuple[float, ...] = ()
     stop: str = "converged"
 
     def __post_init__(self):
-        if (self.stop not in STOP_REASONS
-                or (self.stop == "converged") != bool(self.converged)):
-            raise ValueError(f"stop reason {self.stop!r} does not match "
-                             f"converged={self.converged}")
+        if self.stop not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop!r}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     def snorm_space(self, X: LatticeNorm) -> SNormSpace:
         return SNormSpace(base=X, e=self.exponents, xi=self.xi)
@@ -265,7 +266,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         if pos.size:
             R = Phi[pos] / bvec[pos, None]
             kappa = float(R.max()) or 1.0
-            sol = solve_max_min(R / kappa, np.zeros(pos.size), warm=warm)
+            sol = solve_max_min(R / kappa, warm=warm)
             t = sol.value * kappa
             if t > witness_cap * (1.0 + 1e-9):
                 raise AssertionError(
@@ -331,8 +332,8 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     return DominationCertificate(
         xi=final_xi, C=float(C), residual=float(residual),
         witnesses=tuple(np.array(w) for w in W),
-        iterations=oracle_calls, converged=stop == "converged", exponents=e,
-        lp_values=tuple(lp_values), stop=stop)
+        iterations=oracle_calls, exponents=e, lp_values=tuple(lp_values),
+        stop=stop)
 
 
 def verify_domination(cert: DominationCertificate, T: LinearOperator,

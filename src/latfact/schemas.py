@@ -20,6 +20,7 @@ exit status 2 before any computation starts.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -70,13 +71,23 @@ def _require(doc: dict, key: str) -> object:
     return doc[key]
 
 
+def _number(value) -> bool:
+    """Whether ``value`` is a JSON number: booleans and strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, what: str) -> float:
+    if not _number(value):
+        raise InstanceError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _vector(raw, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{what} is not numeric: {exc}") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise InstanceError(f"{what} must be a nonempty vector")
+    if not (isinstance(raw, (list, tuple)) and raw
+            and all(map(_number, raw))):
+        raise InstanceError(
+            f"{what} must be a nonempty list of numbers, got {raw!r}")
+    arr = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InstanceError(f"{what} has non-finite entries")
     return arr
@@ -101,16 +112,17 @@ def build_space(doc: dict, measure: MeasureSpace) -> LatticeNorm:
     if family != "lebesgue":
         raise InstanceError(f"unknown space family {family!r}")
     try:
-        return WeightedLebesgue(space=measure, s=float(_require(raw, "s")))
-    except (TypeError, ValueError) as exc:
+        return WeightedLebesgue(space=measure,
+                                s=_real(_require(raw, "s"), "space s"))
+    except ValueError as exc:
         raise InstanceError(str(exc)) from exc
 
 
 def build_exponents(doc: dict) -> ExponentTriple:
     try:
-        return ExponentTriple(p=float(_require(doc, "p")),
-                              q=float(_require(doc, "q")))
-    except (TypeError, ValueError) as exc:
+        return ExponentTriple(p=_real(_require(doc, "p"), "p"),
+                              q=_real(_require(doc, "q"), "q"))
+    except ValueError as exc:
         raise InstanceError(str(exc)) from exc
 
 
@@ -125,8 +137,8 @@ def _build_codomain(raw, d: int):
         weights = np.ones(d) if weights is None else _vector(weights, "codomain weights")
         try:
             return WeightedLebesgue(space=MeasureSpace(weights=weights),
-                                    s=float(_require(raw, "s")))
-        except (TypeError, ValueError) as exc:
+                                    s=_real(_require(raw, "s"), "codomain s"))
+        except ValueError as exc:
             raise InstanceError(str(exc)) from exc
     raise InstanceError(f"unknown codomain family {family!r}")
 
@@ -135,16 +147,16 @@ def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
     raw = _require(doc, "operator")
     if not isinstance(raw, dict):
         raise InstanceError("'operator' must be an object with 'matrix'")
-    try:
-        matrix = np.asarray(_require(raw, "matrix"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"operator matrix is not numeric: {exc}") from exc
-    if matrix.ndim != 2:
-        raise InstanceError("operator matrix must be two-dimensional")
+    rows = _require(raw, "matrix")
+    if not isinstance(rows, (list, tuple)):
+        raise InstanceError("operator matrix must be a list of rows")
+    # the operator rejects an empty matrix and rows of unequal length
+    rows = [_vector(row, f"operator matrix row {i}")
+            for i, row in enumerate(rows)]
     codomain = _build_codomain(raw.get("codomain", {"family": "euclidean"}),
-                               matrix.shape[0])
+                               len(rows))
     try:
-        return LinearOperator(matrix=matrix, domain=X, codomain=codomain)
+        return LinearOperator(matrix=rows, domain=X, codomain=codomain)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
 
@@ -164,11 +176,14 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
         if not isinstance(atom, dict):
             raise InstanceError(f"xi atom {i} must be an object")
         pairs.append((_vector(_require(atom, "h"), f"xi atom {i}"),
-                      _require(atom, "mass")))
+                      _real(_require(atom, "mass"), f"xi atom {i} mass")))
     normalized = raw.get("normalized")
+    if not (normalized is None or isinstance(normalized, bool)):
+        raise InstanceError(
+            f"xi normalized must be true or false, got {normalized!r}")
     try:
         return DiscreteRadonMeasure.from_pairs(pairs, normalized=normalized)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InstanceError(str(exc)) from exc
 
 

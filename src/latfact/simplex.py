@@ -2,19 +2,19 @@
 
 The only linear program this package needs is
 
-    maximize over probability weights xi:   min_j ( A[j] . xi  -  b[j] )
+    maximize over probability weights xi:   min_j ( A[j] . xi )
 
-whose dual is a minimization over probability mixtures of the rows.  The
-solver returns both: the weights, the optimal value, and the adversarial
-row mixture, with the duality identity used as an internal optimality
-check.  Problems stay small: with one witness row per violating sign
-pattern a round, the largest LP of the curved ``random_operator(8, 8,
-[7], s=2)`` solve at (p, q) = (1, 3) has 154 rows and 1111 columns, so a
-dense tableau with Dantzig pivoting (Bland's rule after a stall) is
-plenty.
+the value of the matrix game ``A``, whose dual is a minimization over
+probability mixtures of the rows.  The solver returns both: the weights,
+the optimal value, and the adversarial row mixture, with the duality
+identity used as an internal optimality check.  Problems stay small: with
+one witness row per violating sign pattern a round, the largest LP of the
+curved ``random_operator(8, 8, [7], s=2)`` solve at (p, q) = (1, 3) has
+154 rows and 1111 columns, so a dense tableau with Dantzig pivoting
+(Bland's rule after a stall) is plenty.
 
 The LP always has a feasible vertex: all weight on one column, with t at
-that column's worst slack.  A cold solve starts from the best such
+that column's worst entry.  A cold solve starts from the best such
 vertex.  A solution also carries its optimal basis, and a later solve
 over the same rows with more columns starts from it instead: new columns
 leave the old basis primal feasible.  Either way one dense solve builds
@@ -111,15 +111,16 @@ def _tableau(Aeq: np.ndarray, beq: np.ndarray,
     return T
 
 
-def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
-    """Maximize ``min_j (A[j] . xi - b[j])`` over the probability simplex.
+def solve_max_min(A, warm: MaxMinSolution | None = None) -> MaxMinSolution:
+    """Maximize ``min_j A[j] . xi`` over the probability simplex.
 
-    Returns the optimal slack, the maximizing weights, and the dual
-    mixture ``lam`` over rows, which satisfies the game identity
-    ``value = max_k (lam @ A)[k] - lam @ b`` (checked internally).
+    Returns the value of the matrix game ``A``, the maximizing weights, and
+    the dual mixture ``lam`` over rows, which satisfies the game identity
+    ``value = max_k (lam @ A)[k]`` (checked internally).  An LP with
+    offsets, ``min_j (A[j] . xi - b[j])``, is the game ``A - b[:, None]``.
 
     A cold solve starts from the vertex ``xi = e_k`` of the column ``k``
-    that maximises ``min_j (A[j, k] - b[j])``.  ``warm`` is a solution of
+    that maximises ``min_j A[j, k]``.  ``warm`` is a solution of
     an LP over the same rows whose columns are a prefix of ``A``'s
     columns; the solve then starts from its optimal basis instead.  When
     ``warm`` has another row count or more columns than ``A``, or its
@@ -129,17 +130,14 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     start.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
     J, K = A.shape
     if J == 0 or K == 0:
         raise ValueError("need at least one row and one column")
-    if b.shape != (J,):
-        raise ValueError("b must have one entry per row of A")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not np.all(np.isfinite(A)):
         raise ValueError("non-finite LP data")
 
     # standard form over x = (xi, t+, t-, s):
-    #   t+ - t- - A[j].xi + s_j = -b[j],     sum(xi) = 1,     x >= 0
+    #   t+ - t- - A[j].xi + s_j = 0,     sum(xi) = 1,     x >= 0
     m = J + 1
     nvar = K + 2 + J
     Aeq = np.zeros((m, nvar))
@@ -148,7 +146,6 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     Aeq[:J, K] = 1.0
     Aeq[:J, K + 1] = -1.0
     Aeq[:J, K + 2:] = np.eye(J)
-    beq[:J] = -b
     Aeq[J, :K] = 1.0
     beq[J] = 1.0
 
@@ -166,21 +163,20 @@ def solve_max_min(A, b, warm: MaxMinSolution | None = None) -> MaxMinSolution:
         if T is not None and (np.all(np.isfinite(T))
                               and T[:m, -1].min() >= -_FEAS_TOL):
             try:
-                return _solve_from(A, b, T, basis)
+                return _solve_from(A, T, basis)
             except SimplexError:
                 pass  # a warm start lost to rounding is solved again cold
     # the vertex xi = e_k of the best single column k: t sits at the
     # worst row j* of that column, in t+ or t- by its sign, and every
     # other row keeps its slack, so the basis is feasible by construction
-    slack = A - b[:, None]
-    k = int(np.argmax(slack.min(axis=0)))
-    jstar = int(np.argmin(slack[:, k]))
+    k = int(np.argmax(A.min(axis=0)))
+    jstar = int(np.argmin(A[:, k]))
     basis = list(range(K + 2, nvar)) + [k]
-    basis[jstar] = K if slack[jstar, k] >= 0.0 else K + 1
-    return _solve_from(A, b, _tableau(Aeq, beq, basis), basis)
+    basis[jstar] = K if A[jstar, k] >= 0.0 else K + 1
+    return _solve_from(A, _tableau(Aeq, beq, basis), basis)
 
 
-def _solve_from(A: np.ndarray, b: np.ndarray, T: np.ndarray,
+def _solve_from(A: np.ndarray, T: np.ndarray,
                 basis: list[int]) -> MaxMinSolution:
     """Pivot a feasible start tableau of ``solve_max_min``'s LP to optimum.
 
@@ -219,8 +215,8 @@ def _solve_from(A: np.ndarray, b: np.ndarray, T: np.ndarray,
     dsum = duals.sum()
     duals = duals / dsum if dsum > 0 else np.full(J, 1.0 / J)
 
-    dual_value = float(np.max(duals @ A) - duals @ b)
-    scale = 1.0 + abs(value) + np.abs(A).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    dual_value = float(np.max(duals @ A))
+    scale = 1.0 + abs(value) + np.abs(A).max(initial=0.0)
     if abs(dual_value - value) > 1e-6 * scale:
         raise SimplexError(
             f"duality gap {dual_value - value:.3e} exceeds tolerance")

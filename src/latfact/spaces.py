@@ -154,10 +154,10 @@ class MeasureSpace:
 class LatticeNorm:
     """Base class for lattice norms over a fixed :class:`MeasureSpace`.
 
-    Subclasses implement ``norm``; the functional must be absolutely
-    homogeneous, subadditive, and monotone under pointwise domination of
-    absolute values.  The test-suite checks those axioms on seeded samples
-    for every shipped variant.
+    Subclasses implement ``norm``, ``norm_rows`` and ``is_p_convex_one``;
+    the norm must be absolutely homogeneous, subadditive, and monotone
+    under pointwise domination of absolute values.  The test-suite checks
+    those axioms on seeded samples for every shipped variant.
     """
 
     space: MeasureSpace
@@ -165,18 +165,6 @@ class LatticeNorm:
     @property
     def n(self) -> int:
         return self.space.n
-
-    def norm(self, f) -> float:
-        raise NotImplementedError
-
-    def norm_rows(self, F) -> np.ndarray:
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        rows = F.reshape(-1, F.shape[-1])
-        return np.array([self.norm(row) for row in rows]).reshape(F.shape[:-1])
-
-    def is_p_convex_one(self, p: float) -> bool:
-        # the triangle inequality is exactly 1-convexity
-        return p <= 1.0 + 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,8 +439,8 @@ def p_convexity_estimate(X: LatticeNorm, p: float, budget: int = 32,
         return np.array([float(np.sum(X.norm_rows(F) ** p) ** (1.0 / p))
                          for F in stack])
 
-    value, witness, used = family_search(
+    value, witness = family_search(
         lambda F: safe_ratio(lattice_aggregate_norm(X, F, p), den(F)), X.n,
         m_max=6, budget=budget, seed=seed)
     return ConstantEstimate(kind="M^p", value=value, witness=witness,
-                            budget_used=used)
+                            budget_used=int(budget))

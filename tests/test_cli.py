@@ -260,7 +260,24 @@ class TestMainEntry:
         ("snorm-demo", "xi", {"atoms": [{"h": [-0.1, 0.1], "mass": 1.0}]}),
         # dual norm 2·3^(1/4) > 1 in the dual of L^(4/3)(1, 2)
         ("snorm-demo", "xi", {"atoms": [{"h": [2.0, 2.0], "mass": 1.0}]}),
-        ("check-space", "seed", -1), ("snorm-demo", "seed", -1)])
+        ("check-space", "seed", -1), ("snorm-demo", "seed", -1),
+        # numeric fields take JSON numbers only, not booleans or strings
+        ("factorize", "p", True), ("factorize", "p", "1.5"),
+        ("factorize", "measure", {"weights": ["1", "2"]}),
+        ("check-space", "measure", {"weights": [1.0, True]}),
+        ("factorize", "space", {"family": "lebesgue", "s": "2"}),
+        ("factorize", "operator", {"matrix": [["1", 0.5], [0.0, 1.0]]}),
+        ("factorize", "operator", {"matrix": [[1.0, 0.5], [0.0]]}),
+        ("factorize", "operator", {"matrix": [[1.0, 0.5], [0.0, 1.0]],
+                                   "codomain": {"family": "lebesgue",
+                                                "s": True}}),
+        ("factorize", "operator", {"matrix": [[1.0, 0.5], [0.0, 1.0]],
+                                   "codomain": {"family": "lebesgue", "s": 2,
+                                                "weights": ["1", "1"]}}),
+        ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": "1"}]}),
+        ("snorm-demo", "xi", {"atoms": [{"h": ["0.5", 0.5], "mass": 1.0}]}),
+        ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": 1.0}],
+                              "normalized": 1})])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
         doc = dict(field_document(), **{key: value})

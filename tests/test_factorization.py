@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
-                     collapse_weight, dirac_space, extension_norm_estimate,
-                     find_domination_measure, identity_operator,
-                     kakutani_equivalence, operator_norm_estimate,
+                     collapse_weight, default_domination_grid, dirac_space,
+                     extension_norm_estimate, find_domination_measure,
+                     identity_operator, kakutani_equivalence,
+                     operator_norm_estimate, partition_space,
                      pq_concavity_estimate, pq_concavity_ratio, s_norm,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact import factorization
@@ -72,6 +73,45 @@ class TestFindDominationMeasure:
         ok, _ = xi_saturation_check(S)
         assert ok
 
+    @pytest.mark.parametrize("s, p, q", [(2.0, 1.0, 1.0), (1.5, 1.0, 2.0),
+                                         (3.0, 2.0, 2.0)])
+    def test_unseen_atom_is_repaired_by_the_starting_weight(self, s, p, q):
+        # T ignores atom 1, so the LP mixture leaves it unseen and the solve
+        # mixes in tol mass of the uniform starting weight
+        T = random_operator(3, 3, [600], s=s)
+        M = T.matrix.copy()
+        M[:, 1] = 0.0
+        T = LinearOperator(matrix=M, domain=T.domain, codomain=T.codomain)
+        e = ExponentTriple(p=p, q=q)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        assert not cert.xi.atoms[:-1, 1].any()
+        assert np.array_equal(cert.xi.atoms[-1],
+                              default_domination_grid(T.domain, e)[0])
+        assert cert.xi.masses[-1] == pytest.approx(tol / (1.0 + tol),
+                                                   rel=1e-12)
+        assert cert.C == pytest.approx(
+            cert.lp_values[-1] ** (-1.0 / q) * (1.0 + tol) ** (1.0 + 1.0 / q),
+            rel=1e-12)
+        ok, _ = xi_saturation_check(cert.snorm_space(T.domain))
+        assert ok
+        assert verify_domination(cert, T, e) <= tol
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_mixture_domain_solves_on_canonical_dual_weights(self, q):
+        # a partition mixture is neither weighted Lebesgue nor cube-dual, so
+        # its attainment points are the best canonical dual candidates
+        X = make_space([1.0, 2.0, 0.5], 1.5)
+        S = partition_space(X, E12, np.full(3, 0.5), [[0], [1, 2]],
+                            [0.5, 0.5])
+        T = identity_operator(S)
+        e = ExponentTriple(p=1.0, q=q)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        assert verify_domination(cert, T, e) <= tol
+
     def test_lp_progress_is_nonincreasing_between_witness_cuts(self):
         rng = np.random.default_rng(11)
         X = make_space([1, 1, 1], 1)
@@ -133,6 +173,19 @@ class TestFindDominationMeasure:
         assert np.max(np.abs(s_P / s_T - 1.0)) <= tol
 
 
+def plane_scan(T, S, angles):
+    """``max (‖Tf‖ / s(f))^q`` over ``cos θ e_i + sin θ e_j``, every plane i < j.
+
+    A dense scan of every 2-support direction, independent of the oracle.
+    """
+    th = np.linspace(0.0, np.pi, angles, endpoint=False)
+    E = np.eye(T.n)
+    F = np.vstack([np.outer(np.cos(th), E[i]) + np.outer(np.sin(th), E[j])
+                   for i, j in itertools.combinations(range(T.n), 2)])
+    ratio = T.codomain_norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
+    return float(np.max(ratio ** S.e.q))
+
+
 class TestCurvedRegime:
     """s > p and q > p: the optimal mixture has several atoms."""
 
@@ -161,6 +214,19 @@ class TestCurvedRegime:
         # the strong (p,q)-concavity ratio of the witnesses bounds the
         # domination constant from below
         assert pq_concavity_ratio(T, e, cert.witnesses) <= cert.C * (1.0 + tol)
+
+    @pytest.mark.parametrize("case", ["instances", "503"])
+    def test_two_support_scan_holds_the_certificate(self, case):
+        if case == "instances":
+            T, e = self.instances()[-1]
+        else:
+            T = random_operator(4, 4, [503], s=2.0)
+            e = ExponentTriple(p=1.0, q=3.0)
+        tol = 1e-6
+        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
+        assert cert.converged
+        scan = plane_scan(T, cert.snorm_space(T.domain), 20000)
+        assert scan / cert.C ** e.q - 1.0 <= tol
 
     def test_five_atoms_converge_within_budget(self):
         # random_operator(5, 5, [7], s=2) at (p,q) = (1,3): with one cut per
@@ -488,7 +554,7 @@ class TestUnsaturatedMixture:
         T, S = unsaturated_case()
         cert = factorization.DominationCertificate(
             xi=S.xi, C=2.0, residual=0.0, witnesses=(np.eye(3)[0],),
-            iterations=0, converged=True, exponents=S.e)
+            iterations=0, exponents=S.e)
         reading = verify_domination(cert, T, S.e, sample_count=100)
         assert reading == factorization._UNBOUNDED
         json.dumps(reading, allow_nan=False)
@@ -525,10 +591,12 @@ class TestStopReason:
 
     def test_stop_must_match_convergence(self):
         cert = find_domination_measure(*self.curved_case(), seed=0)
-        for stop, converged in (("budget", True), ("converged", False),
-                                ("stalled", False)):
-            with pytest.raises(ValueError):
-                dataclasses.replace(cert, stop=stop, converged=converged)
+        for stop in factorization.STOP_REASONS:
+            replaced = dataclasses.replace(cert, stop=stop)
+            assert replaced.converged == (stop == "converged")
+            assert replaced.to_jsonable()["converged"] == replaced.converged
+        with pytest.raises(ValueError):
+            dataclasses.replace(cert, stop="stalled")
 
 
 class TestVerifyDomination:
@@ -561,7 +629,7 @@ class TestVerifyDomination:
         cert = find_domination_measure(T, E12, seed=0)
         weakened = type(cert)(xi=cert.xi, C=cert.C / 2.0, residual=cert.residual,
                               witnesses=cert.witnesses, iterations=cert.iterations,
-                              converged=cert.converged, exponents=cert.exponents)
+                              exponents=cert.exponents)
         assert verify_domination(weakened, T, E12, sample_count=2000,
                                  seed=1) > 0.0
 
@@ -572,7 +640,7 @@ class TestCollapseWeight:
         cert = find_domination_measure(identity_operator(X), E22, seed=0)
         cert = type(cert)(xi=unit_span_measure(), C=cert.C, residual=cert.residual,
                           witnesses=cert.witnesses, iterations=cert.iterations,
-                          converged=cert.converged, exponents=E22)
+                          exponents=E22)
         w = collapse_weight(cert)
         np.testing.assert_allclose(w, [0.5, 0.5])
         S = SNormSpace(base=X, e=E22, xi=cert.xi)
