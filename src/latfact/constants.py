@@ -32,9 +32,9 @@ from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _dual_is_cube,
-                     _family_stack, _unstack, as_vector, dual_norm_rows,
-                     extreme_dual_vectors, lattice_aggregate_norm, power_mean,
-                     power_mean_rows)
+                     _family_stack, _scalar_pow, _unstack, as_vector,
+                     dual_norm_rows, extreme_dual_vectors,
+                     lattice_aggregate_norm, power_mean, power_mean_rows)
 
 __all__ = [
     "EuclideanNorm",
@@ -147,11 +147,6 @@ def _family_matrix(F, n: int) -> np.ndarray:
     if not single:
         raise ValueError("expected one family, got a stack")
     return F[0]
-
-
-def _scalar_pow(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` by scalar ``pow``; numpy's array power can differ by an ulp."""
-    return np.array([v ** y for v in x.tolist()])
 
 
 def _per_family(fn, F: np.ndarray) -> np.ndarray:

@@ -1,40 +1,92 @@
 """Versioned JSON instance documents and their (de)serialization.
 
-Instance files carry a top-level ``"schema": "latfact/1"`` marker and any
-of the sections below; commands validate the sections they need.
+This module is the one reader of the ``latfact/1`` format:
+:func:`parse_fields` parses every field a command reads, fills in its
+default and builds the objects the command runs on.  A malformed document
+raises :class:`InstanceError`, which the CLI maps to exit status 2, before
+any computation starts.
 
-    {"schema": "latfact/1",
-     "measure":  {"weights": [..]},
-     "space":    {"family": "lebesgue", "s": 2.0},
-     "p": 1.0, "q": 2.0,
-     "operator": {"matrix": [[..]], "codomain": {"family": "euclidean"}},
-     "xi":       {"atoms": [{"h": [..], "mass": 0.5}, ..], "normalized": true},
-     "dirac":    {"g": [..]},
-     "partition": {"g": [..], "blocks": [[..]], "alpha": [..]},
-     "tol": 1e-6, "budget": 40, "seed": 0, "samples": 1000}
+A document is a JSON object with ``"schema": "latfact/1"`` (the default)
+and the fields below.  A number is a finite JSON number, never a boolean
+or a string; ``[x > 0]`` is a nonempty list of such numbers.  The
+commands are check-space (CS), constants (C), snorm-demo (S), factorize
+(F), kakutani (K) and lemma-verify (L); each reports the seed, tol and
+budget it ran with.
 
-Malformed documents raise :class:`InstanceError`, which the CLI maps to
-exit status 2 before any computation starts.
+    field             type                            default      read by
+    seed              integer >= 0                    0            all
+    tol               number > 0                      1e-6         F, K
+    budget            integer >= 1                    40           CS, C, F, K
+    measure           {"weights": [w > 0]}            required     CS, C, S, F, K
+    space             {"family": "lebesgue",          required     CS, C, S, F, K
+                       "s": s >= 1}
+    p                 number >= 1                     none         CS
+                      number, 1 <= p <= q             required     C, S, F, K
+    q                 number >= p                     required     C, S, F, K
+    operator          {"matrix": [[a]], rows of       required     C, F
+                       equal length, "codomain": ..}
+    operator.codomain {"family": "euclidean"} or      euclidean    C, F
+                      {"family": "lebesgue", "s": s >= 1,
+                       "weights": [w > 0], default all ones}
+    xi                {"atoms": [{"h": [h >= 0],      one of the   S
+                                  "mass": m > 0}],    three
+                       "normalized": true or false,   sections
+                       default true iff the masses sum to one}
+    dirac             {"g": [g > 0], one per atom}                 S
+    partition         {"g": [g > 0], one per atom,                 S
+                       "blocks": [[integer atom index]],
+                       "alpha": [a > 0], one per block}
+    expect_saturated  true or false                   none         S
+    samples           integer >= 1                    200          S
+                                                      2000         F
+                                                      2048         K
+    count             integer >= 1                    100          L
+    n_max             integer >= 2                    4            L
+    m_max             integer >= 1                    3            L
+    step              number > 0                      1e-3         L
+    rel_tol           number > 0                      1e-6         L
+    pairs             [[p, q]], 1 <= p <= q           LEMMA_PAIRS  L
+
+``LEMMA_PAIRS`` is ``[[1, 1], [1, 2], [2, 2], [2, 3]]``.  check-space
+bounds the p-convexity constant, and snorm-demo checks the saturation,
+only when ``p`` or ``expect_saturated`` is given.  snorm-demo reads
+``xi`` when given, else ``dirac``, else ``partition``.
+The blocks are nonempty, disjoint and cover every atom, and the ``xi``
+atoms lie in the positive dual unit ball of the domain.  constants (when
+q > p), snorm-demo, factorize and kakutani need a p-convex domain,
+p <= s.  lemma-verify refuses a ``step`` and ``m_max`` whose brute-force
+grid holds more than 10^6 points.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import numbers
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import EuclideanNorm, LinearOperator
-from .snorm import DiscreteRadonMeasure
+from .constants import (BRUTE_FORCE_GRID_CAP, EuclideanNorm, LinearOperator,
+                        brute_force_grid_size)
+from .snorm import (DiscreteRadonMeasure, SNormSpace, dirac_space,
+                    partition_space)
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      WeightedLebesgue)
+from .suite import LEMMA_PAIRS
 
 SCHEMA_ID = "latfact/1"
+COMMANDS = ("check-space", "constants", "snorm-demo", "factorize", "kakutani",
+            "lemma-verify")
 
-__all__ = ["SCHEMA_ID", "InstanceError", "load_instance", "parse_instance",
-           "build_measure", "build_space", "build_exponents", "build_operator",
-           "build_xi", "instance_to_doc", "dump_report"]
+__all__ = ["SCHEMA_ID", "COMMANDS", "InstanceError",
+           "load_instance", "parse_instance", "parse_fields",
+           "generator_settings", "build_measure", "build_space",
+           "build_exponents", "build_operator", "build_xi", "build_mixture",
+           "instance_to_doc", "dump_report"]
 
 
 class InstanceError(ValueError):
@@ -71,96 +123,140 @@ def _require(doc: dict, key: str) -> object:
     return doc[key]
 
 
+def _section(doc: dict, key: str) -> dict:
+    """A required section that is a JSON object."""
+    raw = _require(doc, key)
+    if not isinstance(raw, dict):
+        raise InstanceError(f"{key!r} must be an object, got {raw!r}")
+    return raw
+
+
 def _number(value) -> bool:
-    """Whether ``value`` is a JSON number: booleans and strings are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a finite JSON number: booleans and strings are not.
+
+    An integer beyond the float range is not one either.
+    """
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _real(value, what: str) -> float:
-    if not _number(value):
-        raise InstanceError(f"{what} must be a number, got {value!r}")
+def _bound(relation: str, limit: float) -> str:
+    """Text like ``" >= 1"`` for an error message; empty for an infinite limit."""
+    return f" {relation} {limit:g}" if math.isfinite(limit) else ""
+
+
+def _real(value, what: str, *, above: float = -math.inf,
+          at_least: float = -math.inf) -> float:
+    """A finite number above ``above`` and at least ``at_least``."""
+    if not (_number(value) and value > above and value >= at_least):
+        raise InstanceError(f"{what} must be a finite number{_bound('>', above)}"
+                            f"{_bound('>=', at_least)}, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str, minimum: float = -math.inf,
+             maximum: float = math.inf) -> int:
+    """An integral number (``3`` or ``3.0``) in ``[minimum, maximum]``."""
+    if not (_number(value) and value == int(value)
+            and minimum <= value <= maximum):
+        raise InstanceError(f"{what} must be an integer{_bound('>=', minimum)}"
+                            f"{_bound('<=', maximum)}, got {value!r}")
+    return int(value)
 
 
 def _vector(raw, what: str) -> np.ndarray:
     if not (isinstance(raw, (list, tuple)) and raw
             and all(map(_number, raw))):
         raise InstanceError(
-            f"{what} must be a nonempty list of numbers, got {raw!r}")
-    arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InstanceError(f"{what} has non-finite entries")
-    return arr
+            f"{what} must be a nonempty list of finite numbers, got {raw!r}")
+    return np.asarray(raw, dtype=float)
 
 
+def _blocks(value) -> list[list[int]]:
+    """Partition blocks: a list of lists of integer atom indices."""
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(block, (list, tuple)) for block in value)):
+        raise InstanceError(
+            f"partition blocks must be a list of index lists, got {value!r}")
+    return [[_integer(i, "partition block entry") for i in block]
+            for block in value]
+
+
+def _exponent_pairs(value) -> tuple[tuple[float, float], ...]:
+    """A nonempty list of number pairs ``[p, q]`` with ``1 <= p <= q``."""
+    def valid(pair) -> bool:
+        return (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(_number(x) for x in pair)
+                and 1.0 <= pair[0] <= pair[1])
+
+    if not (isinstance(value, (list, tuple)) and value
+            and all(valid(pair) for pair in value)):
+        raise InstanceError(
+            "pairs must be a nonempty list of [p, q] with 1 <= p <= q, "
+            f"got {value!r}")
+    return tuple((float(p), float(q)) for p, q in value)
+
+
+def _instance_errors(build):
+    """``build`` with the constructors' ``ValueError`` as :class:`InstanceError`."""
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from exc
+    return checked
+
+
+@_instance_errors
 def build_measure(doc: dict) -> MeasureSpace:
-    raw = _require(doc, "measure")
-    if not isinstance(raw, dict):
-        raise InstanceError("'measure' must be an object with 'weights'")
-    weights = _vector(_require(raw, "weights"), "measure weights")
-    try:
-        return MeasureSpace(weights=weights)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return MeasureSpace(weights=_vector(
+        _require(_section(doc, "measure"), "weights"), "measure weights"))
 
 
+@_instance_errors
 def build_space(doc: dict, measure: MeasureSpace) -> LatticeNorm:
-    raw = _require(doc, "space")
-    if not isinstance(raw, dict):
-        raise InstanceError("'space' must be an object")
+    raw = _section(doc, "space")
     family = raw.get("family")
     if family != "lebesgue":
         raise InstanceError(f"unknown space family {family!r}")
-    try:
-        return WeightedLebesgue(space=measure,
-                                s=_real(_require(raw, "s"), "space s"))
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return WeightedLebesgue(space=measure,
+                            s=_real(_require(raw, "s"), "space s"))
 
 
+@_instance_errors
 def build_exponents(doc: dict) -> ExponentTriple:
-    try:
-        return ExponentTriple(p=_real(_require(doc, "p"), "p"),
-                              q=_real(_require(doc, "q"), "q"))
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return ExponentTriple(p=_real(_require(doc, "p"), "p"),
+                          q=_real(_require(doc, "q"), "q"))
 
 
-def _build_codomain(raw, d: int):
-    if not isinstance(raw, dict):
-        raise InstanceError("'codomain' must be an object")
+def _build_codomain(operator: dict, d: int):
+    raw = _section(operator, "codomain") if "codomain" in operator else {}
     family = raw.get("family", "euclidean")
     if family == "euclidean":
         return EuclideanNorm(dim=d)
     if family == "lebesgue":
         weights = raw.get("weights")
         weights = np.ones(d) if weights is None else _vector(weights, "codomain weights")
-        try:
-            return WeightedLebesgue(space=MeasureSpace(weights=weights),
-                                    s=_real(_require(raw, "s"), "codomain s"))
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
+        return WeightedLebesgue(space=MeasureSpace(weights=weights),
+                                s=_real(_require(raw, "s"), "codomain s"))
     raise InstanceError(f"unknown codomain family {family!r}")
 
 
+@_instance_errors
 def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
-    raw = _require(doc, "operator")
-    if not isinstance(raw, dict):
-        raise InstanceError("'operator' must be an object with 'matrix'")
+    raw = _section(doc, "operator")
     rows = _require(raw, "matrix")
     if not isinstance(rows, (list, tuple)):
         raise InstanceError("operator matrix must be a list of rows")
     # the operator rejects an empty matrix and rows of unequal length
     rows = [_vector(row, f"operator matrix row {i}")
             for i, row in enumerate(rows)]
-    codomain = _build_codomain(raw.get("codomain", {"family": "euclidean"}),
-                               len(rows))
-    try:
-        return LinearOperator(matrix=rows, domain=X, codomain=codomain)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return LinearOperator(matrix=rows, domain=X,
+                          codomain=_build_codomain(raw, len(rows)))
 
 
+@_instance_errors
 def build_xi(doc: dict) -> DiscreteRadonMeasure:
     """The ``xi`` section as a measure of weight rows.
 
@@ -168,8 +264,8 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
     when the measure meets its base space in
     :class:`~latfact.snorm.SNormSpace`.
     """
-    raw = _require(doc, "xi")
-    if not (isinstance(raw, dict) and isinstance(raw.get("atoms"), list)):
+    raw = _section(doc, "xi")
+    if not isinstance(raw.get("atoms"), list):
         raise InstanceError("'xi' must be an object with a list 'atoms'")
     pairs = []
     for i, atom in enumerate(raw["atoms"]):
@@ -181,10 +277,114 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
     if not (normalized is None or isinstance(normalized, bool)):
         raise InstanceError(
             f"xi normalized must be true or false, got {normalized!r}")
-    try:
-        return DiscreteRadonMeasure.from_pairs(pairs, normalized=normalized)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return DiscreteRadonMeasure.from_pairs(pairs, normalized=normalized)
+
+
+def _weights_section(doc: dict) -> tuple:
+    """``g``, ``blocks`` and ``alpha`` of the ``dirac`` or ``partition`` section.
+
+    A dirac has no blocks and no masses.
+    """
+    if "dirac" in doc:
+        g = _vector(_require(_section(doc, "dirac"), "g"), "dirac g")
+        return g, None, None
+    if "partition" not in doc:
+        raise InstanceError(
+            "snorm-demo needs one of 'xi', 'dirac' or 'partition'")
+    part = _section(doc, "partition")
+    return (_vector(_require(part, "g"), "partition g"),
+            _blocks(_require(part, "blocks")),
+            _vector(_require(part, "alpha"), "partition alpha"))
+
+
+@_instance_errors
+def build_mixture(X: LatticeNorm, e: ExponentTriple, xi, g, blocks,
+                  alpha) -> SNormSpace:
+    """The mixture space of a parsed ``xi``, ``dirac`` or ``partition`` section.
+
+    ``xi`` is None for the other two, and ``blocks`` and ``alpha`` are
+    None for a dirac.
+
+    The constructors reject weights and masses that are not positive,
+    blocks that overlap, leave an atom uncovered, are empty or out of
+    range, and rows outside the dual ball.
+    """
+    if xi is not None:
+        return SNormSpace(base=X, e=e, xi=xi)
+    if blocks is None:
+        return dirac_space(X, e, g)
+    return partition_space(X, e, g, blocks, alpha)
+
+
+_SAMPLES = {"snorm-demo": 200, "factorize": 2000, "kakutani": 2048}
+
+
+def parse_fields(command: str, doc: dict) -> SimpleNamespace:
+    """Every field ``command`` reads from ``doc``, parsed, with its default.
+
+    The namespace holds the fields of the command's rows in the module
+    table, by name, and the objects built from them: ``space`` (the
+    domain), ``e``, ``operator`` and snorm-demo's ``mixture``, next to the
+    ``g``, ``blocks`` and ``alpha`` it came from (None for an ``xi``).
+    """
+    if command not in COMMANDS:
+        raise InstanceError(f"unknown command {command!r}")
+    f = SimpleNamespace(seed=_integer(doc.get("seed", 0), "seed", 0),
+                        tol=_real(doc.get("tol", 1e-6), "tol", above=0.0),
+                        budget=_integer(doc.get("budget", 40), "budget", 1))
+    if command in _SAMPLES:
+        f.samples = _integer(doc.get("samples", _SAMPLES[command]),
+                             "samples", 1)
+    if command == "lemma-verify":
+        return _lemma_fields(doc, f)
+    f.space = build_space(doc, build_measure(doc))
+    if command == "check-space":
+        f.p = None if "p" not in doc else _real(doc["p"], "p", at_least=1.0)
+        return f
+    f.e = build_exponents(doc)
+    if not (f.space.is_p_convex_one(f.e.p)
+            or (command == "constants" and f.e.is_extreme)):
+        raise InstanceError(f"space is not p-convex for p={f.e.p} "
+                            f"(s={f.space.s}); {command} needs p <= s")
+    if command in ("constants", "factorize"):
+        f.operator = build_operator(doc, f.space)
+    if command == "snorm-demo":
+        f.expect_saturated = doc.get("expect_saturated")
+        if not ("expect_saturated" not in doc
+                or isinstance(f.expect_saturated, bool)):
+            raise InstanceError("expect_saturated must be true or false, "
+                                f"got {f.expect_saturated!r}")
+        xi = build_xi(doc) if "xi" in doc else None
+        f.g, f.blocks, f.alpha = ((None,) * 3 if xi is not None
+                                  else _weights_section(doc))
+        f.mixture = build_mixture(f.space, f.e, xi, f.g, f.blocks, f.alpha)
+    return f
+
+
+def _lemma_fields(doc: dict, f: SimpleNamespace) -> SimpleNamespace:
+    """lemma-verify's fields; its brute-force grids must stay within the cap."""
+    pairs = doc.get("pairs")
+    f.count = _integer(doc.get("count", 100), "count", 1)
+    f.n_max = _integer(doc.get("n_max", 4), "n_max", 2)
+    f.m_max = _integer(doc.get("m_max", 3), "m_max", 1)
+    f.step = _real(doc.get("step", 1e-3), "step", above=0.0)
+    f.rel_tol = _real(doc.get("rel_tol", 1e-6), "rel_tol", above=0.0)
+    f.pairs = LEMMA_PAIRS if pairs is None else _exponent_pairs(pairs)
+    extremes = {ExponentTriple(p=p, q=q).is_extreme for p, q in f.pairs}
+    for m in range(1, f.m_max + 1):
+        size = max(brute_force_grid_size(m, f.step, x) for x in extremes)
+        if size > BRUTE_FORCE_GRID_CAP:
+            raise InstanceError(
+                f"step {f.step!r} and m_max {f.m_max} ask for a brute-force "
+                f"grid of {size} points at m = {m}, above the cap of "
+                f"{BRUTE_FORCE_GRID_CAP}")
+    return f
+
+
+def generator_settings(count, n, seed) -> tuple[int, int, int]:
+    """``generate``'s instance count (>= 1), atoms (1 to 12) and seed (>= 0)."""
+    return (_integer(count, "count", 1), _integer(n, "n", 1, 12),
+            _integer(seed, "seed", 0))
 
 
 def instance_to_doc(*, measure: MeasureSpace | None = None,

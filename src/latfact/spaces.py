@@ -69,6 +69,11 @@ def as_vector(f, n: int) -> np.ndarray:
     return arr
 
 
+def _scalar_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` by scalar ``pow``; numpy's array power can differ by an ulp."""
+    return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def power_mean(values, exponent: float,
                weights: np.ndarray) -> float | np.ndarray:
     """(sum |v|^e w)^(1/e), computed stably for large exponents.
@@ -84,8 +89,7 @@ def power_mean(values, exponent: float,
         m = v.max(axis=-1, initial=0.0)
         scaled = v / np.where(m > 0.0, m, 1.0)[..., None]
         dots = (scaled ** exponent)[..., None, :] @ np.asarray(weights)[:, None]
-        roots = [d ** (1.0 / exponent) for d in dots.ravel().tolist()]
-        return m * np.array(roots).reshape(m.shape)
+        return m * _scalar_pow(dots, 1.0 / exponent).reshape(m.shape)
     m = float(v.max(initial=0.0))
     if m == 0.0:
         return 0.0

@@ -157,6 +157,33 @@ class TestRunners:
         assert report["saturated"] is False
         assert report["saturation_witness_atom"] == 1
 
+    @pytest.mark.parametrize("key, section, builder, wrong", [
+        ("dirac", {"g": [0.25, 0.5]}, "dirac_space",
+         lambda build, X, e, g: build(X, e, g[::-1])),
+        ("partition", partition(alpha=[0.25, 0.75]), "partition_space",
+         lambda build, X, e, g, blocks, alpha: build(X, e, g, blocks,
+                                                     alpha[::-1]))])
+    def test_closed_form_identity_sees_a_mixture_built_wrong(
+            self, monkeypatch, key, section, builder, wrong):
+        import latfact.schemas
+        doc = dict(field_document(), **{key: section})
+        if key == "dirac":
+            del doc["partition"]
+
+        def closed_form(report):
+            return next(c for c in report["checks"]
+                        if c["name"] == "closed-form-identity")
+
+        status, report = run(Scenario(command="snorm-demo", instance=doc))
+        assert status == 0 and closed_form(report)["passed"]
+        build = getattr(latfact.schemas, builder)
+        monkeypatch.setattr(latfact.schemas, builder,
+                            lambda *args: wrong(build, *args))
+        status, report = run(Scenario(command="snorm-demo", instance=doc))
+        assert status == 1
+        assert not closed_form(report)["passed"]
+        assert closed_form(report)["worst"] > 1e-3
+
     def test_kakutani(self):
         doc = identity_instance(n=2, s=1.0, p=1.0, q=2.0)
         status, report = run(Scenario(command="kakutani", instance=doc))
@@ -213,7 +240,10 @@ class TestMainEntry:
         ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("tol", 0.0),
         ("tol", -1e-6), ("tol", float("inf")), ("tol", "small"),
         ("budget", 0), ("budget", -3), ("budget", 2.5), ("samples", 0),
-        ("samples", "many")])
+        ("samples", "many"),
+        # an integer beyond the float range is no finite number
+        pytest.param("seed", 10 ** 400, id="seed-beyond-float"),
+        pytest.param("tol", 10 ** 400, id="tol-beyond-float")])
     def test_invalid_knob_is_input_error(self, tmp_path, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(identity_instance(), **{key: value})))
@@ -265,6 +295,8 @@ class TestMainEntry:
         ("factorize", "p", True), ("factorize", "p", "1.5"),
         ("factorize", "measure", {"weights": ["1", "2"]}),
         ("check-space", "measure", {"weights": [1.0, True]}),
+        pytest.param("check-space", "measure", {"weights": [10 ** 400, 1.0]},
+                     id="check-space-weight-beyond-float"),
         ("factorize", "space", {"family": "lebesgue", "s": "2"}),
         ("factorize", "operator", {"matrix": [["1", 0.5], [0.0, 1.0]]}),
         ("factorize", "operator", {"matrix": [[1.0, 0.5], [0.0]]}),
@@ -287,6 +319,30 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         assert main([command, "--instance", str(path)]) == 2
         assert not (tmp_path / "bad.report.json").exists()
+
+    def test_fields_are_parsed_before_the_solve(self, tmp_path):
+        # a budget of one stops the solve unconverged, where the runner
+        # used to skip reading samples
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(field_document(), budget=1,
+                                        samples="many")))
+        assert main(["kakutani", "--instance", str(path)]) == 2
+        assert not (tmp_path / "bad.report.json").exists()
+
+    def test_samples_are_checked_before_factorize_solves(self, monkeypatch):
+        import latfact.cli
+        calls = []
+        solve = latfact.cli.find_domination_measure
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(latfact.cli, "find_domination_measure", spy)
+        with pytest.raises(InstanceError):
+            run(Scenario(command="factorize",
+                         instance=dict(identity_instance(), samples=0)))
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["check-space", "lemma-verify",
                                          "snorm-demo", "factorize",
@@ -347,14 +403,12 @@ class TestGenerate:
         assert list(tmp_path.iterdir()) == []
 
     def test_partition_xi_saturates(self, tmp_path):
-        from latfact.cli import _build_snorm
         paths = generate_instances("partition-xi", count=3, n=4, seed=3,
                                    out_dir=tmp_path)
         for p in paths:
             doc = load_instance(p)
             sc = Scenario(command="snorm-demo", instance=doc)
-            S = _build_snorm(sc)
-            assert S.saturated
+            assert sc.fields.mixture.saturated
 
     def test_empty_space_is_input_error(self, tmp_path):
         with pytest.raises(InstanceError):
@@ -362,6 +416,12 @@ class TestGenerate:
                                out_dir=tmp_path)
         assert main(["generate", "--kind", "random-operator", "--n", "0",
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("n", [2.5, True, 13])
+    def test_n_that_is_no_atom_count_is_input_error(self, tmp_path, n):
+        with pytest.raises(InstanceError):
+            generate_instances("lebesgue-space", 1, n, 0, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InstanceError):
