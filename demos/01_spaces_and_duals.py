@@ -8,9 +8,8 @@ Run:  python3 demos/01_spaces_and_duals.py
 import numpy as np
 
 from latfact import (MeasureSpace, WeightedLebesgue, extreme_dual_vectors,
-                     kothe_dual_norm, p_convexity_estimate, pth_power_norm,
-                     pth_power_space)
-from latfact.spaces import dual_norm_of_pth_power
+                     p_convexity_estimate, pth_power_norm)
+from latfact.spaces import dual_norm_of_pth_power, linear_sup_over_ball
 
 # ---------------------------------------------------------------------------
 # a measure space is just a vector of strictly positive atom weights,
@@ -30,17 +29,16 @@ print("a weighted 1-norm:", WeightedLebesgue(
 # ---------------------------------------------------------------------------
 print("\np-th power of the 2-norm at p=2 applied to (1, 3):",
       pth_power_norm(X, 2.0, [1.0, 3.0]))
-print("the same value via the halved-exponent space:",
-      pth_power_space(X, 2.0).norm([1.0, 3.0]))
 
 # ---------------------------------------------------------------------------
-# Köthe duals: closed conjugate-exponent forms for the Lebesgue family;
-# the numeric route exists for anything else and agrees to ~1e-7
+# Köthe duals (the dual of the p-th power at p = 1): closed
+# conjugate-exponent forms for the Lebesgue family; the numeric sup over
+# the unit ball exists for anything else and agrees to ~1e-7
 # ---------------------------------------------------------------------------
 h = np.array([3.0, 4.0])
 print("\ndual norm of (3, 4) against the 2-norm   closed:",
-      kothe_dual_norm(X, h, method="closed"),
-      "  numeric:", round(kothe_dual_norm(X, h, method="numeric"), 10))
+      dual_norm_of_pth_power(X, 1.0, h),
+      "  numeric:", round(linear_sup_over_ball(X, 1.0, h), 10))
 
 # ---------------------------------------------------------------------------
 # the positive dual unit ball of the p-th power space is where mixture

@@ -15,7 +15,7 @@ import numpy as np
 
 from latfact import (DiscreteRadonMeasure, ExponentTriple, MeasureSpace,
                      SNormSpace, WeightedLebesgue, dirac_space,
-                     inclusion_bound_check, partition_space, s_norm,
+                     inclusion_bound_check, partition_space,
                      xi_saturation_check)
 
 mu = MeasureSpace(weights=np.ones(2))
@@ -27,7 +27,7 @@ e = ExponentTriple(p=1.0, q=2.0)
 # L^p norm with that weight, whatever q is
 # ---------------------------------------------------------------------------
 D = dirac_space(X, e, np.array([1.0, 1.0]))
-print("single-weight mixture of (2, 3):", s_norm(D, [2.0, 3.0]),
+print("single-weight mixture of (2, 3):", D.seminorm([2.0, 3.0]),
       "  weighted L^1 value:", 5.0)
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ P = partition_space(X, e, np.array([1.0, 1.0]), [[0], [1]], [0.5, 0.5])
 f = np.array([1.0, 1.0])
 blocks = ((0.5, 1.0), (0.5, 1.0))  # (mass, block integral of |f| g dmu)
 mixed = sum(a * v ** e.q for a, v in blocks) ** (1.0 / e.q)
-print("\npartition mixture of (1, 1):", s_norm(P, f),
+print("\npartition mixture of (1, 1):", P.seminorm(f),
       "  mixed-norm formula:", mixed)
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ xi = DiscreteRadonMeasure.from_pairs([(np.array([1.0, 0.0]), 1.0)])
 S = SNormSpace(base=X, e=e, xi=xi)
 ok, witness = xi_saturation_check(S)
 print("\nboundary mixture saturated?", ok, " witness atom:", witness)
-print("seminorm of the nonzero function (0, 5):", s_norm(S, [0.0, 5.0]))
+print("seminorm of the nonzero function (0, 5):", S.seminorm([0.0, 5.0]))
 try:
     S.norm([1.0, 1.0])
 except Exception as exc:
@@ -58,6 +58,6 @@ except Exception as exc:
 # probability mixtures always sit below the base norm: the observed
 # ratio over random samples never exceeds total_mass^(1/q) = 1
 # ---------------------------------------------------------------------------
-ratio = inclusion_bound_check(P, samples=2000, seed=0)
+ratio, _ = inclusion_bound_check(P, samples=2000, seed=0)
 print("\nlargest mixture/base ratio over 2000 samples:", round(ratio, 9),
       " (bound 1.0)")

@@ -20,9 +20,9 @@ Run:  python3 demos/04_domination_certificates.py
 import numpy as np
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
-                     MeasureSpace, SNormSpace, WeightedLebesgue,
-                     collapse_weight, find_domination_measure,
-                     identity_operator, s_norm, verify_domination)
+                     MeasureSpace, WeightedLebesgue, collapse_weight,
+                     find_domination_measure, identity_operator,
+                     verify_domination)
 
 
 def show(cert, label):
@@ -75,12 +75,12 @@ T = LinearOperator(matrix=rng.normal(size=(3, 3)), domain=X3,
                    codomain=EuclideanNorm(dim=3))
 cert_r = find_domination_measure(T, e12, seed=5)
 show(cert_r, "\nrandom 3x3 operator, p = 1, q = 2")
-residual = verify_domination(cert_r, T, e12, sample_count=10000, seed=99)
+residual = verify_domination(cert_r, T, sample_count=10000, seed=99)
 print(f"    fresh-sample residual over 10^4 draws: {residual:.3e}")
 
 # replay one stored witness by hand
-S = SNormSpace(base=X3, e=e12, xi=cert_r.xi)
+S = cert_r.snorm_space(X3)
 wit = cert_r.witnesses[-1]
 print("    witness replay: |Tf| =",
-      round(float(np.linalg.norm(T.apply(wit))), 8),
-      " C * mixture(f) =", round(cert_r.C * s_norm(S, wit), 8))
+      round(float(np.linalg.norm(T.matrix @ wit)), 8),
+      " C * mixture(f) =", round(cert_r.C * S.seminorm(wit), 8))

@@ -14,8 +14,8 @@ Run:  python3 demos/05_renorming_equivalence.py
 import numpy as np
 
 from latfact import (ExponentTriple, MeasureSpace, WeightedLebesgue,
-                     find_domination_measure, identity_operator,
-                     kakutani_equivalence, pq_concavity_estimate)
+                     identity_operator, kakutani_equivalence,
+                     pq_concavity_estimate)
 
 mu = MeasureSpace(weights=np.ones(2))
 e = ExponentTriple(p=1.0, q=2.0)
@@ -24,7 +24,7 @@ e = ExponentTriple(p=1.0, q=2.0)
 # matching exponent: the mixture norm equals the original norm
 # ---------------------------------------------------------------------------
 X1 = WeightedLebesgue(space=mu, s=1.0)
-xi, lower, upper = kakutani_equivalence(X1, e, seed=0)
+cert1, lower, upper = kakutani_equivalence(X1, e, seed=0)
 print("s = p = 1:   lower constant", round(lower, 10),
       "  upper constant", round(upper, 10))
 
@@ -34,7 +34,7 @@ print("s = p = 1:   lower constant", round(lower, 10),
 # disjointly supported pair already forces up to 2^(1/p - 1/s)
 # ---------------------------------------------------------------------------
 Xs = WeightedLebesgue(space=mu, s=1.5)
-xi, lower, upper = kakutani_equivalence(Xs, e, seed=0)
+_, lower, upper = kakutani_equivalence(Xs, e, seed=0)
 mpq = pq_concavity_estimate(identity_operator(Xs), e, budget=12, seed=0).value
 print("\ns = 1.5:     lower constant", round(lower, 10),
       "  upper constant", round(upper, 10))
@@ -43,9 +43,9 @@ print("             disjoint-pair lower bound 2^(1/p - 1/s):",
       round(2.0 ** (1.0 - 1.0 / 1.5), 10))
 
 # ---------------------------------------------------------------------------
-# the smallest certified constant for an operator: the solver returns the
-# grid-minimal constant directly, up to the factor 1 + tol
+# the renorming's certificate holds the smallest certified constant for
+# the identity: the solver returns the grid-minimal constant directly, up
+# to the factor 1 + tol
 # ---------------------------------------------------------------------------
-cert = find_domination_measure(identity_operator(X1), e, seed=0)
 print("\nminimal certified constant for the identity on the 1-norm:",
-      round(cert.C, 8))
+      round(cert1.C, 8))

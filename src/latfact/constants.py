@@ -32,14 +32,13 @@ from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _dual_is_cube,
-                     _family_stack, _scalar_pow, _unstack, as_vector,
-                     dual_norm_rows, extreme_dual_vectors,
-                     lattice_aggregate_norm, power_mean, power_mean_rows)
+                     _family_stack, _scalar_pow, _unstack, dual_norm_rows,
+                     extreme_dual_vectors, lattice_aggregate_norm, power_mean,
+                     power_mean_rows)
 
 __all__ = [
     "EuclideanNorm",
     "LinearOperator",
-    "lattice_aggregate_norm",
     "family_sup_lhs",
     "family_sup_rhs",
     "attainment_point",
@@ -121,15 +120,6 @@ class LinearOperator:
     @property
     def n(self) -> int:
         return int(self.matrix.shape[1])
-
-    def apply(self, f) -> np.ndarray:
-        return self.matrix @ as_vector(f, self.n)
-
-    def codomain_norm(self, v) -> float:
-        return self.codomain.norm(v)
-
-    def codomain_norm_rows(self, V) -> np.ndarray:
-        return self.codomain.norm_rows(V)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearOperator)
@@ -663,7 +653,7 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
 
 def _image_q_sum(T: LinearOperator, F: np.ndarray, q: float) -> np.ndarray:
     """``(sum_i ‖T f_i‖^q)^{1/q}`` for each family of a stack ``(K, m, n)``."""
-    norms = T.codomain_norm_rows(F @ T.matrix.T)
+    norms = T.codomain.norm_rows(F @ T.matrix.T)
     return _scalar_pow((norms ** q).sum(axis=1), 1.0 / q)
 
 
@@ -704,7 +694,7 @@ def _norm_maximisers(T: LinearOperator, Y: LatticeNorm) -> np.ndarray | None:
     """
     if _dual_is_cube(Y, 1.0):
         vertices = np.diag(1.0 / Y.space.weights)
-        norms = T.codomain_norm_rows(vertices @ T.matrix.T)
+        norms = T.codomain.norm_rows(vertices @ T.matrix.T)
         return vertices[np.argsort(-norms, kind="stable")]
     if (isinstance(Y, WeightedLebesgue) and Y.s == 2.0
             and isinstance(T.codomain, EuclideanNorm)):
@@ -719,7 +709,7 @@ def _image_norm(T: LinearOperator):
     """``‖Tf‖`` per row and its gradient: the objective of every
     operator-norm ascent, whatever sphere it runs on."""
     def value_rows(F: np.ndarray) -> np.ndarray:
-        return T.codomain_norm_rows(F @ T.matrix.T)
+        return T.codomain.norm_rows(F @ T.matrix.T)
 
     def grad_rows(F: np.ndarray) -> np.ndarray:
         return T.codomain.norm_grad_rows(F @ T.matrix.T) @ T.matrix
@@ -796,8 +786,8 @@ def q_summing_estimate(T: LinearOperator, q: float, budget: int = 16,
                             budget_used=int(budget))
 
 
-# slack of the chain check relative to its largest value, for the error of
-# the numeric denominators
+# slack of the chain check relative to its largest value, pi_q, for the
+# error of the numeric denominators
 _CHAIN_SLACK = 1e-6
 
 
@@ -842,7 +832,7 @@ def constant_chain_report(T: LinearOperator, e: ExponentTriple,
                                                 seed=base + [4]),
                       "M_pq", "pi_q", fam_mpq + fam_mq + singleton))
 
-    slack = _CHAIN_SLACK * max(v3, 1.0)
+    slack = _CHAIN_SLACK * v3
     chain_ok = v0 <= v1 + slack and v1 <= v2 + slack and v2 <= v3 + slack
     return {
         "estimates": {

@@ -48,12 +48,6 @@ class ConstantEstimate:
     witness: tuple[np.ndarray, ...]
     budget_used: int
 
-    @property
-    def witness_matrix(self) -> np.ndarray:
-        if not self.witness:
-            return np.zeros((0, 0))
-        return np.vstack(self.witness)
-
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,

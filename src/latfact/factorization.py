@@ -51,7 +51,6 @@ from .spaces import (ExponentTriple, LatticeNorm, dual_norm_of_pth_power,
                      pairings)
 
 __all__ = [
-    "SolverConvergenceError",
     "DominationCertificate",
     "default_domination_grid",
     "violation_oracle",
@@ -65,16 +64,14 @@ __all__ = [
 # with one cut per violating sign pattern a round, curved q > p solves take
 # a few hundred LP solves at n <= 6 and about 1100 at n = 8
 _MAX_LP_SOLVES = 2000
+# canonical starts per sign pattern of the oracle's ascent route
+_ORACLE_STARTS = 16
 # how an unbounded violation reads in certificates and reports, which hold
 # finite numbers only
 _UNBOUNDED = float(np.finfo(float).max)
 # why a solve stopped: the oracle found no violation above tol, the oracle
 # budget ran out, or the loop ran through _MAX_LP_SOLVES LP solves
 STOP_REASONS = ("converged", "budget", "lp-limit")
-
-
-class SolverConvergenceError(RuntimeError):
-    """The cutting-plane solve ended without a certified mixture."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +112,7 @@ class DominationCertificate:
 
     def to_jsonable(self) -> dict:
         return {
-            "xi": {
-                "atoms": [{"h": [float(x) for x in h], "mass": float(m)}
-                          for h, m in zip(self.xi.atoms, self.xi.masses)],
-                "normalized": bool(self.xi.normalized),
-            },
+            "xi": self.xi.to_jsonable(),
             "C": float(self.C),
             "residual": float(self.residual),
             "iterations": int(self.iterations),
@@ -142,7 +135,7 @@ def default_domination_grid(X: LatticeNorm, e: ExponentTriple) -> np.ndarray:
 
 
 def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
-                     budget: int = 16, seed=0) -> tuple[np.ndarray, np.ndarray]:
+                     seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Most violating functions at constant C, on the unit sphere of s.
 
     A violation is ``‖Tf‖^q - C^q`` at ``s(f) = 1``, that is
@@ -170,7 +163,7 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
     Cq = float(C) ** q
     exact = _norm_maximisers(T, _collapsed_mixture(S))
     if exact is not None:
-        return exact, T.codomain_norm_rows(exact @ T.matrix.T) ** q - Cq
+        return exact, T.codomain.norm_rows(exact @ T.matrix.T) ** q - Cq
     E = np.eye(T.n)
     unseen = E[T.matrix.any(axis=0) & ~S.xi.atoms.any(axis=0)]
     if len(unseen):
@@ -187,7 +180,7 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
         return G
 
     i, j = np.triu_indices(T.n, 1)
-    A0 = np.vstack([signed_starts(T.n, max(4, int(budget)), seed),
+    A0 = np.vstack([signed_starts(T.n, _ORACLE_STARTS, seed),
                     E[i] + E[j], E[i] - E[j]])
     A, vals = projected_ascent(value_rows, grad_rows,
                                lambda B: unit_rows(B, S.seminorm_rows), A0,
@@ -244,7 +237,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     seeds = list(opn_seed.witness)
     seeds.extend(unit_rows(rng.normal(size=(2, T.n)), X.norm_rows))
     W = unit_rows(np.vstack(seeds), X.norm_rows)
-    bvec = T.codomain_norm_rows(W @ T.matrix.T) ** e.q
+    bvec = T.codomain.norm_rows(W @ T.matrix.T) ** e.q
     Phi = pairings(X, e.p, W, H) ** e.t
 
     lp_values: list[float] = []
@@ -292,8 +285,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         target = C_lp * (1.0 + tol)
         keep = xi_weights > 1e-14
         measure = DiscreteRadonMeasure(
-            atoms=H[keep], masses=xi_weights[keep] / xi_weights[keep].sum(),
-            normalized=True)
+            atoms=H[keep], masses=xi_weights[keep] / xi_weights[keep].sum())
         S = SNormSpace(base=X, e=e, xi=measure)
         F_star, values = violation_oracle(T, S, target,
                                           seed=base + [211 + oracle_calls])
@@ -306,7 +298,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         # every violating row of the round is a cut, on the domain sphere
         cuts = unit_rows(F_star[values > tol * Cq], X.norm_rows)
         W = np.vstack([W, cuts])
-        bvec = np.append(bvec, T.codomain_norm_rows(cuts @ T.matrix.T) ** e.q)
+        bvec = np.append(bvec, T.codomain.norm_rows(cuts @ T.matrix.T) ** e.q)
         Phi = np.vstack([Phi, pairings(X, e.p, cuts, H) ** e.t])
         witness_cap = t
         warm = None
@@ -326,8 +318,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         C = C * (1.0 + eps) ** (1.0 / e.q)
 
     kept_masses = kept_masses / kept_masses.sum()
-    final_xi = DiscreteRadonMeasure(atoms=atoms, masses=kept_masses,
-                                    normalized=True)
+    final_xi = DiscreteRadonMeasure(atoms=atoms, masses=kept_masses)
 
     return DominationCertificate(
         xi=final_xi, C=float(C), residual=float(residual),
@@ -337,8 +328,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
 
 
 def verify_domination(cert: DominationCertificate, T: LinearOperator,
-                      e: ExponentTriple, sample_count: int = 10000,
-                      seed=0) -> float:
+                      sample_count: int = 10000, seed=0) -> float:
     """Largest value of ``(‖Tf‖ / (C s(f)))^q - 1`` on fresh samples.
 
     Samples are drawn on the domain's unit sphere independently of the
@@ -349,18 +339,18 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     float.
     """
     X = T.domain
-    S = SNormSpace(base=X, e=e, xi=cert.xi)
+    S = cert.snorm_space(X)
     rng = np.random.default_rng([83, *seed_list(seed)])
     F = rng.normal(size=(int(sample_count), T.n))
     F = unit_rows(F, X.norm_rows)
     if cert.witnesses:
         F = np.vstack([F, np.vstack(cert.witnesses)])
-    image = T.codomain_norm_rows(F @ T.matrix.T)
+    image = T.codomain.norm_rows(F @ T.matrix.T)
     bound = cert.C * S.seminorm_rows(F)
     # inf where bound = 0 < image, and 0 where both vanish
     ratio = np.divide(image, bound, where=bound > 0.0,
                       out=np.where(image > 0.0, np.inf, 0.0))
-    return min(float(np.max(ratio ** e.q)) - 1.0, _UNBOUNDED)
+    return min(float(np.max(ratio ** cert.exponents.q)) - 1.0, _UNBOUNDED)
 
 
 def collapse_weight(cert: DominationCertificate) -> np.ndarray:
@@ -376,7 +366,7 @@ def collapse_weight(cert: DominationCertificate) -> np.ndarray:
 
 
 def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
-                            budget: int = 16, seed=0) -> float:
+                            seed=0) -> float:
     """Lower bound on ``sup { ‖Tf‖ : s(f) = 1 }`` (the extended operator norm).
 
     It is ``‖Tf‖`` on the best row of :func:`violation_oracle` at ``C = 0``,
@@ -388,8 +378,8 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
     """
     if not S.saturated:
         raise ValueError("extension norm needs a saturated mixture")
-    F, _ = violation_oracle(T, S, 0.0, budget, seed)
-    return float(T.codomain_norm_rows(F[:1] @ T.matrix.T)[0])
+    F, _ = violation_oracle(T, S, 0.0, seed)
+    return float(T.codomain.norm_rows(F[:1] @ T.matrix.T)[0])
 
 
 def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,
@@ -400,15 +390,14 @@ def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,
     Runs the domination solve on the identity and samples the two-sided
     comparison ``a * s(f) <= ‖f‖_X <= b * s(f)``.  For probability
     mixtures ``a >= 1``; ``b`` is within the certificate constant.
-    Returns ``(xi, a, b)``.
+    Returns ``(cert, a, b)``; ``a`` and ``b`` are None when the solve did
+    not converge, and ``cert.stop`` says why.
     """
-    T = identity_operator(X)
-    cert = find_domination_measure(T, e, tol=tol, budget=budget, seed=seed)
+    cert = find_domination_measure(identity_operator(X), e, tol=tol,
+                                   budget=budget, seed=seed)
     if not cert.converged:
-        raise SolverConvergenceError(
-            "identity domination solve did not converge; "
-            f"relative residual {cert.residual:.3e}")
-    return (cert.xi, *_equivalence_range(cert, X, samples, seed))
+        return cert, None, None
+    return (cert, *_equivalence_range(cert, X, samples, seed))
 
 
 def _equivalence_range(cert: DominationCertificate, X: LatticeNorm,
@@ -417,7 +406,7 @@ def _equivalence_range(cert: DominationCertificate, X: LatticeNorm,
 
     Taken over seeded unit-sphere samples and the certificate's witnesses.
     """
-    S = SNormSpace(base=X, e=cert.exponents, xi=cert.xi)
+    S = cert.snorm_space(X)
     rng = np.random.default_rng([97, *seed_list(seed)])
     F = unit_rows(rng.normal(size=(int(samples), X.n)), X.norm_rows)
     if cert.witnesses:

@@ -31,7 +31,7 @@ budget it ran with.
     xi                {"atoms": [{"h": [h >= 0],      one of the   S
                                   "mass": m > 0}],    three
                        "normalized": true or false,   sections
-                       default true iff the masses sum to one}
+                       optional}
     dirac             {"g": [g > 0], one per atom}                 S
     partition         {"g": [g > 0], one per atom,                 S
                        "blocks": [[integer atom index]],
@@ -52,7 +52,10 @@ bounds the p-convexity constant, and snorm-demo checks the saturation,
 only when ``p`` or ``expect_saturated`` is given.  snorm-demo reads
 ``xi`` when given, else ``dirac``, else ``partition``.
 The blocks are nonempty, disjoint and cover every atom, and the ``xi``
-atoms lie in the positive dual unit ball of the domain.  constants (when
+atoms lie in the positive dual unit ball of the domain.  ``normalized``
+is a checked claim: true exactly when the masses sum to one within
+1e-12, the rule :attr:`~latfact.snorm.DiscreteRadonMeasure.normalized`
+reads off the masses.  constants (when
 q > p), snorm-demo, factorize and kakutani need a p-convex domain,
 p <= s.  lemma-verify refuses a ``step`` and ``m_max`` whose brute-force
 grid holds more than 10^6 points.
@@ -262,7 +265,8 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
 
     Whether the rows lie in the dual unit ball of the domain is checked
     when the measure meets its base space in
-    :class:`~latfact.snorm.SNormSpace`.
+    :class:`~latfact.snorm.SNormSpace`.  A ``normalized`` claim must agree
+    with the masses.
     """
     raw = _section(doc, "xi")
     if not isinstance(raw.get("atoms"), list):
@@ -277,7 +281,11 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
     if not (normalized is None or isinstance(normalized, bool)):
         raise InstanceError(
             f"xi normalized must be true or false, got {normalized!r}")
-    return DiscreteRadonMeasure.from_pairs(pairs, normalized=normalized)
+    xi = DiscreteRadonMeasure.from_pairs(pairs)
+    if normalized is not None and normalized != xi.normalized:
+        raise InstanceError(f"xi normalized is {normalized}, but the masses "
+                            f"sum to {xi.total_mass}")
+    return xi
 
 
 def _weights_section(doc: dict) -> tuple:
@@ -418,11 +426,7 @@ def instance_to_doc(*, measure: MeasureSpace | None = None,
             "codomain": codomain_doc,
         }
     if xi is not None:
-        doc["xi"] = {
-            "atoms": [{"h": [float(x) for x in h], "mass": float(m)}
-                      for h, m in zip(xi.atoms, xi.masses)],
-            "normalized": bool(xi.normalized),
-        }
+        doc["xi"] = xi.to_jsonable()
     if extra:
         doc.update(extra)
     return doc

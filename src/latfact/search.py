@@ -13,7 +13,7 @@ for ``factorization.violation_oracle``, the one search for the extension
 norm (``factorization.extension_norm_estimate`` is that search at
 ``C = 0``).  It also runs the dual-sphere suprema of ``constants._weak_q``
 and the polish of ``constants._curved_dual_sup``, and the linear suprema
-of ``spaces._linear_sup_over_ball`` behind the numeric Köthe duals.  It
+of ``spaces.linear_sup_over_ball`` behind the numeric Köthe duals.  It
 iterates only live rows: a row whose line search finds no gain is never
 recomputed.  The violation oracle ascends with ``keep_signs``, so entries
 stop at zero and its rows can settle on the faces where the seminorm's

@@ -32,11 +32,9 @@ __all__ = [
     "LatticeNorm",
     "WeightedLebesgue",
     "ExponentTriple",
-    "norm",
     "pth_power_norm",
-    "pth_power_space",
     "lattice_aggregate_norm",
-    "kothe_dual_norm",
+    "linear_sup_over_ball",
     "dual_norm_rows",
     "dual_norm_of_pth_power",
     "pairings",
@@ -145,9 +143,6 @@ class MeasureSpace:
     def n(self) -> int:
         return int(self.weights.shape[0])
 
-    def integrate(self, f) -> float:
-        return float(np.dot(as_vector(f, self.n), self.weights))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MeasureSpace) and np.array_equal(self.weights, other.weights)
 
@@ -243,26 +238,6 @@ class ExponentTriple:
         return self.q / self.p
 
 
-def norm(X: LatticeNorm, f) -> float:
-    """Evaluate ``‖f‖_X``; zero exactly when ``f`` vanishes (saturated norms)."""
-    return X.norm(f)
-
-
-def pth_power_space(X: LatticeNorm, p: float) -> LatticeNorm:
-    """The lattice norm ``f -> ‖|f|^{1/p}‖_X^p`` as a first-class space.
-
-    Closed form for the weighted Lebesgue family (exponent drops to
-    ``s/p``); other variants have no registered closed form.
-    """
-    if not X.is_p_convex_one(p):
-        raise NotPConvexError(
-            f"space is not p-convex with constant one for p={p}")
-    if isinstance(X, WeightedLebesgue):
-        return WeightedLebesgue(X.space, X.s / p)
-    raise TypeError(
-        "no closed p-th power for this norm family; use pth_power_norm")
-
-
 def pth_power_norm(X: LatticeNorm, p: float, f) -> float:
     """``‖|f|^{1/p}‖_X^p``, a norm whenever X is p-convex with constant one."""
     if not X.is_p_convex_one(p):
@@ -287,8 +262,8 @@ def lattice_aggregate_norm(X: LatticeNorm, F, t: float) -> float | np.ndarray:
     return _unstack(np.array([X.norm(a) for a in agg]), single)
 
 
-def _linear_sup_over_ball(X: LatticeNorm, p: float, h: np.ndarray) -> float:
-    """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖_{X_p} <= 1}``.
+def linear_sup_over_ball(X: LatticeNorm, p: float, h) -> float:
+    """sup of ``∫ |h| f dμ`` over ``{f >= 0 : ‖f‖_{X_p} <= 1}``, numerically.
 
     Candidates: every indicator (corner attainment, exact for sup-norm
     duals), the power profiles of ``|h| μ`` and ``|h|`` (which contain the
@@ -297,9 +272,11 @@ def _linear_sup_over_ball(X: LatticeNorm, p: float, h: np.ndarray) -> float:
     four along the sphere, projecting out a one-sided finite-difference
     gradient of the norm.  Linear objective over a convex ball, so every
     evaluation is a certified lower bound; tight to about 1e-9 on the norms
-    exercised here.
+    exercised here.  It is the dual norm of the spaces without a closed
+    form in :func:`dual_norm_rows`; on a weighted Lebesgue space it audits
+    the closed form.
     """
-    density = np.abs(h)
+    density = np.abs(as_vector(h, X.n))
     g = density * X.space.weights
     if not np.any(g > 0):
         return 0.0
@@ -355,14 +332,14 @@ def dual_norm_rows(X: LatticeNorm, p: float, H) -> float | np.ndarray:
     through :func:`power_mean`, and a stack takes
     ``(|H|^sigma' μ)^(1/sigma')`` up to ``sigma' = 64`` and the scaled
     :func:`power_mean_rows` above.  Other spaces run the numeric sup of
-    :func:`_linear_sup_over_ball` row by row, a lower bound tight to about
+    :func:`linear_sup_over_ball` row by row, a lower bound tight to about
     1e-9.  Raises :class:`NotPConvexError` when X is not p-convex.
     """
     H = np.asarray(H, dtype=float)
     if _dual_is_cube(X, p):
         norms = np.abs(H).max(axis=-1, initial=0.0)
     elif not isinstance(X, WeightedLebesgue):
-        norms = np.array([_linear_sup_over_ball(X, p, h)
+        norms = np.array([linear_sup_over_ball(X, p, h)
                           for h in H.reshape(-1, X.n)]).reshape(H.shape[:-1])
     else:
         sigma = X.s / p
@@ -382,25 +359,11 @@ def pairings(X: LatticeNorm, p: float, F, H) -> np.ndarray:
     return np.maximum((np.abs(F) ** p * X.space.weights) @ H.T, 0.0)
 
 
-def kothe_dual_norm(X: LatticeNorm, h, method: str = "auto") -> float:
-    """Köthe-dual norm ``sup {∫|h f| dμ : ‖f‖_X <= 1}``.
-
-    :func:`dual_norm_rows` at ``p = 1``.  ``method="numeric"`` runs the
-    numeric sup of other variants on a weighted Lebesgue space too, which
-    audits it against the closed form at 1e-7.
-    """
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown dual-norm method {method!r}")
-    h = as_vector(h, X.n)
-    if method == "closed" and not isinstance(X, WeightedLebesgue):
-        raise ValueError("closed-form dual norm only for WeightedLebesgue")
-    if method == "numeric":
-        return _linear_sup_over_ball(X, 1.0, h)
-    return dual_norm_rows(X, 1.0, h)
-
-
 def dual_norm_of_pth_power(X: LatticeNorm, p: float, h) -> float:
-    """Norm of one vector ``h`` in the Köthe dual of the p-th power of X."""
+    """Norm of one vector ``h`` in the Köthe dual of the p-th power of X.
+
+    At ``p = 1`` it is the Köthe-dual norm ``sup {∫|h f| dμ : ‖f‖_X <= 1}``.
+    """
     return dual_norm_rows(X, p, as_vector(h, X.n))
 
 

@@ -15,23 +15,25 @@ from .spaces import ExponentTriple, MeasureSpace, WeightedLebesgue
 __all__ = [
     "LEMMA_PAIRS",
     "random_lebesgue_space",
-    "lemma_instance",
     "lemma_instances",
     "operator_suite",
     "random_operator",
-    "rank_one_functional",
     "random_partition_doc",
 ]
 
 LEMMA_PAIRS = ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 3.0))
 
 
-def random_lebesgue_space(n: int, seed, s: float | None = None,
-                          p: float = 1.0) -> WeightedLebesgue:
+def random_lebesgue_space(n: int, seed,
+                          s: float | None = None) -> WeightedLebesgue:
+    """Seeded weights in [0.5, 2]; ``s`` drawn from [1, 1.8) when not given.
+
+    Half the draws sit exactly at ``s = 1``.
+    """
     rng = np.random.default_rng([103, *seed_list(seed)])
     space = MeasureSpace(weights=rng.uniform(0.5, 2.0, size=n))
     if s is None:
-        s = p if rng.random() < 0.5 else p * rng.uniform(1.0, 1.8)
+        s = 1.0 if rng.random() < 0.5 else rng.uniform(1.0, 1.8)
     return WeightedLebesgue(space=space, s=float(s))
 
 

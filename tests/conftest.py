@@ -32,4 +32,4 @@ def two_atom_space(X, e):
     G = np.array([np.linspace(1.0, 0.3, X.n), np.linspace(0.3, 1.0, X.n)])
     G /= dual_norm_rows(X, e.p, G)[:, None]
     return SNormSpace(base=X, e=e, xi=DiscreteRadonMeasure(
-        atoms=G, masses=[0.4, 0.6], normalized=True))
+        atoms=G, masses=[0.4, 0.6]))

@@ -15,7 +15,7 @@ from latfact import (ExponentTriple, SNormSpace, brute_force_family_sup,
                      collapse_weight, constant_chain_report, dirac_space,
                      family_sup_rhs, attainment_point, find_domination_measure,
                      identity_operator, kakutani_equivalence, partition_space,
-                     q_summing_estimate, s_norm, verify_domination,
+                     q_summing_estimate, verify_domination,
                      xi_saturation_check)
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import extreme_dual_vectors
@@ -123,9 +123,9 @@ def test_criterion_4_saturation_counterexample():
     S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
     f = np.array([0.0, 5.0])  # nonzero, supported on the annihilated atom
     ok, witness = xi_saturation_check(S)
-    passed = (not ok) and witness == 1 and s_norm(S, f) == 0.0 and f[1] != 0.0
+    passed = (not ok) and witness == 1 and S.seminorm(f) == 0.0 and f[1] != 0.0
     report(4, passed,
-           f"seminorm of nonzero f is {s_norm(S, f)}, witness atom {witness}")
+           f"seminorm of nonzero f is {S.seminorm(f)}, witness atom {witness}")
 
 
 def test_criterion_5_mixture_norm_properties():
@@ -204,7 +204,7 @@ def test_criterion_7_solver_soundness(suite_certificates):
             all_ok = False
             print(f"    solver did not converge on {name} at ({p}, {q})")
             continue
-        residual = verify_domination(cert, T, e, sample_count=10000, seed=777)
+        residual = verify_domination(cert, T, sample_count=10000, seed=777)
         worst = max(worst, residual)
         ok, _ = xi_saturation_check(SNormSpace(base=T.domain, e=e, xi=cert.xi))
         all_ok &= ok and residual <= TOL

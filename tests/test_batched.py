@@ -239,10 +239,10 @@ class TestProjectedAscent:
             T = lebesgue_target(T, target)
         # a two-atom q > p mixture takes the oracle's ascent route
         S = two_atom_space(T.domain, ExponentTriple(p=1.0, q=2.0))
-        F, values = violation_oracle(T, S, C=C, budget=8, seed=1)
+        F, values = violation_oracle(T, S, C=C, seed=1)
         monkeypatch.setattr(factorization, "projected_ascent",
                             reference_projected_ascent)
-        ref_F, ref_values = violation_oracle(T, S, C=C, budget=8, seed=1)
+        ref_F, ref_values = violation_oracle(T, S, C=C, seed=1)
         assert values[0] == ref_values[0]
         assert np.array_equal(F[0], ref_F[0])
 
@@ -272,7 +272,7 @@ class TestDistinctStarts:
 
         def searches():
             est = operator_norm_estimate(T, budget=budget, seed=2)
-            F, values = violation_oracle(T, S, C=C, budget=budget, seed=2)
+            F, values = violation_oracle(T, S, C=C, seed=2)
             return (est.value, est.witness[0].tobytes(), values[0],
                     F[0].tobytes())
 

@@ -30,6 +30,26 @@ def partition(**fields) -> dict:
                 **fields)
 
 
+def chain_document(c: float = 1.0) -> dict:
+    """A two-atom L^3 constants document whose matrix is scaled by ``c``."""
+    matrix = [[0.4649346615936955, -0.1876959239812762],
+              [0.40171483122061635, -0.7794912023061084]]
+    return {"schema": SCHEMA_ID,
+            "measure": {"weights": [0.540828613577182, 1.9592748308756534]},
+            "space": {"family": "lebesgue", "s": 3.0}, "p": 1.0, "q": 2.0,
+            "operator": {"matrix": [[c * a for a in row] for row in matrix],
+                         "codomain": {"family": "euclidean"}},
+            "seed": 0, "budget": 3}
+
+
+def admitted_mixture_document() -> dict:
+    """An L^1 mixture whose one atom sits inside the dual-ball slack."""
+    return {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 1.0]},
+            "space": {"family": "lebesgue", "s": 1.0}, "p": 1.0, "q": 2.0,
+            "xi": {"atoms": [{"h": [1.0000000005, 1.0000000005],
+                              "mass": 100.0}]}}
+
+
 def field_document() -> dict:
     """A document every command accepts: p-convex domain, operator, mixture."""
     return {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 2.0]},
@@ -115,15 +135,8 @@ class TestRunners:
         # the curved M_pq denominator is a local fixed point here, so the
         # M_pq witness ratio ends above the pi_q estimate (ROADMAP item 1);
         # once that is mended the chain holds and the report passes
-        doc = {"schema": SCHEMA_ID,
-               "measure": {"weights": [0.540828613577182, 1.9592748308756534]},
-               "space": {"family": "lebesgue", "s": 3.0}, "p": 1.0, "q": 2.0,
-               "operator": {"matrix": [[0.4649346615936955, -0.1876959239812762],
-                                       [0.40171483122061635, -0.7794912023061084]],
-                            "codomain": {"family": "euclidean"}},
-               "seed": 0, "budget": 3}
         path = tmp_path / "chain.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(chain_document()))
         out = tmp_path / "chain.report.json"
         status = main(["constants", "--instance", str(path),
                        "--out", str(out)])
@@ -131,11 +144,52 @@ class TestRunners:
         ok = report["chain_report"]["chain_ok"]
         chain = report["checks"][0]["chain"]
         values = [chain[k] for k in ("operator_norm", "M_q", "M_pq", "pi_q")]
-        slack = report["chain_report"]["slack"] * max(values[-1], 1.0)
+        slack = report["chain_report"]["slack"] * values[-1]
         assert ok == all(a <= b + slack for a, b in zip(values, values[1:]))
         assert report["checks"][0]["passed"] == ok
         assert report["status"] == ("pass" if ok else "fail")
         assert status == (0 if ok else 1)
+
+    def test_chain_verdict_does_not_depend_on_the_scale(self):
+        # the slack is relative to pi_q, so scaling T by c scales every
+        # chain value and the slack alike
+        verdicts = []
+        for c in (1.0, 1e-3):
+            status, report = run(Scenario(command="constants",
+                                          instance=chain_document(c)))
+            verdicts.append((status, report["chain_report"]["chain_ok"]))
+        assert verdicts[0] == verdicts[1]
+
+    def test_snorm_demo_admits_what_the_mixture_admitted(self, tmp_path):
+        # the atom's dual norm 1 + 5e-10 is inside the relative slack the
+        # mixture space admits it with, so the inclusion bound allows the
+        # same slack: s(f) / ‖f‖ reads 10 (1 + 5e-10) against 10
+        path = tmp_path / "admitted.json"
+        path.write_text(json.dumps(admitted_mixture_document()))
+        out = tmp_path / "admitted.report.json"
+        assert main(["snorm-demo", "--instance", str(path),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        check = next(c for c in report["checks"]
+                     if c["name"] == "inclusion-bound")
+        assert check["passed"] and check["bound"] == 10.0
+        assert check["ratio"] > check["bound"]
+
+    def test_inclusion_bound_violation_writes_a_failing_report(
+            self, tmp_path, monkeypatch):
+        seminorm_rows = SNormSpace.seminorm_rows
+        monkeypatch.setattr(SNormSpace, "seminorm_rows",
+                            lambda S, F: 2.0 * seminorm_rows(S, F))
+        path = tmp_path / "admitted.json"
+        path.write_text(json.dumps(admitted_mixture_document()))
+        out = tmp_path / "admitted.report.json"
+        assert main(["snorm-demo", "--instance", str(path),
+                     "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        check = next(c for c in report["checks"]
+                     if c["name"] == "inclusion-bound")
+        assert report["status"] == "fail" and not check["passed"]
+        assert check["ratio"] > 2.0 * check["bound"] * (1.0 - 1e-9)
 
     def test_snorm_demo_with_partition(self):
         doc = {"schema": SCHEMA_ID, "measure": {"weights": [1, 1, 1]},
@@ -191,6 +245,16 @@ class TestRunners:
         eq = report["equivalence"]
         assert eq["lower"] == pytest.approx(1.0, abs=1e-4)
         assert eq["upper"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_unconverged_kakutani_reports_no_equivalence(self):
+        # a budget of one stops the identity solve unconverged
+        doc = dict(field_document(), budget=1)
+        status, report = run(Scenario(command="kakutani", instance=doc))
+        assert status == 1
+        assert report["certificate"]["stop"] == "budget"
+        assert [c["name"] for c in report["checks"]] == ["solver-converged"]
+        assert not report["checks"][0]["passed"]
+        assert "equivalence" not in report
 
     def test_lemma_verify_small(self):
         doc = {"schema": SCHEMA_ID, "count": 12, "step": 1e-2, "seed": 5}
@@ -309,7 +373,12 @@ class TestMainEntry:
         ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": "1"}]}),
         ("snorm-demo", "xi", {"atoms": [{"h": ["0.5", 0.5], "mass": 1.0}]}),
         ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": 1.0}],
-                              "normalized": 1})])
+                              "normalized": 1}),
+        # normalized is a claim about the masses, checked against them
+        ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": 1.0}],
+                              "normalized": False}),
+        ("snorm-demo", "xi", {"atoms": [{"h": [0.5, 0.5], "mass": 0.7}],
+                              "normalized": True})])
     def test_invalid_command_field_is_input_error(self, tmp_path, command,
                                                   key, value):
         doc = dict(field_document(), **{key: value})

@@ -11,10 +11,11 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      extension_norm_estimate, find_domination_measure,
                      identity_operator, kakutani_equivalence,
                      operator_norm_estimate, partition_space,
-                     pq_concavity_estimate, pq_concavity_ratio, s_norm,
+                     pq_concavity_estimate, pq_concavity_ratio,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact import factorization
 from latfact.search import projected_ascent, unit_rows
+from latfact.simplex import SimplexError
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
@@ -96,7 +97,7 @@ class TestFindDominationMeasure:
             rel=1e-12)
         ok, _ = xi_saturation_check(cert.snorm_space(T.domain))
         assert ok
-        assert verify_domination(cert, T, e) <= tol
+        assert verify_domination(cert, T) <= tol
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_mixture_domain_solves_on_canonical_dual_weights(self, q):
@@ -110,7 +111,7 @@ class TestFindDominationMeasure:
         tol = 1e-6
         cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
         assert cert.converged
-        assert verify_domination(cert, T, e) <= tol
+        assert verify_domination(cert, T) <= tol
 
     def test_lp_progress_is_nonincreasing_between_witness_cuts(self):
         rng = np.random.default_rng(11)
@@ -134,8 +135,8 @@ class TestFindDominationMeasure:
         assert cert.converged
         S = SNormSpace(base=X, e=E22, xi=cert.xi)
         for w in cert.witnesses:
-            lhs = T.codomain_norm(T.apply(w)) ** E22.q
-            rhs = cert.C ** E22.q * s_norm(S, w) ** E22.q
+            lhs = T.codomain.norm(T.matrix @ w) ** E22.q
+            rhs = cert.C ** E22.q * S.seminorm(w) ** E22.q
             assert lhs <= rhs + 1e-6 * max(rhs, 1.0)
 
 
@@ -182,7 +183,7 @@ def plane_scan(T, S, angles):
     E = np.eye(T.n)
     F = np.vstack([np.outer(np.cos(th), E[i]) + np.outer(np.sin(th), E[j])
                    for i, j in itertools.combinations(range(T.n), 2)])
-    ratio = T.codomain_norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
+    ratio = T.codomain.norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
     return float(np.max(ratio ** S.e.q))
 
 
@@ -210,7 +211,7 @@ class TestCurvedRegime:
         assert len(cert.xi) > 1
         ok, _ = xi_saturation_check(SNormSpace(base=T.domain, e=e, xi=cert.xi))
         assert ok
-        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+        assert verify_domination(cert, T, sample_count=20000) <= tol
         # the strong (p,q)-concavity ratio of the witnesses bounds the
         # domination constant from below
         assert pq_concavity_ratio(T, e, cert.witnesses) <= cert.C * (1.0 + tol)
@@ -236,7 +237,7 @@ class TestCurvedRegime:
         tol = 1e-6
         cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
         assert cert.converged
-        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+        assert verify_domination(cert, T, sample_count=20000) <= tol
 
     def test_converged_mixture_survives_other_oracle_seeds(self):
         # at p = 1 the violation can peak on a face f_i = 0; an ascent that
@@ -258,11 +259,23 @@ class TestCurvedRegime:
         T = random_operator(5, 5, [7], s=2.0)
         S = SNormSpace(base=T.domain, e=ExponentTriple(p=1.0, q=3.0),
                        xi=DiscreteRadonMeasure(atoms=data["atoms"],
-                                               masses=data["masses"],
-                                               normalized=True))
+                                               masses=data["masses"]))
         C = float(data["C"])
         _, values = violation_oracle(T, S, C, seed=[0, 5])
         assert values[0] > 1e-6 * C ** 3
+
+    @pytest.mark.xfail(raises=SimplexError, strict=True,
+                       reason="the LP's duals, read off the pivoted cost "
+                              "row, drift on duplicate rows (ROADMAP item 7, "
+                              "open 4)")
+    def test_duplicate_row_lp_keeps_its_duals(self):
+        T = random_operator(3, 3, [602], s=2.0)
+        matrix = np.array(T.matrix)
+        matrix[:, 1] = 0.0
+        T = LinearOperator(matrix, T.domain, T.codomain)
+        cert = find_domination_measure(T, ExponentTriple(p=1.0, q=3.0),
+                                       tol=1e-6, budget=40, seed=0)
+        assert cert.converged
 
 
 class TestViolationOracle:
@@ -303,7 +316,7 @@ class TestViolationCuts:
         T = random_operator(4, 4, [13], s=2.0)
         e = ExponentTriple(p=1.0, q=3.0)
         S = two_atom_space(T.domain, e)
-        return violation_oracle(T, S, C=C, budget=16, seed=2)
+        return violation_oracle(T, S, C=C, seed=2)
 
     @pytest.mark.parametrize("C", [3.5, 4.0, 5.0])
     def test_values_are_sorted_best_first(self, C):
@@ -369,7 +382,7 @@ class TestViolationCuts:
             # recomputed from them is the one the oracle measured
             np.testing.assert_allclose(S.seminorm_rows(cuts), 1.0,
                                        rtol=1e-12)
-            image = T.codomain_norm_rows(cuts @ T.matrix.T) ** e.q
+            image = T.codomain.norm_rows(cuts @ T.matrix.T) ** e.q
             assert np.all(image - Cq * S.seminorm_rows(cuts) ** e.q
                           > tol * Cq)
             added.extend(cuts)
@@ -393,8 +406,7 @@ def closed_case(route, n, seed=0):
         e = ExponentTriple(p=1.0, q=3.0)
         g = rng.uniform(0.3, 1.0, n)
         g /= dual_norm_of_pth_power(T.domain, e.p, g)
-        xi = DiscreteRadonMeasure(atoms=g[None, :], masses=[1.0],
-                                  normalized=True)
+        xi = DiscreteRadonMeasure(atoms=g[None, :], masses=[1.0])
         w = g
     else:
         T = random_operator(n, n, [seed, 43], s=3.0)
@@ -402,8 +414,7 @@ def closed_case(route, n, seed=0):
         G = rng.uniform(0.3, 1.0, (2, n))
         G /= np.array([dual_norm_of_pth_power(T.domain, e.p, g)
                        for g in G])[:, None]
-        xi = DiscreteRadonMeasure(atoms=G, masses=[0.3, 0.7],
-                                  normalized=True)
+        xi = DiscreteRadonMeasure(atoms=G, masses=[0.3, 0.7])
         w = xi.masses @ G
     return T, SNormSpace(base=T.domain, e=e, xi=xi), w * T.domain.space.weights
 
@@ -423,7 +434,7 @@ def circle_scan(T, S, n, points):
         a, b = a.ravel(), b.ravel()
         F = np.stack([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b),
                       np.sin(a)], axis=1)
-    ratio = T.codomain_norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
+    ratio = T.codomain.norm_rows(F @ T.matrix.T) / S.seminorm_rows(F)
     return float(np.max(ratio ** S.e.q))
 
 
@@ -495,7 +506,7 @@ class TestClosedRoute:
         PX = make_space(X.space.weights[perm], X.s)
         PT = LinearOperator(T.matrix[:, perm], PX, T.codomain)
         PS = SNormSpace(base=PX, e=S.e, xi=DiscreteRadonMeasure(
-            atoms=S.xi.atoms[:, perm], masses=S.xi.masses, normalized=True))
+            atoms=S.xi.atoms[:, perm], masses=S.xi.masses))
         F, values = violation_oracle(T, S, C=1.0)
         PF, p_values = violation_oracle(PT, PS, C=1.0)
         np.testing.assert_allclose(p_values, values, rtol=1e-12)
@@ -513,7 +524,7 @@ def unsaturated_case():
     T = LinearOperator(np.diag([3.0, 1.0, 1.0]), X, EuclideanNorm(dim=3))
     e = ExponentTriple(p=1.0, q=3.0)
     xi = DiscreteRadonMeasure(atoms=[[0.0, 0.6, 0.3], [0.0, 0.2, 0.7]],
-                              masses=[0.5, 0.5], normalized=True)
+                              masses=[0.5, 0.5])
     return T, SNormSpace(base=X, e=e, xi=xi)
 
 
@@ -555,7 +566,7 @@ class TestUnsaturatedMixture:
         cert = factorization.DominationCertificate(
             xi=S.xi, C=2.0, residual=0.0, witnesses=(np.eye(3)[0],),
             iterations=0, exponents=S.e)
-        reading = verify_domination(cert, T, S.e, sample_count=100)
+        reading = verify_domination(cert, T, sample_count=100)
         assert reading == factorization._UNBOUNDED
         json.dumps(reading, allow_nan=False)
 
@@ -607,7 +618,7 @@ class TestVerifyDomination:
                            codomain=EuclideanNorm(dim=3))
         cert = find_domination_measure(T, E12, seed=4)
         assert cert.converged
-        assert verify_domination(cert, T, E12, sample_count=10000,
+        assert verify_domination(cert, T, sample_count=10000,
                                  seed=99) <= 1e-6
 
     def test_reading_is_the_ratio_and_meets_a_dense_scan(self):
@@ -618,7 +629,7 @@ class TestVerifyDomination:
         tol = 1e-6
         cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
         assert cert.converged
-        assert verify_domination(cert, T, e, sample_count=20000) <= tol
+        assert verify_domination(cert, T, sample_count=20000) <= tol
         scan = circle_scan(T, cert.snorm_space(T.domain), 2, 200001)
         assert scan / cert.C ** e.q - 1.0 <= tol
 
@@ -630,7 +641,7 @@ class TestVerifyDomination:
         weakened = type(cert)(xi=cert.xi, C=cert.C / 2.0, residual=cert.residual,
                               witnesses=cert.witnesses, iterations=cert.iterations,
                               exponents=cert.exponents)
-        assert verify_domination(weakened, T, E12, sample_count=2000,
+        assert verify_domination(weakened, T, sample_count=2000,
                                  seed=1) > 0.0
 
 
@@ -649,8 +660,8 @@ class TestCollapseWeight:
             f = rng.normal(size=2)
             weighted = float(np.sum(np.abs(f) ** 2 * w
                                     * X.space.weights) ** 0.5)
-            assert s_norm(S, f) == pytest.approx(weighted, rel=1e-12,
-                                                 abs=1e-300)
+            assert S.seminorm(f) == pytest.approx(weighted, rel=1e-12,
+                                                  abs=1e-300)
 
     def test_identity_gives_unit_weight(self):
         X = make_space([1, 1], 2)
@@ -747,25 +758,31 @@ class TestKakutani:
     def test_matching_exponent_gives_equal_norms(self):
         for p, q, s in ((1.0, 2.0, 1.0), (2.0, 2.0, 2.0)):
             X = make_space([1, 1], s)
-            xi, a, b = kakutani_equivalence(X, ExponentTriple(p=p, q=q), seed=0)
+            cert, a, b = kakutani_equivalence(X, ExponentTriple(p=p, q=q), seed=0)
             assert abs(a - 1.0) <= 1e-4
             assert abs(b - 1.0) <= 1e-4
 
     def test_single_atom_space(self):
         X = make_space([1.0], 1)
-        xi, a, b = kakutani_equivalence(X, E12, seed=0)
+        cert, a, b = kakutani_equivalence(X, E12, seed=0)
         assert a == pytest.approx(1.0, abs=1e-9)
         assert b == pytest.approx(1.0, abs=1e-9)
 
     def test_intermediate_exponent_straddles_one(self):
         X = make_space([1, 1], 1.5)
-        xi, a, b = kakutani_equivalence(X, E12, seed=0, samples=2048)
+        cert, a, b = kakutani_equivalence(X, E12, seed=0, samples=2048)
         assert a >= 1.0 - 1e-9
         expected = 2.0 ** (1.0 - 1.0 / 1.5)  # disjoint-support pair ratio
         assert b >= expected - 1e-6
         mpq = pq_concavity_estimate(identity_operator(X), E12, budget=12,
                                     seed=0).value
         assert b <= mpq * (1.0 + 1e-6) * (1.0 + 1e-4)
+
+    def test_unconverged_solve_gives_no_bounds(self):
+        X = make_space([1, 1], 1.5)
+        cert, a, b = kakutani_equivalence(X, E12, budget=1, seed=0)
+        assert cert.stop == "budget"
+        assert a is None and b is None
 
 
 class TestMinimalConstant:

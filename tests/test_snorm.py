@@ -4,7 +4,8 @@ import pytest
 from latfact import (DiscreteRadonMeasure, ExponentTriple,
                      SNormSpace, UnsaturatedSpaceError, dirac_space,
                      family_sup_lhs, inclusion_bound_check, partition_space,
-                     s_norm, xi_saturation_check)
+                     xi_saturation_check)
+from latfact.schemas import InstanceError, build_xi
 from latfact.spaces import dual_norm_of_pth_power
 from conftest import make_space
 
@@ -19,21 +20,21 @@ def half_half_space():
 
 class TestSNormValues:
     def test_two_atom_mixture(self, half_half_space):
-        assert s_norm(half_half_space, [1, 1]) == pytest.approx(1.0, abs=1e-12)
-        assert s_norm(half_half_space, [0, 0]) == 0.0
+        assert half_half_space.seminorm([1, 1]) == pytest.approx(1.0, abs=1e-12)
+        assert half_half_space.seminorm([0, 0]) == 0.0
 
     def test_full_weight_atom_matches_l1(self):
         X = make_space([1, 1], 1)
         xi = DiscreteRadonMeasure.from_pairs([([1, 1], 1.0)])
         S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
-        assert s_norm(S, [1, 1]) == pytest.approx(2.0, abs=1e-12)
-        assert s_norm(S, [1, 1]) == pytest.approx(X.norm([1, 1]), abs=1e-12)
+        assert S.seminorm([1, 1]) == pytest.approx(2.0, abs=1e-12)
+        assert S.seminorm([1, 1]) == pytest.approx(X.norm([1, 1]), abs=1e-12)
 
     def test_rejects_bad_input(self, half_half_space):
         with pytest.raises(ValueError):
-            s_norm(half_half_space, [1.0, np.nan])
+            half_half_space.seminorm([1.0, np.nan])
         with pytest.raises(Exception):
-            s_norm(half_half_space, [1.0, 2.0, 3.0])
+            half_half_space.seminorm([1.0, 2.0, 3.0])
 
 
 class TestSaturation:
@@ -44,7 +45,7 @@ class TestSaturation:
         ok, witness = xi_saturation_check(S)
         assert not ok and witness == 1
         # a nonzero function living on the annihilated atom has zero seminorm
-        assert s_norm(S, [0.0, 3.0]) == 0.0
+        assert S.seminorm([0.0, 3.0]) == 0.0
         with pytest.raises(UnsaturatedSpaceError):
             S.norm([1.0, 1.0])
         with pytest.raises(UnsaturatedSpaceError):
@@ -111,25 +112,21 @@ class TestMeasureValidation:
             xi.atoms[0, 0] = 2.0
 
     def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            DiscreteRadonMeasure.from_pairs([([1, 1], 0.7)], normalized=True)
-
-    def test_probability_rescaling(self):
-        xi = DiscreteRadonMeasure.from_pairs([([1, 0], 2.0), ([0, 1], 2.0)])
-        assert not xi.normalized
-        prob = xi.scaled_to_probability()
-        assert prob.normalized and prob.total_mass == pytest.approx(1.0)
+        assert not DiscreteRadonMeasure.from_pairs([([1, 1], 0.7)]).normalized
+        xi = {"atoms": [{"h": [1, 1], "mass": 0.7}], "normalized": True}
+        with pytest.raises(InstanceError):
+            build_xi({"xi": xi})
 
 
 class TestDiracSpace:
     def test_collapses_to_weighted_lp(self):
         X = make_space([1, 1], 1)
         S = dirac_space(X, ExponentTriple(p=1.0, q=2.0), [1.0, 1.0])
-        assert s_norm(S, [2, 3]) == pytest.approx(5.0, abs=1e-12)
+        assert S.seminorm([2, 3]) == pytest.approx(5.0, abs=1e-12)
         X2 = make_space([1, 1], 2)
         S2 = dirac_space(X2, ExponentTriple(p=2.0, q=2.0), [1.0, 1.0])
-        assert s_norm(S2, [3, 4]) == pytest.approx(5.0, abs=1e-12)
-        assert s_norm(S2, [0, 0]) == 0.0
+        assert S2.seminorm([3, 4]) == pytest.approx(5.0, abs=1e-12)
+        assert S2.seminorm([0, 0]) == 0.0
 
     def test_equality_with_weighted_lp_on_random_inputs(self):
         rng = np.random.default_rng(23)
@@ -143,8 +140,8 @@ class TestDiracSpace:
                 for _ in range(60):
                     f = rng.normal(size=n)
                     direct = float(np.sum(np.abs(f) ** p * g * weights) ** (1 / p))
-                    assert s_norm(S, f) == pytest.approx(direct, rel=1e-12,
-                                                         abs=1e-300)
+                    assert S.seminorm(f) == pytest.approx(direct, rel=1e-12,
+                                                          abs=1e-300)
 
     def test_numeric_dual_norm_is_the_largest_density_ratio(self):
         # the p-th power of a dirac mixture is f -> ∫ |f| g dμ, whose Köthe
@@ -174,9 +171,9 @@ class TestPartitionSpace:
         rng = np.random.default_rng(5)
         for _ in range(50):
             f = rng.normal(size=2)
-            assert s_norm(S, f) == pytest.approx(s_norm(half_half_space, f),
-                                                 rel=1e-12, abs=1e-300)
-        assert s_norm(S, [1, 1]) == pytest.approx(1.0, abs=1e-12)
+            assert S.seminorm(f) == pytest.approx(
+                half_half_space.seminorm(f), rel=1e-12, abs=1e-300)
+        assert S.seminorm([1, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_norm_formula_on_random_inputs(self):
         rng = np.random.default_rng(31)
@@ -201,8 +198,8 @@ class TestPartitionSpace:
                     block_norm = float(np.sum(np.abs(f) ** p * g * mask
                                               * weights) ** (1 / p))
                     total += a * block_norm ** q
-                assert s_norm(S, f) == pytest.approx(total ** (1 / q),
-                                                     rel=1e-12, abs=1e-300)
+                assert S.seminorm(f) == pytest.approx(total ** (1 / q),
+                                                      rel=1e-12, abs=1e-300)
 
     def test_single_block_reduces_to_scaled_dirac(self):
         X = make_space([1, 1, 1], 1)
@@ -213,8 +210,8 @@ class TestPartitionSpace:
         rng = np.random.default_rng(8)
         for _ in range(30):
             f = rng.normal(size=3)
-            assert s_norm(S, f) == pytest.approx(alpha ** 0.5 * s_norm(D, f),
-                                                 rel=1e-12, abs=1e-300)
+            assert S.seminorm(f) == pytest.approx(
+                alpha ** 0.5 * D.seminorm(f), rel=1e-12, abs=1e-300)
 
     def test_partition_validation(self):
         X = make_space([1, 1, 1], 1)
@@ -278,16 +275,16 @@ class TestNormProperties:
     def test_inclusion_bound(self, saturated_space):
         S = saturated_space
         bound = S.xi.total_mass ** (1.0 / S.e.q)
-        ratio = inclusion_bound_check(S, samples=512, seed=3)
-        assert ratio <= bound + 1e-9
+        ratio, within = inclusion_bound_check(S, samples=512, seed=3)
+        assert ratio <= bound + 1e-9 and within
 
     def test_inclusion_bound_scales_with_total_mass(self):
         X = make_space([1, 1], 1)
         e = ExponentTriple(p=1.0, q=2.0)
         xi = DiscreteRadonMeasure.from_pairs([([1, 1], 4.0)])  # mass 2^q
         S = SNormSpace(base=X, e=e, xi=xi)
-        ratio = inclusion_bound_check(S, samples=512, seed=3)
-        assert ratio <= 2.0 + 1e-9
+        ratio, within = inclusion_bound_check(S, samples=512, seed=3)
+        assert ratio <= 2.0 + 1e-9 and within
         assert ratio == pytest.approx(2.0, rel=1e-6)
 
     def test_strong_concavity_of_inclusion(self, saturated_space):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from latfact import (DimensionMismatchError, DiscreteRadonMeasure,
                      ExponentTriple, MeasureSpace, NotPConvexError, SNormSpace,
                      WeightedLebesgue, attainment_point, dirac_space,
-                     dual_norm_rows, extreme_dual_vectors, kothe_dual_norm,
-                     p_convexity_estimate, pth_power_norm, pth_power_space)
-from latfact.spaces import dual_norm_of_pth_power, power_mean
+                     dual_norm_rows, extreme_dual_vectors,
+                     p_convexity_estimate, pth_power_norm)
+from latfact.spaces import (dual_norm_of_pth_power, linear_sup_over_ball,
+                            power_mean)
 from conftest import make_space
 
 
@@ -20,10 +21,6 @@ class TestMeasureSpace:
             MeasureSpace(weights=[1.0, 0.0])
         with pytest.raises(ValueError):
             MeasureSpace(weights=[])
-
-    def test_integrate(self):
-        ms = MeasureSpace(weights=[2.0, 1.0])
-        assert ms.integrate([1.0, 3.0]) == 5.0
 
     def test_equality_and_immutability(self):
         a = MeasureSpace(weights=[1.0, 2.0])
@@ -93,8 +90,6 @@ class TestPthPower:
         X = make_space([1, 1], 2)
         with pytest.raises(NotPConvexError):
             pth_power_norm(X, 3.0, [1, 1])
-        with pytest.raises(NotPConvexError):
-            pth_power_space(X, 2.5)
 
     def test_is_a_norm_when_one_convex(self):
         # triangle inequality for the p-th power functional when s >= p
@@ -110,9 +105,9 @@ class TestPthPower:
 
 class TestKotheDual:
     def test_example_values(self):
-        assert kothe_dual_norm(make_space([1, 1], 1), [2, 3]) == pytest.approx(3.0)
-        assert kothe_dual_norm(make_space([1, 1], 2), [3, 4]) == pytest.approx(5.0)
-        assert kothe_dual_norm(make_space([1, 1], 2), [0, 0]) == 0.0
+        assert dual_norm_of_pth_power(make_space([1, 1], 1), 1.0, [2, 3]) == pytest.approx(3.0)
+        assert dual_norm_of_pth_power(make_space([1, 1], 2), 1.0, [3, 4]) == pytest.approx(5.0)
+        assert dual_norm_of_pth_power(make_space([1, 1], 2), 1.0, [0, 0]) == 0.0
 
     def test_closed_vs_numeric_agreement(self):
         rng = np.random.default_rng(17)
@@ -121,13 +116,9 @@ class TestKotheDual:
                 X = make_space(rng.uniform(0.5, 2.0, size=n), s)
                 for _ in range(5):
                     h = np.abs(rng.normal(size=n))
-                    closed = kothe_dual_norm(X, h, method="closed")
-                    numeric = kothe_dual_norm(X, h, method="numeric")
+                    closed = dual_norm_of_pth_power(X, 1.0, h)
+                    numeric = linear_sup_over_ball(X, 1.0, h)
                     assert numeric == pytest.approx(closed, rel=1e-7)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            kothe_dual_norm(make_space([1, 1], 2), [1, 2], method="bogus")
 
     def test_holder_inequality(self):
         rng = np.random.default_rng(19)
@@ -137,7 +128,7 @@ class TestKotheDual:
                 f = rng.normal(size=4)
                 h = rng.normal(size=4)
                 pairing = float(np.sum(np.abs(h * f) * X.space.weights))
-                bound = X.norm(f) * kothe_dual_norm(X, h)
+                bound = X.norm(f) * dual_norm_of_pth_power(X, 1.0, h)
                 assert pairing <= bound * (1 + 1e-10) + 1e-12
 
 
@@ -284,7 +275,7 @@ class TestPConvexityEstimate:
     def test_witness_replays_value(self):
         X = make_space([1, 1], 1)
         est = p_convexity_estimate(X, 2.0, budget=12, seed=2)
-        F = est.witness_matrix
+        F = np.vstack(est.witness)
         num = X.norm(np.sqrt((F ** 2).sum(axis=0)))
         den = math.sqrt(float(np.sum(X.norm_rows(F) ** 2)))
         assert est.value == pytest.approx(num / den, rel=1e-9)
