@@ -93,8 +93,8 @@ def _run_check_space(f: SimpleNamespace):
         worst_dual = max(worst_dual, abs(closed - numeric) / max(closed, 1e-30))
     checks.append(_check("dual-closed-vs-numeric", worst_dual <= 1e-7,
                          worst=worst_dual))
-    report = {"space": {"family": "lebesgue", "s": X.s,
-                        "weights": [float(w) for w in X.space.weights]}}
+    doc = schemas.instance_to_doc(measure=X.space, space=X)
+    report = {"measure": doc["measure"], "space": doc["space"]}
     if f.p is not None:
         est = p_convexity_estimate(X, f.p, budget=min(f.budget, 24), seed=f.seed)
         checks.append(_check("p-convexity-lower-bound", est.value >= 1.0 - 1e-9,

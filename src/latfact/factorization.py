@@ -6,6 +6,14 @@ dual-ball weights and a constant ``C`` such that
 
     ‖T f‖  <=  C * ( sum_k mass_k (∫ |f|^p h_k dμ)^{q/p} )^{1/q}    for all f.
 
+At ``p = q = 1`` on a weighted Lebesgue domain the answer is closed: the
+mixture collapses to one weight ``w`` of ``L^1(wμ)``, the least constant
+is the Köthe-dual norm ``C* = ‖c‖_{X'}`` of ``c_j = ‖T e_j‖ / μ_j``, and
+``w = c / C*`` attains it.  The certificate then holds that one atom,
+``C = C*``, ``iterations`` 1 and no LP values, and one violation-oracle
+call on its exact vertex route checks it.  Every other input runs the
+loop below.
+
 With witness functions ``f_j``, ``b_j = ‖T f_j‖^q`` and a dual-ball grid
 of weights ``h_k``, the smallest constant any grid mixture achieves is
 ``C^q = 1/t`` with ``t = max_xi min_j (Phi xi)_j / b_j`` and
@@ -27,10 +35,10 @@ ascended function of every pattern that violates the mixture becomes a
 witness row in the same round, so one round cuts off every violating
 region the ascent reached.  Neither a starting constant nor grid columns
 are guessed; the loop builds the support of the mixture and returns the
-grid-minimal constant.  Certificates store the mixture, the constant, the
-relative residual at termination, why the solve stopped and every
-witness generated, so they can be replayed and independently re-verified
-on fresh samples.
+grid-minimal constant, up to ``1 + tol``.  Certificates store the
+mixture, the constant, the relative residual at termination, why the
+solve stopped and every witness generated, so they can be replayed and
+independently re-verified on fresh samples.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ from .estimates import seed_list
 from .search import projected_ascent, signed_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
-from .spaces import (ExponentTriple, LatticeNorm, dual_norm_of_pth_power,
-                     pairings)
+from .spaces import (ExponentTriple, LatticeNorm, WeightedLebesgue,
+                     dual_norm_of_pth_power, pairings)
 
 __all__ = [
     "DominationCertificate",
@@ -69,6 +77,9 @@ _ORACLE_STARTS = 16
 # how an unbounded violation reads in certificates and reports, which hold
 # finite numbers only
 _UNBOUNDED = float(np.finfo(float).max)
+# seeded unit-sphere samples of the Kakutani comparison, the library's and
+# the CLI's default alike
+KAKUTANI_SAMPLES = 2048
 # why a solve stopped: the oracle found no violation above tol, the oracle
 # budget ran out, or the loop ran through _MAX_LP_SOLVES LP solves
 STOP_REASONS = ("converged", "budget", "lp-limit")
@@ -199,6 +210,68 @@ def violation_oracle(T: LinearOperator, S: SNormSpace, C: float,
 def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                             tol: float = 1e-6, budget: int = 40,
                             seed=0) -> DominationCertificate:
+    """A dominating probability mixture and its constant.
+
+    - **Closed route.** At ``p = q = 1`` on a weighted Lebesgue domain the
+      mixture collapses to one weight ``w``, and the norm of
+      ``T : L^1(wμ) → Y`` is ``max_j ‖T e_j‖ / (w_j μ_j)``.  With
+      ``c_j = ‖T e_j‖ / μ_j`` the least constant is the Köthe-dual norm
+      ``C* = ‖c‖_{X'}``, attained at ``w = c / C*``: any weight of the
+      dual ball with ``c <= C w`` has ``‖c‖_{X'} <= C``.  The certificate
+      holds that one atom of mass one and ``C = C*``, with
+      ``iterations`` 1 and empty ``lp_values``; ``T = 0`` gives ``C = 0``
+      on the uniform weight.  One :func:`violation_oracle` call on the
+      mixture, which takes its exact vertex route, gives the residual and
+      the witnesses; ``stop`` is ``budget`` if it reads above ``tol``.
+    - **Kelley loop.** Every other input runs the cutting-plane search of
+      :func:`_kelley_solve`, which returns the grid-minimal constant up to
+      ``1 + tol``; ``budget`` bounds its oracle calls.
+
+    On both routes a mixture that leaves a point unseen (a column with
+    ``T e_j = 0`` gives ``w_j = 0``) is repaired by mixing in ``tol`` mass
+    of the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of
+    the constant, so a converged mixture passes the saturation check.
+    Raises :class:`~latfact.spaces.NotPConvexError` when the domain is not
+    p-convex.
+    """
+    X = T.domain
+    if not (e.p == e.q == 1.0 and isinstance(X, WeightedLebesgue)):
+        return _kelley_solve(T, e, tol, budget, seed)
+    start = default_domination_grid(X, e)[0]
+    c = T.codomain.norm_rows(T.matrix.T) / X.space.weights
+    C = dual_norm_of_pth_power(X, 1.0, c)
+    weight = c / C if C > 0.0 else start
+    atoms, masses, C = _saturate(weight[None, :], np.ones(1), start, C, tol,
+                                 e.q)
+    xi = DiscreteRadonMeasure(atoms=atoms, masses=masses)
+    F, values = violation_oracle(T, SNormSpace(base=X, e=e, xi=xi), C,
+                                 seed=seed_list(seed) + [211])
+    Cq = max(C ** e.q, 1e-300)
+    return DominationCertificate(
+        xi=xi, C=float(C),
+        residual=min(max(float(values[0]), 0.0) / Cq, _UNBOUNDED),
+        witnesses=tuple(unit_rows(F, X.norm_rows)), iterations=1,
+        exponents=e, stop="converged" if values[0] <= tol * Cq else "budget")
+
+
+def _saturate(atoms: np.ndarray, masses: np.ndarray, start: np.ndarray,
+              C: float, tol: float, q: float):
+    """``(atoms, masses, C)`` of a mixture that sees every point.
+
+    Where no atom sees a point, ``tol`` mass of the strictly positive
+    ``start`` row is mixed in: the mixture seminorm shrinks by at most
+    ``(1 + tol)^{1/q}``, so ``C`` pays that factor.  The masses come back
+    normalized.
+    """
+    if not (atoms > 0.0).any(axis=0).all():
+        atoms = np.vstack([atoms, start])
+        masses = np.append(masses / (1.0 + tol), tol / (1.0 + tol))
+        C = C * (1.0 + tol) ** (1.0 / q)
+    return atoms, masses / masses.sum(), C
+
+
+def _kelley_solve(T: LinearOperator, e: ExponentTriple, tol: float,
+                  budget: int, seed) -> DominationCertificate:
     """Cutting-plane search for a dominating probability mixture.
 
     With witnesses ``f_j``, ``b_j = ‖T f_j‖^q`` and grid weights ``h_k``,
@@ -215,17 +288,13 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     returns whose value exceeds ``tol * C^q`` (one per sign pattern on the
     ascent route, every violating vertex on the closed ``L^1`` route) is
     added as a witness in that one round, scaled to the domain's unit
-    sphere.  The returned constant is therefore the grid-minimal one, up
-    to ``1 + tol``.
+    sphere.  The constant this loop returns is therefore the grid-minimal
+    one, up to ``1 + tol``.
 
     ``budget`` bounds oracle calls, and the loop stops after
     ``_MAX_LP_SOLVES`` LP solves; the certificate's ``stop`` names which
-    of the two ended a solve that did not converge.  On success the returned
-    mixture is a probability measure that passes the saturation check:
-    boundary-supported solutions are repaired by mixing in ``tol`` mass of
-    the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of the
-    constant.  Raises :class:`~latfact.spaces.NotPConvexError` when the
-    domain is not p-convex.
+    of the two ended a solve that did not converge.  The final mixture
+    goes through :func:`_saturate`.
     """
     X = T.domain
     base = seed_list(seed)
@@ -311,13 +380,7 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     atoms = H[keep]
     kept_masses = xi_weights[keep] / xi_weights[keep].sum()
 
-    if not (atoms > 0.0).any(axis=0).all():
-        eps = tol
-        atoms = np.vstack([atoms, H[0]])  # the uniform starting row
-        kept_masses = np.append(kept_masses / (1.0 + eps), eps / (1.0 + eps))
-        C = C * (1.0 + eps) ** (1.0 / e.q)
-
-    kept_masses = kept_masses / kept_masses.sum()
+    atoms, kept_masses, C = _saturate(atoms, kept_masses, H[0], C, tol, e.q)
     final_xi = DiscreteRadonMeasure(atoms=atoms, masses=kept_masses)
 
     return DominationCertificate(
@@ -384,7 +447,7 @@ def extension_norm_estimate(T: LinearOperator, S: SNormSpace,
 
 def kakutani_equivalence(X: LatticeNorm, e: ExponentTriple,
                          tol: float = 1e-6, budget: int = 40, seed=0,
-                         samples: int = 4096):
+                         samples: int = KAKUTANI_SAMPLES):
     """Renorm the space by a dominating mixture of its own dual weights.
 
     Runs the domination solve on the identity and samples the two-sided

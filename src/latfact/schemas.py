@@ -75,6 +75,7 @@ import numpy as np
 
 from .constants import (BRUTE_FORCE_GRID_CAP, EuclideanNorm, LinearOperator,
                         brute_force_grid_size)
+from .factorization import KAKUTANI_SAMPLES
 from .snorm import (DiscreteRadonMeasure, SNormSpace, dirac_space,
                     partition_space)
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
@@ -324,7 +325,8 @@ def build_mixture(X: LatticeNorm, e: ExponentTriple, xi, g, blocks,
     return partition_space(X, e, g, blocks, alpha)
 
 
-_SAMPLES = {"snorm-demo": 200, "factorize": 2000, "kakutani": 2048}
+_SAMPLES = {"snorm-demo": 200, "factorize": 2000,
+            "kakutani": KAKUTANI_SAMPLES}
 
 
 def parse_fields(command: str, doc: dict) -> SimpleNamespace:

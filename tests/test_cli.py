@@ -117,12 +117,36 @@ class TestRunners:
         assert report["certificate"]["stop"] == "converged"
         assert "collapse_weight" in report
 
+    @pytest.mark.parametrize("command", ["factorize", "kakutani"])
+    def test_closed_route_at_p_equal_q_equal_one(self, command):
+        # p = q = 1 on a curved domain: the certificate is the one weight
+        # c / C*, C* the Köthe-dual norm of c_j = ‖T e_j‖ / μ_j
+        doc = dict(field_document(), p=1.0, q=1.0)
+        status, report = run(Scenario(command=command, instance=doc))
+        assert status == 0
+        assert all(c["passed"] for c in report["checks"])
+        X = build_space(doc, build_measure(doc))
+        if command == "kakutani":  # the identity into X
+            norms = X.norm_rows(np.eye(2))
+        else:  # the document's operator into Euclidean space
+            norms = np.linalg.norm(doc["operator"]["matrix"], axis=0)
+        c = norms / X.space.weights
+        C_star = float(np.sum(c ** 2 * X.space.weights) ** 0.5)  # L^2 dual
+        cert = report["certificate"]
+        assert cert["C"] == pytest.approx(C_star, rel=1e-12)
+        assert (cert["iterations"], cert["stop"]) == (1, "converged")
+        [atom] = cert["xi"]["atoms"]
+        np.testing.assert_allclose(atom["h"], c / C_star, rtol=1e-12)
+
     def test_check_space(self):
         doc = {"schema": SCHEMA_ID, "measure": {"weights": [1.0, 2.0]},
                "space": {"family": "lebesgue", "s": 2.0}, "p": 2.0}
         status, report = run(Scenario(command="check-space", instance=doc))
         assert status == 0
         assert all(c["passed"] for c in report["checks"])
+        # the report holds the domain in the document's own sections
+        X = build_space(report, build_measure(report))
+        assert X == build_space(doc, build_measure(doc))
 
     def test_constants_chain(self):
         doc = identity_instance(n=2, s=1.0, p=1.0, q=2.0)
@@ -133,7 +157,7 @@ class TestRunners:
 
     def test_violated_chain_writes_a_failing_report(self, tmp_path):
         # the curved M_pq denominator is a local fixed point here, so the
-        # M_pq witness ratio ends above the pi_q estimate (ROADMAP item 1);
+        # M_pq witness ratio ends above the pi_q estimate (ROADMAP item 2);
         # once that is mended the chain holds and the report passes
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(chain_document()))

@@ -20,6 +20,7 @@ from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
 from conftest import make_space, two_atom_space
+from reference import domination_reference
 
 
 E12 = ExponentTriple(p=1.0, q=2.0)
@@ -27,6 +28,12 @@ E22 = ExponentTriple(p=2.0, q=2.0)
 # the n = 5 [7] (1,3) certificate of an oracle that ascended on the X-sphere
 # from full-support starts only; tests/data/README.md gives its provenance
 CURVED_N5 = Path(__file__).parent / "data" / "curved_certificate_n5.npz"
+
+
+def closed_constant(T):
+    """``C* = ‖c‖_{X'}`` with ``c_j = ‖T e_j‖ / μ_j``: the p = q = 1 constant."""
+    c = T.codomain.norm_rows(T.matrix.T) / T.domain.space.weights
+    return dual_norm_of_pth_power(T.domain, 1.0, c)
 
 
 def unit_span_measure():
@@ -77,8 +84,9 @@ class TestFindDominationMeasure:
     @pytest.mark.parametrize("s, p, q", [(2.0, 1.0, 1.0), (1.5, 1.0, 2.0),
                                          (3.0, 2.0, 2.0)])
     def test_unseen_atom_is_repaired_by_the_starting_weight(self, s, p, q):
-        # T ignores atom 1, so the LP mixture leaves it unseen and the solve
-        # mixes in tol mass of the uniform starting weight
+        # T ignores atom 1, so the mixture (the LP's, or at p = q = 1 the
+        # closed-form weight c / C*) leaves it unseen and the solve mixes in
+        # tol mass of the uniform starting weight
         T = random_operator(3, 3, [600], s=s)
         M = T.matrix.copy()
         M[:, 1] = 0.0
@@ -92,9 +100,12 @@ class TestFindDominationMeasure:
                               default_domination_grid(T.domain, e)[0])
         assert cert.xi.masses[-1] == pytest.approx(tol / (1.0 + tol),
                                                    rel=1e-12)
-        assert cert.C == pytest.approx(
-            cert.lp_values[-1] ** (-1.0 / q) * (1.0 + tol) ** (1.0 + 1.0 / q),
-            rel=1e-12)
+        if p == q == 1.0:
+            expected = closed_constant(T) * (1.0 + tol) ** (1.0 / q)
+        else:
+            expected = (cert.lp_values[-1] ** (-1.0 / q)
+                        * (1.0 + tol) ** (1.0 + 1.0 / q))
+        assert cert.C == pytest.approx(expected, rel=1e-12)
         ok, _ = xi_saturation_check(cert.snorm_space(T.domain))
         assert ok
         assert verify_domination(cert, T) <= tol
@@ -172,6 +183,106 @@ class TestFindDominationMeasure:
         s_T = cert.snorm_space(T.domain).seminorm_rows(F)
         s_P = perm_cert.snorm_space(X).seminorm_rows(F[:, perm])
         assert np.max(np.abs(s_P / s_T - 1.0)) <= tol
+
+
+E11 = ExponentTriple(p=1.0, q=1.0)
+CLOSED_SWEEP = [(n, k, s) for n in (3, 4, 6, 8) for k in (0, 1)
+                for s in (1.0, 1.5, 2.0, 3.0)]
+
+
+def permuted(T, perm):
+    """``T`` with its atoms reordered: μ and the columns of T by ``perm``."""
+    X = make_space(T.domain.space.weights[perm], T.domain.s)
+    return LinearOperator(matrix=T.matrix[:, perm], domain=X,
+                          codomain=T.codomain)
+
+
+def row_set(W):
+    """The rows of ``W`` in lexicographic order."""
+    return W[np.lexsort(W.T[::-1])]
+
+
+class TestClosedFormCertificate:
+    """At p = q = 1 the solve returns C* = ‖c‖_{X'} on the weight c / C*."""
+
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("n, k, s", CLOSED_SWEEP)
+    def test_the_kelley_loop_meets_the_closed_form_from_above(self, n, k, s):
+        T = random_operator(n, n, [500 + k], s=s)
+        C_star = closed_constant(T)
+        cert = find_domination_measure(T, E11, tol=self.TOL, seed=0)
+        assert (cert.C, cert.iterations, cert.lp_values) == (C_star, 1, ())
+        assert cert.converged and cert.residual <= self.TOL
+        c = T.codomain.norm_rows(T.matrix.T) / T.domain.space.weights
+        np.testing.assert_allclose(cert.xi.atoms, [c / C_star], rtol=1e-12)
+        np.testing.assert_array_equal(cert.xi.masses, [1.0])
+        loop = factorization._kelley_solve(T, E11, self.TOL, 40, 0)
+        assert loop.converged
+        assert C_star <= loop.C <= C_star * (1.0 + 2.0 * self.TOL)
+
+    @pytest.mark.parametrize("n, k, s", CLOSED_SWEEP)
+    def test_scaling_the_operator_scales_only_the_constant(self, n, k, s):
+        T = random_operator(n, n, [500 + k], s=s)
+        cT = LinearOperator(matrix=1e3 * T.matrix, domain=T.domain,
+                            codomain=T.codomain)
+        cert = find_domination_measure(T, E11, tol=self.TOL, seed=0)
+        scaled = find_domination_measure(cT, E11, tol=self.TOL, seed=0)
+        assert scaled.C == pytest.approx(1e3 * cert.C, rel=1e-12)
+        np.testing.assert_allclose(scaled.xi.atoms, cert.xi.atoms,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n, k, s", CLOSED_SWEEP)
+    def test_permuting_the_atoms_permutes_the_weight(self, n, k, s):
+        T = random_operator(n, n, [500 + k], s=s)
+        perm = np.roll(np.arange(n), 1)
+        cert = find_domination_measure(T, E11, tol=self.TOL, seed=0)
+        moved = find_domination_measure(permuted(T, perm), E11,
+                                        tol=self.TOL, seed=0)
+        np.testing.assert_allclose(moved.xi.atoms, cert.xi.atoms[:, perm],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(moved.xi.masses, cert.xi.masses)
+        assert moved.C == pytest.approx(cert.C, rel=1e-12)
+        assert moved.residual == pytest.approx(cert.residual, abs=1e-12)
+        assert ((moved.stop, moved.iterations, moved.lp_values)
+                == (cert.stop, cert.iterations, cert.lp_values))
+        np.testing.assert_allclose(
+            row_set(np.array(moved.witnesses)),
+            row_set(np.array(cert.witnesses)[:, perm]), rtol=1e-12)
+
+    @pytest.mark.parametrize("n, k, s", CLOSED_SWEEP)
+    def test_a_zero_column_is_repaired(self, n, k, s):
+        T = random_operator(n, n, [500 + k], s=s)
+        M = T.matrix.copy()
+        M[:, 1] = 0.0
+        T = LinearOperator(matrix=M, domain=T.domain, codomain=T.codomain)
+        cert = find_domination_measure(T, E11, tol=self.TOL, seed=0)
+        assert cert.converged
+        assert cert.C == pytest.approx(
+            closed_constant(T) * (1.0 + self.TOL), rel=1e-12)
+        assert cert.xi.atoms[0, 1] == 0.0
+        assert np.array_equal(cert.xi.atoms[1],
+                              default_domination_grid(T.domain, E11)[0])
+        assert verify_domination(cert, T) <= self.TOL
+
+    def test_the_zero_operator_takes_the_uniform_weight(self):
+        T = random_operator(3, 3, [500], s=2.0)
+        Z = LinearOperator(matrix=np.zeros((3, 3)), domain=T.domain,
+                           codomain=T.codomain)
+        cert = find_domination_measure(Z, E11, seed=0)
+        assert cert.converged and (cert.C, cert.residual) == (0.0, 0.0)
+        assert np.array_equal(cert.xi.atoms,
+                              default_domination_grid(T.domain, E11))
+
+    @pytest.mark.parametrize("s, seed", [(1.5, 701), (2.0, 702), (3.0, 703)])
+    def test_an_independent_grid_lp_meets_the_closed_form(self, s, seed):
+        # tests/reference.py solves the domination LP on angle grids with
+        # scipy, and reads its grid error off a halved angle step
+        T = random_operator(2, 2, [seed], s=s)
+        cert = find_domination_measure(T, E11, tol=self.TOL, seed=0)
+        ref, err = domination_reference(T.matrix, T.domain.space.weights,
+                                        s=s, p=1.0, q=1.0)
+        assert abs(cert.C - ref) <= err
 
 
 def plane_scan(T, S, angles):
@@ -709,7 +820,8 @@ class TestExtensionNorm:
     def test_collapsed_certificates_meet_the_extension_norm(self, s, p, q):
         # a mixture with one atom, or any mixture at p = q, is a weighted
         # L^p space, where the extension norm is exact: it meets the LP
-        # constant C / (1 + tol) of the certificate from both sides
+        # constant C / (1 + tol) of the certificate from both sides, and at
+        # p = q = 1 the closed-form constant C itself
         e = ExponentTriple(p=p, q=q)
         tol = 1e-6
         checked = 0
@@ -719,7 +831,7 @@ class TestExtensionNorm:
             if not (cert.converged and (e.is_extreme or len(cert.xi) == 1)):
                 continue
             ext = extension_norm_estimate(T, cert.snorm_space(T.domain))
-            bound = cert.C / (1.0 + tol)
+            bound = cert.C if p == q == 1.0 else cert.C / (1.0 + tol)
             # a saturation repair appends the uniform starting row to the
             # mixture and multiplies C by (1 + tol)^(1/q); the repaired
             # mixture is then bounded by that constant, not equal to it
