@@ -45,7 +45,7 @@ def dual_norm_rows(H: np.ndarray, s: float, p: float,
 def circle_rows(angles: np.ndarray, norm_rows) -> np.ndarray:
     """``(cos a, sin a)`` for each angle, scaled to the unit sphere of a norm."""
     F = np.column_stack([np.cos(angles), np.sin(angles)])
-    F[np.abs(F) < 1e-15] = 0.0
+    F[np.abs(F) < 1e-15] = 0.0  # cos(π/2) is 6e-17: keep the axes exact
     return F / norm_rows(F)[:, None]
 
 
