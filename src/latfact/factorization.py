@@ -6,13 +6,16 @@ dual-ball weights and a constant ``C`` such that
 
     ‖T f‖  <=  C * ( sum_k mass_k (∫ |f|^p h_k dμ)^{q/p} )^{1/q}    for all f.
 
-At ``p = q = 1`` on a weighted Lebesgue domain the answer is closed: the
+On a weighted Lebesgue domain two cases are closed.  At ``p = q = 1`` the
 mixture collapses to one weight ``w`` of ``L^1(wμ)``, the least constant
 is the Köthe-dual norm ``C* = ‖c‖_{X'}`` of ``c_j = ‖T e_j‖ / μ_j``, and
-``w = c / C*`` attains it.  The certificate then holds that one atom,
+``w = c / C*`` attains it.  At ``s = p`` the positive dual ball of
+``X_p = L^1(μ)`` is the cube, the uniform weight gives the largest
+seminorm, ``‖f‖_X`` itself, and ``C* = ‖T : L^p(μ) → Y‖`` wherever that
+norm has exact maximisers.  The certificate then holds that one atom,
 ``C = C*``, ``iterations`` 1 and no LP values, and one violation-oracle
-call on its exact vertex route checks it.  Every other input runs the
-loop below.
+call on its exact route checks it.  Every other input runs the loop
+below.
 
 With witness functions ``f_j``, ``b_j = ‖T f_j‖^q`` and a dual-ball grid
 of weights ``h_k``, the smallest constant any grid mixture achieves is
@@ -56,7 +59,7 @@ from .search import projected_ascent, signed_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, WeightedLebesgue,
-                     dual_norm_of_pth_power, pairings)
+                     _dual_is_cube, dual_norm_of_pth_power, pairings)
 
 __all__ = [
     "DominationCertificate",
@@ -212,20 +215,32 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
                             seed=0) -> DominationCertificate:
     """A dominating probability mixture and its constant.
 
-    - **Closed route.** At ``p = q = 1`` on a weighted Lebesgue domain the
-      mixture collapses to one weight ``w``, and the norm of
-      ``T : L^1(wμ) → Y`` is ``max_j ‖T e_j‖ / (w_j μ_j)``.  With
-      ``c_j = ‖T e_j‖ / μ_j`` the least constant is the Köthe-dual norm
-      ``C* = ‖c‖_{X'}``, attained at ``w = c / C*``: any weight of the
-      dual ball with ``c <= C w`` has ``‖c‖_{X'} <= C``.  The certificate
-      holds that one atom of mass one and ``C = C*``, with
-      ``iterations`` 1 and empty ``lp_values``; ``T = 0`` gives ``C = 0``
-      on the uniform weight.  One :func:`violation_oracle` call on the
-      mixture, which takes its exact vertex route, gives the residual and
+    - **Closed route.** On a weighted Lebesgue domain two cases have a
+      one-atom answer, checked in this order.
+      - ``p = q = 1``: the mixture collapses to one weight ``w``, and the
+        norm of ``T : L^1(wμ) → Y`` is ``max_j ‖T e_j‖ / (w_j μ_j)``.
+        With ``c_j = ‖T e_j‖ / μ_j`` the least constant is the Köthe-dual
+        norm ``C* = ‖c‖_{X'}``, attained at ``w = c / C*``: any weight of
+        the dual ball with ``c <= C w`` has ``‖c‖_{X'} <= C``.
+      - ``s = p``, at ``p = 1`` into any target or at ``p = 2`` into a
+        Euclidean one: the positive dual ball of ``X_p = L^1(μ)`` is the
+        cube ``[0, 1]^n``, so every atom ``h <= 1`` gives
+        ``∫ |f|^p h dμ <= ‖f‖_X^p`` and every mixture has
+        ``s(f) <= ‖f‖_X``.  No constant below ``‖T : L^p(μ) → Y‖`` can
+        dominate, and ``δ_1``, the uniform weight, attains it:
+        ``C* = ‖T‖``, read off the top exact maximiser of
+        ``constants._norm_maximisers`` (``max_j ‖T e_j‖ / μ_j``, or
+        ``σ_max(T diag(μ)^{-1/2})``).
+      The certificate holds that one atom of mass one and ``C = C*``,
+      with ``iterations`` 1 and empty ``lp_values``; ``T = 0`` gives
+      ``C = 0`` on the uniform weight.  One :func:`violation_oracle` call
+      on the mixture, which takes its exact route, gives the residual and
       the witnesses; ``stop`` is ``budget`` if it reads above ``tol``.
-    - **Kelley loop.** Every other input runs the cutting-plane search of
-      :func:`_kelley_solve`, which returns the grid-minimal constant up to
-      ``1 + tol``; ``budget`` bounds its oracle calls.
+    - **Kelley loop.** Every other input (``s > p`` with ``q > p``,
+      ``s = p`` without exact maximisers, mixture domains) runs the
+      cutting-plane search of :func:`_kelley_solve`, which returns the
+      grid-minimal constant up to ``1 + tol``; ``budget`` bounds its
+      oracle calls.
 
     On both routes a mixture that leaves a point unseen (a column with
     ``T e_j = 0`` gives ``w_j = 0``) is repaired by mixing in ``tol`` mass
@@ -235,12 +250,13 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
     p-convex.
     """
     X = T.domain
-    if not (e.p == e.q == 1.0 and isinstance(X, WeightedLebesgue)):
+    closed = _closed_weight(T, e)
+    if closed is None:
         return _kelley_solve(T, e, tol, budget, seed)
+    weight, C = closed
     start = default_domination_grid(X, e)[0]
-    c = T.codomain.norm_rows(T.matrix.T) / X.space.weights
-    C = dual_norm_of_pth_power(X, 1.0, c)
-    weight = c / C if C > 0.0 else start
+    if weight is None:
+        weight = start
     atoms, masses, C = _saturate(weight[None, :], np.ones(1), start, C, tol,
                                  e.q)
     xi = DiscreteRadonMeasure(atoms=atoms, masses=masses)
@@ -252,6 +268,29 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
         residual=min(max(float(values[0]), 0.0) / Cq, _UNBOUNDED),
         witnesses=tuple(unit_rows(F, X.norm_rows)), iterations=1,
         exponents=e, stop="converged" if values[0] <= tol * Cq else "budget")
+
+
+def _closed_weight(T: LinearOperator, e: ExponentTriple):
+    """``(weight, C*)`` where the one-atom answer is closed, else None.
+
+    A weight of None stands for the uniform starting weight.  ``p = q = 1``
+    comes first: ``w = c / C*`` and ``C* = ‖c‖_{X'}``, uniform when
+    ``T = 0``.  At ``s = p`` the weight is uniform and ``C* = ‖T‖``, read
+    off the top exact maximiser of ``T : L^p(μ) → Y``.
+    """
+    X = T.domain
+    if not isinstance(X, WeightedLebesgue):
+        return None
+    if e.p == e.q == 1.0:
+        c = T.codomain.norm_rows(T.matrix.T) / X.space.weights
+        C = dual_norm_of_pth_power(X, 1.0, c)
+        return (c / C if C > 0.0 else None), C
+    if not _dual_is_cube(X, e.p):
+        return None
+    F = _norm_maximisers(T, X)
+    if F is None:
+        return None
+    return None, float(T.codomain.norm_rows(F[:1] @ T.matrix.T)[0])
 
 
 def _saturate(atoms: np.ndarray, masses: np.ndarray, start: np.ndarray,

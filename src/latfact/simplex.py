@@ -99,6 +99,21 @@ def _optimize(T: np.ndarray, basis: list[int]) -> int:
             raise SimplexError("pivot limit exceeded")
 
 
+def _standard_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Aeq, beq)`` of the LP in standard form over ``x = (xi, t+, t-, s)``:
+    ``t+ - t- - A[j].xi + s_j = 0``, ``sum(xi) = 1``, ``x >= 0``."""
+    J, K = A.shape
+    Aeq = np.zeros((J + 1, K + 2 + J))
+    beq = np.zeros(J + 1)
+    Aeq[:J, :K] = -A
+    Aeq[:J, K] = 1.0
+    Aeq[:J, K + 1] = -1.0
+    Aeq[:J, K + 2:] = np.eye(J)
+    Aeq[J, :K] = 1.0
+    beq[J] = 1.0
+    return Aeq, beq
+
+
 def _tableau(Aeq: np.ndarray, beq: np.ndarray,
              basis: list[int]) -> np.ndarray:
     """Tableau ``B^-1 [Aeq | beq]`` of a basis above an empty cost row.
@@ -136,18 +151,9 @@ def solve_max_min(A, warm: MaxMinSolution | None = None) -> MaxMinSolution:
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite LP data")
 
-    # standard form over x = (xi, t+, t-, s):
-    #   t+ - t- - A[j].xi + s_j = 0,     sum(xi) = 1,     x >= 0
     m = J + 1
     nvar = K + 2 + J
-    Aeq = np.zeros((m, nvar))
-    beq = np.zeros(m)
-    Aeq[:J, :K] = -A
-    Aeq[:J, K] = 1.0
-    Aeq[:J, K + 1] = -1.0
-    Aeq[:J, K + 2:] = np.eye(J)
-    Aeq[J, :K] = 1.0
-    beq[J] = 1.0
+    Aeq, beq = _standard_form(A)
 
     if (warm is not None and warm.duals.shape == (J,)
             and warm.weights.size <= K):
@@ -181,8 +187,12 @@ def _solve_from(A: np.ndarray, T: np.ndarray,
     """Pivot a feasible start tableau of ``solve_max_min``'s LP to optimum.
 
     The tableau has an empty cost row; the objective is ``t+ - t-``, the
-    variables ``K`` and ``K + 1``.  Raises ``SimplexError`` when the
-    pivots fail or the duality identity does not hold at the end.
+    variables ``K`` and ``K + 1``.  The pivots choose the optimal basis
+    ``B``; the primal ``B^-1 beq`` and the row prices ``y = B^-T c_B`` are
+    then solved from ``B`` itself, since the pivoted tableau drifts on
+    degenerate LPs such as one with duplicate rows.  Raises
+    ``SimplexError`` when the pivots fail, ``B`` is singular or the
+    duality identity does not hold at the end.
     """
     J, K = A.shape
     m = J + 1
@@ -200,18 +210,24 @@ def _solve_from(A: np.ndarray, T: np.ndarray,
             T[m, :] += cost[bi] * T[i, :]
     iters = _optimize(T, basis)
 
+    Aeq, beq = _standard_form(A)
+    B = Aeq[:, basis]
+    try:
+        xB = np.linalg.solve(B, beq)
+        y = np.linalg.solve(B.T, cost[basis])
+    except np.linalg.LinAlgError:
+        raise SimplexError("singular optimal basis") from None
     x = np.zeros(nvar)
-    x[basis] = T[:m, -1]
+    x[basis] = xB
     weights = np.maximum(x[:K], 0.0)
     total = weights.sum()
     if total <= 0.0:
         raise SimplexError("degenerate simplex weights")
     weights = weights / total
-    value = float(T[m, -1])
+    value = float(x[K] - x[K + 1])
 
-    # duals off the slack columns: a slack is a unit column with zero
-    # cost, so its reduced cost is the row price y = c_B B^-1
-    duals = np.maximum(T[m, K + 2:nvar], 0.0)
+    # the duals are the row prices of the J game rows
+    duals = np.maximum(y[:J], 0.0)
     dsum = duals.sum()
     duals = duals / dsum if dsum > 0 else np.full(J, 1.0 / J)
 

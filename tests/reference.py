@@ -84,3 +84,27 @@ def domination_reference(A, mu, s: float, p: float, q: float,
     coarse = domination_lp(A, mu, s, p, q, steps)
     fine = domination_lp(A, mu, s, p, q, 2 * steps)
     return fine, abs(fine - coarse)
+
+
+def chord_factor(s: float, mu, steps: int) -> float:
+    """Bound on how far ``sup ‖A f‖ / ‖f‖_s`` can exceed its grid maximum.
+
+    The rows are those of :func:`domination_lp` at ``steps`` steps, closed
+    up by ``-f(0)``.  Every ``f`` between two adjacent unit rows ``u`` and
+    ``v`` is ``a u + b v`` with ``a, b >= 0``, so
+    ``‖A f‖ <= (a + b) max(‖A u‖, ‖A v‖)``, while the norming functional
+    ``φ`` of the chord's midpoint gives ``‖f‖_s >= φ(f) >=
+    (a + b) min(φ(u), φ(v))``.  The factor is the largest
+    ``1 / min(φ(u), φ(v))`` over the chords; it is one on ``L^1``, whose
+    sphere is flat between adjacent rows of a quadrant.
+    """
+    mu = np.asarray(mu, dtype=float)
+    step = 0.5 * np.pi / steps
+    F = circle_rows(step * np.arange(2 * steps + 1),
+                    lambda F: lebesgue_norm_rows(F, s, mu))
+    M = 0.5 * (F[:-1] + F[1:])
+    phi = (mu * np.sign(M) * np.abs(M) ** (s - 1.0)
+           / lebesgue_norm_rows(M, s, mu)[:, None] ** (s - 1.0))
+    low = np.minimum((phi * F[:-1]).sum(axis=1), (phi * F[1:]).sum(axis=1))
+    return float(1.0 / low.min())
+

@@ -15,12 +15,11 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator, SNormSpace,
                      verify_domination, violation_oracle, xi_saturation_check)
 from latfact import factorization
 from latfact.search import projected_ascent, unit_rows
-from latfact.simplex import SimplexError
 from latfact.snorm import DiscreteRadonMeasure
 from latfact.spaces import dual_norm_of_pth_power
 from latfact.suite import random_operator
 from conftest import make_space, two_atom_space
-from reference import domination_reference
+from reference import chord_factor, domination_reference
 
 
 E12 = ExponentTriple(p=1.0, q=2.0)
@@ -129,7 +128,8 @@ class TestFindDominationMeasure:
         X = make_space([1, 1, 1], 1)
         T = LinearOperator(matrix=rng.normal(size=(3, 3)), domain=X,
                            codomain=EuclideanNorm(dim=3))
-        cert = find_domination_measure(T, E12, seed=2)
+        # the solve takes the closed s = p route, so the loop runs directly
+        cert = factorization._kelley_solve(T, E12, 1e-6, 40, 2)
         assert cert.converged
         # s = p: the all-ones weight attains every combination, so no grid
         # enrichment runs and every solve after the first follows a witness
@@ -188,6 +188,28 @@ class TestFindDominationMeasure:
 E11 = ExponentTriple(p=1.0, q=1.0)
 CLOSED_SWEEP = [(n, k, s) for n in (3, 4, 6, 8) for k in (0, 1)
                 for s in (1.0, 1.5, 2.0, 3.0)]
+
+
+CUBE_SWEEP = [(n, k, p, q) for n in (3, 4, 6, 8) for k in (0, 1)
+              for p in (1.0, 2.0) for q in (p, 2.0 * p)]
+
+
+def operator_norm(T):
+    """``‖T : L^p(μ) → R^n‖`` at ``p = s``, by its textbook formula.
+
+    ``max_j ‖T e_j‖ / μ_j`` on ``L^1(μ)``, and the top singular value of
+    ``T diag(μ)^{-1/2}`` on ``L^2(μ)``.
+    """
+    mu = T.domain.space.weights
+    if T.domain.s == 1.0:
+        return float(np.max(np.linalg.norm(T.matrix, axis=0) / mu))
+    return float(np.linalg.svd(T.matrix / np.sqrt(mu), compute_uv=False)[0])
+
+
+def sign_fixed(W):
+    """``W`` with each row's sign flipped so its first nonzero entry is positive."""
+    lead = W[np.arange(len(W)), np.argmax(np.abs(W) > 1e-12, axis=1)]
+    return W * np.sign(lead)[:, None]
 
 
 def permuted(T, perm):
@@ -284,6 +306,90 @@ class TestClosedFormCertificate:
                                         s=s, p=1.0, q=1.0)
         assert abs(cert.C - ref) <= err
 
+    # s = p: the positive dual ball of X_p = L^1(μ) is the cube, so the
+    # uniform weight dominates every mixture and C* = ‖T : L^p(μ) → Y‖
+
+    @pytest.mark.parametrize("n, k, p, q", CUBE_SWEEP)
+    def test_the_cube_route_returns_the_operator_norm(self, n, k, p, q):
+        T = random_operator(n, n, [500 + k], s=p)
+        e = ExponentTriple(p=p, q=q)
+        C_star = operator_norm(T)
+        cert = find_domination_measure(T, e, tol=self.TOL, seed=0)
+        assert cert.C == pytest.approx(C_star, rel=1e-12)
+        assert (len(cert.xi), cert.iterations, cert.lp_values) == (1, 1, ())
+        assert cert.converged and cert.residual <= self.TOL
+        if p == q == 1.0:  # checked first: w = c / ‖c‖_{X'}
+            c = T.codomain.norm_rows(T.matrix.T) / T.domain.space.weights
+            np.testing.assert_allclose(cert.xi.atoms, [c / c.max()],
+                                       rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(
+                cert.xi.atoms, default_domination_grid(T.domain, e))
+        assert verify_domination(cert, T) <= self.TOL
+        loop = factorization._kelley_solve(T, e, self.TOL, 40, 0)
+        assert loop.converged
+        assert C_star <= loop.C <= C_star * (1.0 + 2.0 * self.TOL)
+
+    @pytest.mark.parametrize("n, k, p, q", CUBE_SWEEP)
+    def test_the_cube_route_scales_only_the_constant(self, n, k, p, q):
+        T = random_operator(n, n, [500 + k], s=p)
+        e = ExponentTriple(p=p, q=q)
+        cT = LinearOperator(matrix=1e3 * T.matrix, domain=T.domain,
+                            codomain=T.codomain)
+        cert = find_domination_measure(T, e, tol=self.TOL, seed=0)
+        scaled = find_domination_measure(cT, e, tol=self.TOL, seed=0)
+        assert scaled.C == pytest.approx(1e3 * cert.C, rel=1e-12)
+        np.testing.assert_allclose(scaled.xi.atoms, cert.xi.atoms,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("n, k, p, q", CUBE_SWEEP)
+    def test_the_cube_route_ignores_the_atom_order(self, n, k, p, q):
+        T = random_operator(n, n, [500 + k], s=p)
+        e = ExponentTriple(p=p, q=q)
+        perm = np.roll(np.arange(n), 1)
+        cert = find_domination_measure(T, e, tol=self.TOL, seed=0)
+        moved = find_domination_measure(permuted(T, perm), e, tol=self.TOL,
+                                        seed=0)
+        np.testing.assert_allclose(moved.xi.atoms, cert.xi.atoms[:, perm],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(moved.xi.masses, cert.xi.masses)
+        assert moved.C == pytest.approx(cert.C, rel=1e-12)
+        assert moved.residual == pytest.approx(cert.residual, abs=1e-12)
+        assert ((moved.stop, moved.iterations, moved.lp_values)
+                == (cert.stop, cert.iterations, cert.lp_values))
+        # a witness f and -f read the same; compare them up to that sign
+        np.testing.assert_allclose(
+            row_set(sign_fixed(np.array(moved.witnesses))),
+            row_set(sign_fixed(np.array(cert.witnesses)[:, perm])),
+            rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 2.0), (2.0, 2.0), (2.0, 4.0)])
+    def test_the_zero_operator_has_constant_zero_on_the_cube(self, p, q):
+        T = random_operator(3, 3, [500], s=p)
+        Z = LinearOperator(matrix=np.zeros((3, 3)), domain=T.domain,
+                           codomain=T.codomain)
+        e = ExponentTriple(p=p, q=q)
+        cert = find_domination_measure(Z, e, seed=0)
+        assert cert.converged and (cert.C, cert.residual) == (0.0, 0.0)
+        assert np.array_equal(cert.xi.atoms,
+                              default_domination_grid(T.domain, e))
+
+    @pytest.mark.parametrize("s, p, q, seed", [(1.0, 1.0, 2.0, 704),
+                                               (2.0, 2.0, 2.0, 705),
+                                               (2.0, 2.0, 4.0, 706)])
+    def test_an_independent_grid_lp_meets_the_cube_route(self, s, p, q, seed):
+        # the grid holds the uniform column, so its constant is the largest
+        # row ratio: a lower bound, above which the exact constant lies by at
+        # most the chord factor (the halving error can read 0 here, where
+        # the peak sits as near a coarse row as to a fine one)
+        T = random_operator(2, 2, [seed], s=s)
+        cert = find_domination_measure(T, ExponentTriple(p=p, q=q),
+                                       tol=self.TOL, seed=0)
+        mu = T.domain.space.weights
+        ref, _ = domination_reference(T.matrix, mu, s=s, p=p, q=q, steps=200)
+        rho = chord_factor(s, mu, 400)
+        assert ref * (1.0 - 1e-12) <= cert.C <= ref * rho * (1.0 + 1e-12)
+
 
 def plane_scan(T, S, angles):
     """``max (‖Tf‖ / s(f))^q`` over ``cos θ e_i + sin θ e_j``, every plane i < j.
@@ -375,11 +481,9 @@ class TestCurvedRegime:
         _, values = violation_oracle(T, S, C, seed=[0, 5])
         assert values[0] > 1e-6 * C ** 3
 
-    @pytest.mark.xfail(raises=SimplexError, strict=True,
-                       reason="the LP's duals, read off the pivoted cost "
-                              "row, drift on duplicate rows (ROADMAP item 7, "
-                              "open 4)")
     def test_duplicate_row_lp_keeps_its_duals(self):
+        # its last LP has duplicate rows, where duals read off the pivoted
+        # cost row drift into a duality gap of 1.7e-5
         T = random_operator(3, 3, [602], s=2.0)
         matrix = np.array(T.matrix)
         matrix[:, 1] = 0.0
@@ -820,8 +924,8 @@ class TestExtensionNorm:
     def test_collapsed_certificates_meet_the_extension_norm(self, s, p, q):
         # a mixture with one atom, or any mixture at p = q, is a weighted
         # L^p space, where the extension norm is exact: it meets the LP
-        # constant C / (1 + tol) of the certificate from both sides, and at
-        # p = q = 1 the closed-form constant C itself
+        # constant C / (1 + tol) of the certificate from both sides, and on
+        # the closed routes (p = q = 1, or s = p) the constant C itself
         e = ExponentTriple(p=p, q=q)
         tol = 1e-6
         checked = 0
@@ -831,7 +935,8 @@ class TestExtensionNorm:
             if not (cert.converged and (e.is_extreme or len(cert.xi) == 1)):
                 continue
             ext = extension_norm_estimate(T, cert.snorm_space(T.domain))
-            bound = cert.C if p == q == 1.0 else cert.C / (1.0 + tol)
+            closed = p == q == 1.0 or s == p
+            bound = cert.C if closed else cert.C / (1.0 + tol)
             # a saturation repair appends the uniform starting row to the
             # mixture and multiplies C by (1 + tol)^(1/q); the repaired
             # mixture is then bounded by that constant, not equal to it
