@@ -363,6 +363,22 @@ class TestClosedFormCertificate:
             row_set(sign_fixed(np.array(cert.witnesses)[:, perm])),
             rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["l3-into-euclidean", "l2-into-l2"])
+    def test_the_cube_without_exact_maximisers_keeps_the_loop(self, case):
+        # ‖T : L^p(μ) → Y‖ has no closed form at p = 3, nor at p = 2 into
+        # a target other than the Euclidean one
+        if case == "l3-into-euclidean":
+            T = random_operator(3, 3, [500], s=3.0)
+            e = ExponentTriple(p=3.0, q=3.0)
+        else:
+            T = identity_operator(make_space([0.5, 1.0, 2.0], 2.0))
+            e = E22
+        cert = find_domination_measure(T, e, tol=self.TOL, seed=0)
+        assert cert.converged and cert.lp_values
+        assert verify_domination(cert, T) <= self.TOL
+        if case == "l2-into-l2":
+            assert 1.0 <= cert.C <= 1.0 + 2.0 * self.TOL
+
     @pytest.mark.parametrize("p, q", [(1.0, 2.0), (2.0, 2.0), (2.0, 4.0)])
     def test_the_zero_operator_has_constant_zero_on_the_cube(self, p, q):
         T = random_operator(3, 3, [500], s=p)
