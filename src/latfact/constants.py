@@ -602,9 +602,8 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
     K, _, n = F.shape
     A = F * X.space.weights  # pairing matrices: <h, f_i> = (A h)_i
     AT = A.transpose(0, 2, 1)
-    cube = _dual_is_cube(X, 1.0)
-    if cube and n <= 16:
-        U = sign_patterns(n, cap=16) @ AT
+    if _dual_is_cube(X, 1.0):
+        U = sign_patterns(n) @ AT
         return _lq_rows(U, q).max(axis=1)
     if isinstance(X, WeightedLebesgue) and X.s == 2.0 and q == 2.0:
         scaled = F * np.sqrt(X.space.weights)
@@ -614,7 +613,7 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
 
     # multistart ascent over the signed dual sphere
     radial_rows = None
-    if isinstance(X, WeightedLebesgue) and not cube:
+    if isinstance(X, WeightedLebesgue):
         radial_rows = WeightedLebesgue(
             space=X.space, s=X.conjugate_exponent()).norm_grad_rows
 
@@ -751,14 +750,18 @@ def operator_norm_estimate(T: LinearOperator, budget: int = 16,
                             witness=witness, budget_used=int(budget))
 
 
+def _family_estimate(kind, ratio, n, budget, seed) -> ConstantEstimate:
+    """The family search of ``ratio`` over families of up to 8 vectors."""
+    value, witness = family_search(ratio, n, m_max=8, budget=budget, seed=seed)
+    return ConstantEstimate(kind=kind, value=value, witness=witness,
+                            budget_used=int(budget))
+
+
 def q_concavity_estimate(T: LinearOperator, q: float, budget: int = 16,
                          seed=0) -> ConstantEstimate:
     """Lower bound on the q-concavity constant ``M_q(T)`` with witness."""
-    value, witness = family_search(lambda F: q_concavity_ratio(T, q, F),
-                                         T.n, m_max=8,
-                                         budget=budget, seed=seed)
-    return ConstantEstimate(kind="M_q", value=value, witness=witness,
-                            budget_used=int(budget))
+    return _family_estimate("M_q", lambda F: q_concavity_ratio(T, q, F), T.n,
+                            budget, seed)
 
 
 def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
@@ -769,21 +772,16 @@ def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
     identical seeds and budgets reproduce :func:`q_concavity_estimate`
     bit for bit.
     """
-    value, witness = family_search(lambda F: pq_concavity_ratio(T, e, F),
-                                         T.n, m_max=8,
-                                         budget=budget, seed=seed)
-    return ConstantEstimate(kind="M_pq", value=value, witness=witness,
-                            budget_used=int(budget))
+    return _family_estimate("M_pq", lambda F: pq_concavity_ratio(T, e, F),
+                            T.n, budget, seed)
 
 
 def q_summing_estimate(T: LinearOperator, q: float, budget: int = 16,
                        seed=0) -> ConstantEstimate:
     """Lower bound on the q-summing constant ``pi_q(T)`` with witness."""
-    value, witness = family_search(
-        lambda F: q_summing_ratio(T, q, F, budget=8, seed=seed), T.n, m_max=8,
-                                         budget=budget, seed=seed)
-    return ConstantEstimate(kind="pi_q", value=value, witness=witness,
-                            budget_used=int(budget))
+    return _family_estimate(
+        "pi_q", lambda F: q_summing_ratio(T, q, F, budget=8, seed=seed), T.n,
+        budget, seed)
 
 
 # slack of the chain check relative to its largest value, pi_q, for the

@@ -80,9 +80,10 @@ _ORACLE_STARTS = 16
 # how an unbounded violation reads in certificates and reports, which hold
 # finite numbers only
 _UNBOUNDED = float(np.finfo(float).max)
-# seeded unit-sphere samples of the Kakutani comparison, the library's and
-# the CLI's default alike
+# seeded unit-sphere samples of the Kakutani comparison and of the
+# fresh-sample verification, the library's and the CLI's defaults alike
 KAKUTANI_SAMPLES = 2048
+VERIFY_SAMPLES = 2000
 # why a solve stopped: the oracle found no violation above tol, the oracle
 # budget ran out, or the loop ran through _MAX_LP_SOLVES LP solves
 STOP_REASONS = ("converged", "budget", "lp-limit")
@@ -430,7 +431,7 @@ def _kelley_solve(T: LinearOperator, e: ExponentTriple, tol: float,
 
 
 def verify_domination(cert: DominationCertificate, T: LinearOperator,
-                      sample_count: int = 10000, seed=0) -> float:
+                      sample_count: int = VERIFY_SAMPLES, seed=0) -> float:
     """Largest value of ``(‖Tf‖ / (C s(f)))^q - 1`` on fresh samples.
 
     Samples are drawn on the domain's unit sphere independently of the
@@ -445,8 +446,7 @@ def verify_domination(cert: DominationCertificate, T: LinearOperator,
     rng = np.random.default_rng([83, *seed_list(seed)])
     F = rng.normal(size=(int(sample_count), T.n))
     F = unit_rows(F, X.norm_rows)
-    if cert.witnesses:
-        F = np.vstack([F, np.vstack(cert.witnesses)])
+    F = np.vstack([F, *cert.witnesses])
     image = T.codomain.norm_rows(F @ T.matrix.T)
     bound = cert.C * S.seminorm_rows(F)
     # inf where bound = 0 < image, and 0 where both vanish
@@ -511,7 +511,6 @@ def _equivalence_range(cert: DominationCertificate, X: LatticeNorm,
     S = cert.snorm_space(X)
     rng = np.random.default_rng([97, *seed_list(seed)])
     F = unit_rows(rng.normal(size=(int(samples), X.n)), X.norm_rows)
-    if cert.witnesses:
-        F = np.vstack([F, np.vstack(cert.witnesses)])
+    F = np.vstack([F, *cert.witnesses])
     ratios = X.norm_rows(F) / S.seminorm_rows(F)
     return float(np.min(ratios)), float(np.max(ratios))

@@ -17,7 +17,8 @@ budget it ran with.
     seed              integer >= 0                    0            all
     tol               number > 0                      1e-6         F, K
     budget            integer >= 1                    40           CS, C, F, K
-    measure           {"weights": [w > 0]}            required     CS, C, S, F, K
+    measure           {"weights": [w > 0]},           required     CS, C, S, F, K
+                      1 to 12 entries
     space             {"family": "lebesgue",          required     CS, C, S, F, K
                        "s": s >= 1}
     p                 number >= 1                     none         CS
@@ -27,7 +28,8 @@ budget it ran with.
                        equal length, "codomain": ..}
     operator.codomain {"family": "euclidean"} or      euclidean    C, F
                       {"family": "lebesgue", "s": s >= 1,
-                       "weights": [w > 0], default all ones}
+                       "weights": [w > 0], 1 to 12, default
+                       all ones}
     xi                {"atoms": [{"h": [h >= 0],      one of the   S
                                   "mass": m > 0}],    three
                        "normalized": true or false,   sections
@@ -75,10 +77,10 @@ import numpy as np
 
 from .constants import (BRUTE_FORCE_GRID_CAP, EuclideanNorm, LinearOperator,
                         brute_force_grid_size)
-from .factorization import KAKUTANI_SAMPLES
-from .snorm import (DiscreteRadonMeasure, SNormSpace, dirac_space,
-                    partition_space)
-from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
+from .factorization import KAKUTANI_SAMPLES, VERIFY_SAMPLES
+from .snorm import (INCLUSION_SAMPLES, DiscreteRadonMeasure, SNormSpace,
+                    dirac_space, partition_space)
+from .spaces import (MAX_ATOMS, ExponentTriple, LatticeNorm, MeasureSpace,
                      WeightedLebesgue)
 from .suite import LEMMA_PAIRS
 
@@ -325,7 +327,7 @@ def build_mixture(X: LatticeNorm, e: ExponentTriple, xi, g, blocks,
     return partition_space(X, e, g, blocks, alpha)
 
 
-_SAMPLES = {"snorm-demo": 200, "factorize": 2000,
+_SAMPLES = {"snorm-demo": INCLUSION_SAMPLES, "factorize": VERIFY_SAMPLES,
             "kakutani": KAKUTANI_SAMPLES}
 
 
@@ -392,8 +394,9 @@ def _lemma_fields(doc: dict, f: SimpleNamespace) -> SimpleNamespace:
 
 
 def generator_settings(count, n, seed) -> tuple[int, int, int]:
-    """``generate``'s instance count (>= 1), atoms (1 to 12) and seed (>= 0)."""
-    return (_integer(count, "count", 1), _integer(n, "n", 1, 12),
+    """``generate``'s instance count (>= 1), atoms (1 to
+    :data:`~latfact.spaces.MAX_ATOMS`) and seed (>= 0)."""
+    return (_integer(count, "count", 1), _integer(n, "n", 1, MAX_ATOMS),
             _integer(seed, "seed", 0))
 
 
@@ -401,7 +404,6 @@ def instance_to_doc(*, measure: MeasureSpace | None = None,
                     space: LatticeNorm | None = None,
                     e: ExponentTriple | None = None,
                     operator: LinearOperator | None = None,
-                    xi: DiscreteRadonMeasure | None = None,
                     extra: dict | None = None) -> dict:
     """Serialize in-memory objects back to an instance document."""
     doc: dict = {"schema": SCHEMA_ID}
@@ -427,8 +429,6 @@ def instance_to_doc(*, measure: MeasureSpace | None = None,
             "matrix": [[float(x) for x in row] for row in operator.matrix],
             "codomain": codomain_doc,
         }
-    if xi is not None:
-        doc["xi"] = xi.to_jsonable()
     if extra:
         doc.update(extra)
     return doc

@@ -2,9 +2,10 @@
 
 The nonconvex suprema in this package all have the same shape: signs only
 matter through the operator image, while the lattice side depends on
-absolute values, so the search enumerates sign patterns (2^(n-1) for small
-n) and ascends over nonnegative magnitudes on a unit sphere.  Batches put
-restarts in rows so the whole search is a handful of dense numpy ops.
+absolute values, so the search enumerates all 2^(n-1) sign patterns (n is
+at most ``spaces.MAX_ATOMS``) and ascends over nonnegative magnitudes on a
+unit sphere.  Batches put restarts in rows so the whole search is a
+handful of dense numpy ops.
 
 :func:`projected_ascent` is the one sphere ascent of the package.  It runs
 ``‖Tf‖`` (the objective ``constants._image_norm``) on two spheres: the
@@ -44,28 +45,18 @@ import itertools
 
 import numpy as np
 
+from .estimates import seed_list
+
 __all__ = ["sign_patterns", "signed_starts", "projected_ascent", "unit_rows"]
 
 # step ladder of the line search along the unit ascent direction
 _ETAS = np.geomspace(1e-10, 1.0, 18)
-# sign patterns sampled above the enumeration cap
-_PATTERN_LIMIT = 256
 
 
-def sign_patterns(n: int, cap: int = 12, seed=0) -> np.ndarray:
-    """All +-1 patterns with first coordinate +1 (signs modulo global flip).
-
-    Enumerated in full for ``n <= cap``; beyond that a seeded sample of
-    256 distinct patterns is returned.
-    """
-    if n <= cap:
-        tails = itertools.product((1.0, -1.0), repeat=n - 1)
-        return np.array([(1.0, *tail) for tail in tails])
-    rng = np.random.default_rng([59, *np.atleast_1d(seed).astype(int).tolist()])
-    patterns = {tuple([1.0] + list(row)) for row in
-                np.where(rng.random(size=(4 * _PATTERN_LIMIT, n - 1)) < 0.5,
-                         1.0, -1.0)}
-    return np.array(sorted(patterns))[:_PATTERN_LIMIT]
+def sign_patterns(n: int) -> np.ndarray:
+    """All 2^(n-1) +-1 patterns led by +1: every sign pattern up to a flip."""
+    tails = itertools.product((1.0, -1.0), repeat=n - 1)
+    return np.array([(1.0, *tail) for tail in tails])
 
 
 def signed_starts(n: int, restarts: int, seed) -> np.ndarray:
@@ -80,13 +71,13 @@ def signed_starts(n: int, restarts: int, seed) -> np.ndarray:
     pattern-major order of the full product, so a search that takes the
     first of equal values picks the same row from either.
     """
-    rng = np.random.default_rng([61, *np.atleast_1d(seed).astype(int).tolist()])
+    rng = np.random.default_rng([61, *seed_list(seed)])
     rows = [np.ones(n)]
     if n > 1:
         rows.extend(np.eye(n))
     while len(rows) < restarts:
         rows.append(np.abs(rng.normal(size=n)))
-    patterns = sign_patterns(n, seed=seed)
+    patterns = sign_patterns(n)
     keep = np.ones((len(patterns), len(rows)), dtype=bool)
     if n > 1:
         neg = patterns < 0.0

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimates import seed_list
 from .spaces import (DUAL_CERT_SLACK, ExponentTriple, LatticeNorm,
                      MeasureSpace, as_vector, dual_norm_rows, pairings)
 
@@ -36,6 +37,10 @@ __all__ = [
     "partition_space",
     "inclusion_bound_check",
 ]
+
+# seeded samples of the inclusion-bound check, the library's and the CLI's
+# default alike
+INCLUSION_SAMPLES = 200
 
 
 class UnsaturatedSpaceError(ValueError):
@@ -153,11 +158,7 @@ class SNormSpace(LatticeNorm):
         return (inner ** self.e.t @ self.xi.masses) ** (1.0 / self.e.q)
 
     def norm(self, f) -> float:
-        if not self.saturated:
-            raise UnsaturatedSpaceError(
-                "mixture seminorm vanishes on a nonzero function; "
-                "not usable as a lattice norm")
-        return self.seminorm(f)
+        return float(self.norm_rows(as_vector(f, self.n))[0])
 
     def norm_rows(self, F) -> np.ndarray:
         if not self.saturated:
@@ -259,7 +260,7 @@ def partition_space(X: LatticeNorm, e: ExponentTriple, g, partition,
     return SNormSpace(base=X, e=e, xi=xi)
 
 
-def inclusion_bound_check(S: SNormSpace, samples: int = 256,
+def inclusion_bound_check(S: SNormSpace, samples: int = INCLUSION_SAMPLES,
                           seed=0) -> tuple[float, bool]:
     """Largest observed ratio ``s(f) / ‖f‖_X`` over random samples.
 
@@ -271,7 +272,7 @@ def inclusion_bound_check(S: SNormSpace, samples: int = 256,
     """
     if not S.saturated:
         raise UnsaturatedSpaceError("inclusion bound requires a saturated mixture")
-    rng = np.random.default_rng([41, *np.atleast_1d(seed).astype(int).tolist()])
+    rng = np.random.default_rng([41, *seed_list(seed)])
     F = rng.normal(size=(int(samples), S.n))
     base_norms = S.base.norm_rows(F)
     keep = base_norms > 0

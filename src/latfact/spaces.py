@@ -26,6 +26,7 @@ from .search import projected_ascent, unit_rows
 
 __all__ = [
     "DUAL_CERT_SLACK",
+    "MAX_ATOMS",
     "DimensionMismatchError",
     "NotPConvexError",
     "MeasureSpace",
@@ -45,8 +46,9 @@ __all__ = [
 # slack allowed when certifying membership in a dual unit ball
 DUAL_CERT_SLACK = 1e-9
 
-# largest atom count for which 0/1 indicator patterns are enumerated in full
-_INDICATOR_CAP = 12
+# most atoms a measure space may have: the searches enumerate every sign
+# pattern and every 0/1 indicator pattern, 2^n rows at most
+MAX_ATOMS = 12
 
 
 class DimensionMismatchError(ValueError):
@@ -77,21 +79,18 @@ def power_mean(values, exponent: float,
     """(sum |v|^e w)^(1/e), computed stably for large exponents.
 
     ``values`` is one vector ``(n,)``, giving a float, or a stack
-    ``(..., n)``, giving one value per vector.  A stack keeps one vector's
-    arithmetic: a dot product per vector (a stacked matmul of ``(1, n)`` by
-    ``(n, 1)``) and the root as a scalar ``pow``, so a vector's value does
-    not depend on the stack it is in.
+    ``(..., n)``, giving one value per vector; one vector is a stack of
+    one.  A stack keeps one vector's arithmetic: a dot product per vector
+    (a stacked matmul of ``(1, n)`` by ``(n, 1)``) and the root as a scalar
+    ``pow``, so a vector's value does not depend on the stack it is in.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    if v.ndim > 1:
-        m = v.max(axis=-1, initial=0.0)
-        scaled = v / np.where(m > 0.0, m, 1.0)[..., None]
-        dots = (scaled ** exponent)[..., None, :] @ np.asarray(weights)[:, None]
-        return m * _scalar_pow(dots, 1.0 / exponent).reshape(m.shape)
-    m = float(v.max(initial=0.0))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.dot((v / m) ** exponent, weights)) ** (1.0 / exponent)
+    if v.ndim == 1:
+        return float(power_mean(v[None], exponent, weights)[0])
+    m = v.max(axis=-1, initial=0.0)
+    scaled = v / np.where(m > 0.0, m, 1.0)[..., None]
+    dots = (scaled ** exponent)[..., None, :] @ np.asarray(weights)[:, None]
+    return m * _scalar_pow(dots, 1.0 / exponent).reshape(m.shape)
 
 
 def power_mean_rows(V, exponent: float, weights: np.ndarray) -> np.ndarray:
@@ -126,7 +125,7 @@ def _unstack(values: np.ndarray, single: bool) -> float | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """Finite atomic measure: ``n`` atoms with strictly positive weights."""
+    """Finite atomic measure: 1 to :data:`MAX_ATOMS` positive atom weights."""
 
     weights: np.ndarray
 
@@ -134,6 +133,8 @@ class MeasureSpace:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
+        if w.size > MAX_ATOMS:
+            raise ValueError(f"{w.size} atoms, above the limit of {MAX_ATOMS}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("atom weights must be strictly positive and finite")
         w.flags.writeable = False
@@ -166,7 +167,7 @@ class LatticeNorm:
         return self.space.n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeightedLebesgue(LatticeNorm):
     """``(sum |f|^s dmu)^(1/s)`` with exponent ``s`` in [1, inf)."""
 
@@ -198,13 +199,6 @@ class WeightedLebesgue(LatticeNorm):
 
     def conjugate_exponent(self) -> float:
         return math.inf if self.s == 1.0 else self.s / (self.s - 1.0)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightedLebesgue)
-                and self.space == other.space and self.s == other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.s))
 
 
 @dataclass(frozen=True)
@@ -372,19 +366,15 @@ def extreme_dual_vectors(X: LatticeNorm, p: float) -> np.ndarray:
 
     When the dual ball is the cube ``[0,1]^n`` (s = p for the weighted
     Lebesgue family) these are exactly its extreme points, every 0/1
-    indicator pattern, enumerated in full for ``n <= 12``.  For curved dual
-    balls the canonical candidates are the indicator directions scaled onto
-    the unit sphere; they seed searches but do not exhaust the extreme set.
-    The last row is the origin.
+    indicator pattern.  For curved dual balls the canonical candidates are
+    the indicator directions scaled onto the unit sphere; they seed
+    searches but do not exhaust the extreme set.  The last row is the
+    origin.
     """
     n = X.n
-    if n <= _INDICATOR_CAP:
-        order = sorted(range(1, 2 ** n),
-                       key=lambda msk: (-bin(msk).count("1"), msk))
-        masks = np.array([[(msk >> i) & 1 for i in range(n)] for msk in order],
-                         dtype=float)
-    else:
-        masks = np.vstack([np.ones(n), np.eye(n)])
+    order = sorted(range(1, 2 ** n), key=lambda msk: (-bin(msk).count("1"), msk))
+    masks = np.array([[(msk >> i) & 1 for i in range(n)] for msk in order],
+                     dtype=float)
     if not _dual_is_cube(X, p):
         masks = masks / dual_norm_rows(X, p, masks)[:, None]
     return np.vstack([masks, np.zeros(n)])

@@ -319,6 +319,18 @@ class TestMainEntry:
         path.write_text("{not json")
         assert main(["constants", "--instance", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["check-space", "constants",
+                                         "snorm-demo", "factorize", "kakutani"])
+    def test_thirteen_atoms_exit_two(self, tmp_path, capsys, command):
+        doc = identity_instance(n=13, s=1.0, p=1.0, q=2.0)
+        doc["operator"]["codomain"] = {"family": "euclidean"}
+        doc["dirac"] = {"g": [1.0] * 13}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(path)]) == 2
+        assert "13 atoms, above the limit of 12" in capsys.readouterr().err
+        assert not (tmp_path / "wide.report.json").exists()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--instance", "x.json"])

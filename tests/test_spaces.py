@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latfact import (DimensionMismatchError, DiscreteRadonMeasure,
-                     ExponentTriple, MeasureSpace, NotPConvexError, SNormSpace,
-                     WeightedLebesgue, attainment_point, dirac_space,
-                     dual_norm_rows, extreme_dual_vectors,
-                     p_convexity_estimate, pth_power_norm)
-from latfact.spaces import (dual_norm_of_pth_power, linear_sup_over_ball,
-                            power_mean)
+                     EuclideanNorm, ExponentTriple, MeasureSpace,
+                     NotPConvexError, SNormSpace, WeightedLebesgue,
+                     attainment_point, dirac_space, dual_norm_rows,
+                     extreme_dual_vectors, p_convexity_estimate,
+                     pth_power_norm)
+from latfact.spaces import (MAX_ATOMS, dual_norm_of_pth_power,
+                            linear_sup_over_ball, power_mean)
 from conftest import make_space
 
 
@@ -29,6 +30,27 @@ class TestMeasureSpace:
         with pytest.raises(ValueError):
             a.weights[0] = 3.0
 
+    def test_atom_limit(self):
+        assert MAX_ATOMS == 12
+        assert MeasureSpace(weights=np.ones(12)).n == 12
+        with pytest.raises(ValueError, match="13 atoms, above the limit of 12"):
+            MeasureSpace(weights=np.ones(13))
+
+
+class TestValueEquality:
+    def test_euclidean_norms(self):
+        assert EuclideanNorm(dim=3) == EuclideanNorm(dim=3)
+        assert hash(EuclideanNorm(dim=3)) == hash(EuclideanNorm(dim=3))
+        assert EuclideanNorm(dim=3) != EuclideanNorm(dim=4)
+
+    def test_weighted_lebesgue_norms(self):
+        a = make_space([1.0, 2.0], 1.5)
+        b = make_space(np.array([1.0, 2.0]), 1.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_space([1.0, 2.0], 2.0)
+        assert a != make_space([1.0, 3.0], 1.5)
+        assert a != make_space([1.0, 2.0, 1.0], 1.5)
+
 
 class TestLebesgueNorm:
     def test_example_values(self):
@@ -42,6 +64,23 @@ class TestLebesgueNorm:
             X.norm([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             X.norm([np.inf, 0.0])
+
+    def test_one_vector_is_a_stack_of_one(self):
+        rng = np.random.default_rng(29)
+        cases = [(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
+                  rng.uniform(0.5, 2.0, size=n), e)
+                 for n in range(1, MAX_ATOMS + 1)
+                 for e in (1.0, 1.5, 2.0, 3.7, 200.0)]
+        cases += [(np.zeros(4), np.ones(4), e) for e in (1.0, 2.0, 200.0)]
+        for v, w, e in cases:
+            value = power_mean(v, e, w)
+            assert isinstance(value, float)
+            assert value == power_mean(v[None], e, w)[0]
+            # the closed form of one vector, as a scalar dot product
+            a = np.abs(v)
+            m = float(a.max())
+            assert value == (0.0 if m == 0.0 else
+                             m * float(np.dot((a / m) ** e, w)) ** (1.0 / e))
 
     def test_large_exponent_is_stable(self):
         X = make_space([1, 1], 200.0)
