@@ -38,6 +38,8 @@ from .suite import (lemma_instances, random_lebesgue_space, random_operator,
 GENERATE_KINDS = ("lebesgue-space", "random-operator", "partition-xi")
 # largest relative defect the norm-axiom checks allow
 _AXIOM_TOL = 1e-10
+# the largest budget check-space and constants pass to an estimator
+_ESTIMATOR_BUDGET_CAP = 24
 
 
 @dataclass
@@ -98,7 +100,9 @@ def _run_check_space(f: SimpleNamespace):
     doc = schemas.instance_to_doc(measure=X.space, space=X)
     report = {"measure": doc["measure"], "space": doc["space"]}
     if f.p is not None:
-        est = p_convexity_estimate(X, f.p, budget=min(f.budget, 24), seed=f.seed)
+        est = p_convexity_estimate(X, f.p,
+                                   budget=min(f.budget, _ESTIMATOR_BUDGET_CAP),
+                                   seed=f.seed)
         checks.append(_check("p-convexity-lower-bound", est.value >= 1.0 - 1e-9,
                              value=est.value))
         report["p_convexity_estimate"] = est.to_jsonable()
@@ -106,8 +110,9 @@ def _run_check_space(f: SimpleNamespace):
 
 
 def _run_constants(f: SimpleNamespace):
-    chain = constant_chain_report(f.operator, f.e, budget=min(f.budget, 24),
-                                  seed=f.seed)
+    chain = constant_chain_report(
+        f.operator, f.e, budget=min(f.budget, _ESTIMATOR_BUDGET_CAP),
+        seed=f.seed)
     checks = [_check("witness-transfer-chain", chain["chain_ok"],
                      chain=chain["chain"])]
     return checks, {"chain_report": chain}

@@ -1,10 +1,12 @@
 """Versioned JSON instance documents and their (de)serialization.
 
 This module is the one reader of the ``latfact/1`` format:
-:func:`parse_fields` parses every field a command reads, fills in its
-default and builds the objects the command runs on.  A malformed document
-raises :class:`InstanceError`, which the CLI maps to exit status 2, before
-any computation starts.
+:func:`parse_fields` checks that a document is a JSON object with this
+schema id, parses every field a command reads, fills in its default and
+builds the objects the command runs on.  A malformed document raises
+:class:`InstanceError`, which the CLI maps to exit status 2, before any
+computation starts.  :func:`load_instance` reads a document from a UTF-8
+JSON file and runs the same object and schema check.
 
 A document is a JSON object with ``"schema": "latfact/1"`` (the default)
 and the fields below.  A number is a finite JSON number, never a boolean
@@ -65,7 +67,6 @@ grid holds more than 10^6 points.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -88,11 +89,9 @@ SCHEMA_ID = "latfact/1"
 COMMANDS = ("check-space", "constants", "snorm-demo", "factorize", "kakutani",
             "lemma-verify")
 
-__all__ = ["SCHEMA_ID", "COMMANDS", "InstanceError",
-           "load_instance", "parse_instance", "parse_fields",
-           "generator_settings", "build_measure", "build_space",
-           "build_exponents", "build_operator", "build_xi", "build_mixture",
-           "instance_to_doc", "dump_report"]
+__all__ = ["SCHEMA_ID", "COMMANDS", "InstanceError", "load_instance",
+           "parse_fields", "generator_settings", "instance_to_doc",
+           "dump_report"]
 
 
 class InstanceError(ValueError):
@@ -102,8 +101,8 @@ class InstanceError(ValueError):
 def load_instance(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from exc
     if not text.strip():
         raise InstanceError(f"instance file {path} is empty")
@@ -111,10 +110,11 @@ def load_instance(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"instance file {path} is not valid JSON: {exc}") from exc
-    return parse_instance(doc)
+    return _document(doc)
 
 
-def parse_instance(doc) -> dict:
+def _document(doc) -> dict:
+    """``doc``, checked to be a JSON object of this module's schema."""
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     schema = doc.get("schema", SCHEMA_ID)
@@ -203,25 +203,10 @@ def _exponent_pairs(value) -> tuple[tuple[float, float], ...]:
     return tuple((float(p), float(q)) for p, q in value)
 
 
-def _instance_errors(build):
-    """``build`` with the constructors' ``ValueError`` as :class:`InstanceError`."""
-    @functools.wraps(build)
-    def checked(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
-    return checked
-
-
-@_instance_errors
-def build_measure(doc: dict) -> MeasureSpace:
-    return MeasureSpace(weights=_vector(
+def _domain(doc: dict) -> LatticeNorm:
+    """The ``measure`` and ``space`` sections as the domain L^s(mu)."""
+    measure = MeasureSpace(weights=_vector(
         _require(_section(doc, "measure"), "weights"), "measure weights"))
-
-
-@_instance_errors
-def build_space(doc: dict, measure: MeasureSpace) -> LatticeNorm:
     raw = _section(doc, "space")
     family = raw.get("family")
     if family != "lebesgue":
@@ -230,13 +215,7 @@ def build_space(doc: dict, measure: MeasureSpace) -> LatticeNorm:
                             s=_real(_require(raw, "s"), "space s"))
 
 
-@_instance_errors
-def build_exponents(doc: dict) -> ExponentTriple:
-    return ExponentTriple(p=_real(_require(doc, "p"), "p"),
-                          q=_real(_require(doc, "q"), "q"))
-
-
-def _build_codomain(operator: dict, d: int):
+def _codomain(operator: dict, d: int):
     raw = _section(operator, "codomain") if "codomain" in operator else {}
     family = raw.get("family", "euclidean")
     if family == "euclidean":
@@ -249,8 +228,7 @@ def _build_codomain(operator: dict, d: int):
     raise InstanceError(f"unknown codomain family {family!r}")
 
 
-@_instance_errors
-def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
+def _operator(doc: dict, X: LatticeNorm) -> LinearOperator:
     raw = _section(doc, "operator")
     rows = _require(raw, "matrix")
     if not isinstance(rows, (list, tuple)):
@@ -259,11 +237,10 @@ def build_operator(doc: dict, X: LatticeNorm) -> LinearOperator:
     rows = [_vector(row, f"operator matrix row {i}")
             for i, row in enumerate(rows)]
     return LinearOperator(matrix=rows, domain=X,
-                          codomain=_build_codomain(raw, len(rows)))
+                          codomain=_codomain(raw, len(rows)))
 
 
-@_instance_errors
-def build_xi(doc: dict) -> DiscreteRadonMeasure:
+def _xi(doc: dict) -> DiscreteRadonMeasure:
     """The ``xi`` section as a measure of weight rows.
 
     Whether the rows lie in the dual unit ball of the domain is checked
@@ -291,56 +268,31 @@ def build_xi(doc: dict) -> DiscreteRadonMeasure:
     return xi
 
 
-def _weights_section(doc: dict) -> tuple:
-    """``g``, ``blocks`` and ``alpha`` of the ``dirac`` or ``partition`` section.
-
-    A dirac has no blocks and no masses.
-    """
-    if "dirac" in doc:
-        g = _vector(_require(_section(doc, "dirac"), "g"), "dirac g")
-        return g, None, None
-    if "partition" not in doc:
-        raise InstanceError(
-            "snorm-demo needs one of 'xi', 'dirac' or 'partition'")
-    part = _section(doc, "partition")
-    return (_vector(_require(part, "g"), "partition g"),
-            _blocks(_require(part, "blocks")),
-            _vector(_require(part, "alpha"), "partition alpha"))
-
-
-@_instance_errors
-def build_mixture(X: LatticeNorm, e: ExponentTriple, xi, g, blocks,
-                  alpha) -> SNormSpace:
-    """The mixture space of a parsed ``xi``, ``dirac`` or ``partition`` section.
-
-    ``xi`` is None for the other two, and ``blocks`` and ``alpha`` are
-    None for a dirac.
-
-    The constructors reject weights and masses that are not positive,
-    blocks that overlap, leave an atom uncovered, are empty or out of
-    range, and rows outside the dual ball.
-    """
-    if xi is not None:
-        return SNormSpace(base=X, e=e, xi=xi)
-    if blocks is None:
-        return dirac_space(X, e, g)
-    return partition_space(X, e, g, blocks, alpha)
-
-
 _SAMPLES = {"snorm-demo": INCLUSION_SAMPLES, "factorize": VERIFY_SAMPLES,
             "kakutani": KAKUTANI_SAMPLES}
 
 
-def parse_fields(command: str, doc: dict) -> SimpleNamespace:
+def parse_fields(command: str, doc) -> SimpleNamespace:
     """Every field ``command`` reads from ``doc``, parsed, with its default.
 
     The namespace holds the fields of the command's rows in the module
     table, by name, and the objects built from them: ``space`` (the
     domain), ``e``, ``operator`` and snorm-demo's ``mixture``, next to the
     ``g``, ``blocks`` and ``alpha`` it came from (None for an ``xi``).
+    A document that is not a JSON object, names another schema or fails
+    a constructor's check raises :class:`InstanceError`.
     """
     if command not in COMMANDS:
         raise InstanceError(f"unknown command {command!r}")
+    try:
+        return _fields(command, _document(doc))
+    except InstanceError:
+        raise
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
+
+
+def _fields(command: str, doc: dict) -> SimpleNamespace:
     f = SimpleNamespace(seed=_integer(doc.get("seed", 0), "seed", 0),
                         tol=_real(doc.get("tol", 1e-6), "tol", above=0.0),
                         budget=_integer(doc.get("budget", 40), "budget", 1))
@@ -349,28 +301,51 @@ def parse_fields(command: str, doc: dict) -> SimpleNamespace:
                              "samples", 1)
     if command == "lemma-verify":
         return _lemma_fields(doc, f)
-    f.space = build_space(doc, build_measure(doc))
+    f.space = _domain(doc)
     if command == "check-space":
         f.p = None if "p" not in doc else _real(doc["p"], "p", at_least=1.0)
         return f
-    f.e = build_exponents(doc)
+    f.e = ExponentTriple(p=_real(_require(doc, "p"), "p"),
+                         q=_real(_require(doc, "q"), "q"))
     if not (f.space.is_p_convex_one(f.e.p)
             or (command == "constants" and f.e.is_extreme)):
         raise InstanceError(f"space is not p-convex for p={f.e.p} "
                             f"(s={f.space.s}); {command} needs p <= s")
     if command in ("constants", "factorize"):
-        f.operator = build_operator(doc, f.space)
+        f.operator = _operator(doc, f.space)
     if command == "snorm-demo":
-        f.expect_saturated = doc.get("expect_saturated")
-        if not ("expect_saturated" not in doc
-                or isinstance(f.expect_saturated, bool)):
-            raise InstanceError("expect_saturated must be true or false, "
-                                f"got {f.expect_saturated!r}")
-        xi = build_xi(doc) if "xi" in doc else None
-        f.g, f.blocks, f.alpha = ((None,) * 3 if xi is not None
-                                  else _weights_section(doc))
-        f.mixture = build_mixture(f.space, f.e, xi, f.g, f.blocks, f.alpha)
+        _mixture_fields(doc, f)
     return f
+
+
+def _mixture_fields(doc: dict, f: SimpleNamespace) -> None:
+    """snorm-demo's ``expect_saturated`` and mixture fields.
+
+    The mixture is read from ``xi`` when given, else ``dirac``, else
+    ``partition``.  The constructors reject weights and masses that are
+    not positive, blocks that overlap, leave an atom uncovered, are empty
+    or out of range, and rows outside the dual ball.
+    """
+    f.expect_saturated = doc.get("expect_saturated")
+    if not ("expect_saturated" not in doc
+            or isinstance(f.expect_saturated, bool)):
+        raise InstanceError("expect_saturated must be true or false, "
+                            f"got {f.expect_saturated!r}")
+    f.g = f.blocks = f.alpha = None
+    if "xi" in doc:
+        f.mixture = SNormSpace(base=f.space, e=f.e, xi=_xi(doc))
+    elif "dirac" in doc:
+        f.g = _vector(_require(_section(doc, "dirac"), "g"), "dirac g")
+        f.mixture = dirac_space(f.space, f.e, f.g)
+    elif "partition" in doc:
+        part = _section(doc, "partition")
+        f.g = _vector(_require(part, "g"), "partition g")
+        f.blocks = _blocks(_require(part, "blocks"))
+        f.alpha = _vector(_require(part, "alpha"), "partition alpha")
+        f.mixture = partition_space(f.space, f.e, f.g, f.blocks, f.alpha)
+    else:
+        raise InstanceError(
+            "snorm-demo needs one of 'xi', 'dirac' or 'partition'")
 
 
 def _lemma_fields(doc: dict, f: SimpleNamespace) -> SimpleNamespace:

@@ -106,7 +106,7 @@ def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
 
 
 def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
-                     iters: int = 40, nonneg: bool = True,
+                     iters: int, nonneg: bool = True,
                      keep_signs: bool = False,
                      radial_rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gradient ascent with a geometric line search on the sphere.

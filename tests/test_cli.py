@@ -6,9 +6,8 @@ import pytest
 
 from latfact import ExponentTriple, MeasureSpace, SNormSpace, WeightedLebesgue
 from latfact.cli import Scenario, generate_instances, main, run
-from latfact.schemas import (InstanceError, SCHEMA_ID, build_measure,
-                             build_operator, build_space, build_xi,
-                             instance_to_doc, load_instance, parse_instance)
+from latfact.schemas import (COMMANDS, InstanceError, SCHEMA_ID,
+                             instance_to_doc, load_instance, parse_fields)
 
 
 def identity_instance(n=2, s=2.0, p=2.0, q=2.0) -> dict:
@@ -65,17 +64,17 @@ class TestSchemas:
         X = WeightedLebesgue(space=ms, s=1.5)
         e = ExponentTriple(p=1.0, q=2.0)
         doc = instance_to_doc(measure=ms, space=X, e=e)
-        parsed = parse_instance(json.loads(json.dumps(doc)))
-        assert build_measure(parsed) == ms
-        assert build_space(parsed, build_measure(parsed)) == X
+        f = parse_fields("kakutani", json.loads(json.dumps(doc)))
+        assert f.space.space == ms
+        assert f.space == X
+        assert f.e == e
 
     def test_operator_round_trip(self):
-        doc = identity_instance()
-        measure = build_measure(doc)
-        X = build_space(doc, measure)
-        T = build_operator(doc, X)
-        doc2 = instance_to_doc(measure=measure, space=X, operator=T)
-        T2 = build_operator(doc2, X)
+        f = parse_fields("constants", identity_instance())
+        T = f.operator
+        doc2 = instance_to_doc(measure=f.space.space, space=f.space, e=f.e,
+                               operator=T)
+        T2 = parse_fields("constants", doc2).operator
         assert T == T2
 
     def test_xi_section_builds_certified_measure(self):
@@ -83,23 +82,35 @@ class TestSchemas:
         doc["xi"] = {"atoms": [{"h": [1.0, 0.0], "mass": 0.5},
                                {"h": [0.0, 1.0], "mass": 0.5}],
                      "normalized": True}
-        xi = build_xi(doc)
-        assert xi.normalized and len(xi) == 2
         # the rows are certified where the measure meets its base space
-        X = build_space(doc, build_measure(doc))
-        S = SNormSpace(base=X, e=ExponentTriple(p=1.0, q=2.0), xi=xi)
+        S = parse_fields("snorm-demo", doc).mixture
+        assert S.xi.normalized and len(S.xi) == 2
         assert S.saturated
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(InstanceError):
-            parse_instance([1, 2, 3])
+            parse_fields("check-space", [1, 2, 3])
         with pytest.raises(InstanceError):
-            parse_instance({"schema": "latfact/999"})
+            parse_fields("check-space", {"schema": "latfact/999"})
         with pytest.raises(InstanceError):
-            build_measure({"schema": SCHEMA_ID})
+            parse_fields("check-space", {"schema": SCHEMA_ID})
         with pytest.raises(InstanceError):
-            build_space({"schema": SCHEMA_ID, "space": {"family": "orlicz"}},
-                        MeasureSpace(weights=np.ones(2)))
+            parse_fields("check-space",
+                         {"schema": SCHEMA_ID, "measure": {"weights": [1, 1]},
+                          "space": {"family": "orlicz"}})
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("doc", [
+        dict(field_document(), schema="latfact/999"),
+        [field_document()], "latfact/1", 3, None],
+        ids=["wrong-schema", "list", "string", "number", "null"])
+    def test_every_reader_checks_the_document(self, command, doc):
+        # the one reader and the scenario it builds see the same checks
+        # as the CLI's file path
+        with pytest.raises(InstanceError):
+            parse_fields(command, doc)
+        with pytest.raises(InstanceError):
+            Scenario(command=command, instance=doc)
 
     def test_unknown_scenario_command_rejected(self):
         with pytest.raises(InstanceError):
@@ -125,7 +136,7 @@ class TestRunners:
         status, report = run(Scenario(command=command, instance=doc))
         assert status == 0
         assert all(c["passed"] for c in report["checks"])
-        X = build_space(doc, build_measure(doc))
+        X = parse_fields(command, doc).space
         if command == "kakutani":  # the identity into X
             norms = X.norm_rows(np.eye(2))
         else:  # the document's operator into Euclidean space
@@ -145,8 +156,8 @@ class TestRunners:
         assert status == 0
         assert all(c["passed"] for c in report["checks"])
         # the report holds the domain in the document's own sections
-        X = build_space(report, build_measure(report))
-        assert X == build_space(doc, build_measure(doc))
+        X = parse_fields("check-space", report).space
+        assert X == parse_fields("check-space", doc).space
 
     def test_constants_chain(self):
         doc = identity_instance(n=2, s=1.0, p=1.0, q=2.0)
@@ -310,6 +321,13 @@ class TestMainEntry:
         path = tmp_path / "empty.json"
         path.write_text("")
         assert main(["factorize", "--instance", str(path)]) == 2
+
+    def test_non_utf8_instance_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"schema": "latfact/1", "p": "\xff\xfe"}')
+        assert main(["check-space", "--instance", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "binary.report.json").exists()
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["factorize", "--instance", str(tmp_path / "nope.json")]) == 2
@@ -480,10 +498,7 @@ class TestGenerate:
         paths = generate_instances("random-operator", count=2, n=2, seed=7,
                                    out_dir=tmp_path)
         assert len(paths) == 2
-        doc = load_instance(paths[0])
-        measure = build_measure(doc)
-        X = build_space(doc, measure)
-        T = build_operator(doc, X)
+        T = parse_fields("constants", load_instance(paths[0])).operator
         assert T.matrix.shape == (2, 2)
         # determinism: regenerating gives identical bytes
         again = generate_instances("random-operator", count=2, n=2, seed=7,

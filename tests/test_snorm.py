@@ -5,7 +5,7 @@ from latfact import (DiscreteRadonMeasure, ExponentTriple,
                      SNormSpace, UnsaturatedSpaceError, dirac_space,
                      family_sup_lhs, inclusion_bound_check, partition_space,
                      xi_saturation_check)
-from latfact.schemas import InstanceError, build_xi
+from latfact.schemas import SCHEMA_ID, InstanceError, parse_fields
 from latfact.spaces import dual_norm_of_pth_power
 from conftest import make_space
 
@@ -114,8 +114,11 @@ class TestMeasureValidation:
     def test_normalized_flag_checked(self):
         assert not DiscreteRadonMeasure.from_pairs([([1, 1], 0.7)]).normalized
         xi = {"atoms": [{"h": [1, 1], "mass": 0.7}], "normalized": True}
-        with pytest.raises(InstanceError):
-            build_xi({"xi": xi})
+        doc = {"schema": SCHEMA_ID, "measure": {"weights": [1, 1]},
+               "space": {"family": "lebesgue", "s": 1.0}, "p": 1.0,
+               "q": 2.0, "xi": xi}
+        with pytest.raises(InstanceError, match="xi normalized is True"):
+            parse_fields("snorm-demo", doc)
 
 
 class TestDiracSpace:
