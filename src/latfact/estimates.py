@@ -11,12 +11,17 @@ monotone nondecreasing in the restart budget.
 Ratios are stacked: they map a stack of families ``(K, m, n)`` to the
 ``(K,)`` ratios, one per family, and a family's value does not depend on
 the stack it sits in.  The search hands every batch of probes it would
-otherwise evaluate one by one to the ratio as one stack: the plan of a
-coordinate sweep (every ±δ probe left in the sweep and the renormalised
-family at its end, scanned for the first gain), the central-difference
-probes of a gradient, and the line-search ladder along it.  Gains are
-tested relative to the current value, so scaling the ratio does not move
-the search.
+otherwise evaluate one by one to the ratio as one stack: the
+central-difference probes of a gradient, the line-search ladder along it,
+and the plan of the coordinate sweeps.  A plan holds every ±δ probe left
+in the sweep and the renormalised family at its end.  When the last two
+completed sweeps accepted the same probes, it assumes the next sweeps
+accept them again and chains those sweeps, each accept's probes going on
+from the family it produces, up to 8 sweeps in one call.  The scan keeps
+the first gain of every stretch and stops at the first that differs from
+the plan, so every accept is the one-by-one search's.  Gains are tested
+relative to the current value, so scaling the ratio does not move the
+search.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 __all__ = ["ConstantEstimate", "family_search", "safe_ratio", "seed_list"]
 
 _SWEEPS = 40  # coordinate sweeps per restart before the gradient polish
+_MAX_DEPTH = 8  # sweeps one replaying plan covers at most
 
 
 def seed_list(seed) -> list[int]:
@@ -82,33 +88,45 @@ def _initial_family(rng: np.random.Generator, m: int, n: int, style: int) -> np.
     return F
 
 
-def _coordinate_probes(F: np.ndarray, cells: np.ndarray,
+def _coordinate_probes(F: np.ndarray, probes: np.ndarray,
                        step: float) -> np.ndarray:
-    """``F`` moved by ``+step`` and then ``-step`` on each cell in turn."""
+    """``F`` moved, for each probe ``k``, on cell ``k // 2`` (row-major) by
+    ``+step`` when ``k`` is even and by ``-step`` when it is odd."""
     m, n = F.shape
-    rows, cols = np.divmod(cells, n)
-    probes = np.broadcast_to(F, (cells.size, 2, m, n)).copy()
-    k = np.arange(cells.size)
-    probes[k, 0, rows, cols] += step
-    probes[k, 1, rows, cols] -= step
-    return probes.reshape(-1, m, n)
+    rows, cols = np.divmod(probes // 2, n)
+    out = np.broadcast_to(F, (probes.size, m, n)).copy()
+    out[np.arange(probes.size), rows, cols] += np.where(probes % 2, -step, step)
+    return out
 
 
-def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
-                sweeps_left: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Everything the coordinate sweeps evaluate from here if none accepts.
+def _sweep_plan(F: np.ndarray, delta: float, start: int, improved: bool,
+                sweeps_left: int, pattern: list[int] | None,
+                depth: int) -> list[tuple[int, np.ndarray, np.ndarray, bool]]:
+    """Everything the coordinate sweeps evaluate from here if they accept
+    the probes of ``pattern`` and no other (none when it is None).
 
-    A segment is ``(first cell, probes, end)``: the ``+δ`` and ``-δ`` probes
-    of the cells from ``first`` on, in row-major order, then the sweep's end,
+    Probe ``k`` of a sweep moves cell ``k // 2`` by ``+δ`` (``k`` even) or
+    ``-δ`` (``k`` odd).  A segment is ``(first, probes, end, replayed)``:
+    the probes ``first, first + 1, …`` of one family.  A replayed segment
+    stops at a probe of ``pattern``, and the next segment goes on from the
+    family that probe produces, past the ``-δ`` probe that would return to
+    the start.  The last segment of a sweep runs to its end, and ``end`` is
     the renormalised family ``F / max|F|`` (empty when ``max|F| = 0``, or
-    when a sweep without an accept would halve ``δ`` below the stop).  A
-    plan that starts after an accept on the last cell has no probes left in
-    its sweep, so it runs on through the whole next sweep.
+    when a sweep without an accept would halve ``δ`` below the stop).  With
+    no pattern the plan is the rest of the current sweep; with one it covers
+    ``depth`` sweeps, the current one included.  Either way a plan that
+    would hold only a sweep's end, after an accept on its last cell, runs on
+    through the next sweep.
     """
     m, n = F.shape
     plan = []
     while True:
-        probes = _coordinate_probes(F, np.arange(cell, m * n), delta)
+        for k in pattern or ():
+            if k >= start:
+                probes = _coordinate_probes(F, np.arange(start, k + 1), delta)
+                plan.append((start, probes, np.empty((0, m, n)), True))
+                F, start, improved = probes[-1], k + 2 - k % 2, True
+        probes = _coordinate_probes(F, np.arange(start, 2 * m * n), delta)
         scale = np.max(np.abs(F))
         halts = not improved and delta * 0.5 < 1e-3
         if halts or scale == 0:
@@ -116,12 +134,15 @@ def _sweep_plan(F: np.ndarray, delta: float, cell: int, improved: bool,
         else:  # the ratio is scale-invariant; keep coordinates O(1)
             F = F / scale
             end = F[None]
-        plan.append((cell, probes, end))
+        plan.append((start, probes, end, False))
         sweeps_left -= 1
-        if len(probes) or halts or not sweeps_left:
+        depth -= 1
+        if halts or not sweeps_left or (pattern is None or depth < 1) and (
+                len(plan) > 1 or len(probes)):
             return plan
-        # no cell was left, so this sweep accepted and delta stays
-        cell, improved = 0, False
+        if not improved:
+            delta *= 0.5
+        start, improved = 0, False
 
 
 def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
@@ -134,40 +155,64 @@ def _polish_family(ratio: Callable[[np.ndarray], np.ndarray], F: np.ndarray,
     converges where single-coordinate steps zigzag.  ``ratio`` is stacked
     and a family's value does not depend on its stack, so each batch of
     probes is one call, scanned in the order a one-by-one search would try
-    them.  The sweeps plan ahead: one call evaluates every probe up to the
-    sweep's end (see :func:`_sweep_plan`), and the first probe that gains
-    ends the plan, since the value it is compared with is constant until
-    then.  After a ``+δ`` step is accepted the ``-δ`` probe, which would
-    return to the start, is not taken.
+    them, and every accept and value is the one-by-one search's.  After a
+    ``+δ`` step is accepted the ``-δ`` probe, which would return to the
+    start, is not taken.
+
+    The sweeps plan ahead (see :func:`_sweep_plan`).  When the last two
+    completed sweeps accepted the same probes, the plan assumes the next
+    sweeps accept them again; it covers ``depth`` sweeps, and ``depth``
+    doubles, up to 8, after a plan whose every assumption held, and drops
+    to 1 on a miss.  The scan takes the first gain of each segment, since
+    the value it is compared with is constant within one.  At the first
+    segment whose first gain is not its replayed probe, or that has no gain
+    where it assumed one, the plan ends and the search goes on from the
+    state that real outcome leaves.
     """
     val = float(ratio(F[None])[0])
-    delta, sweep, cell, improved = 0.5, 0, 0, False
+    delta, sweep, start, improved = 0.5, 0, 0, False
+    accepts, last, pattern, depth = [], None, None, 1
     m, n = F.shape
     while sweep < sweeps and delta >= 1e-3:
-        plan = _sweep_plan(F, delta, cell, improved, sweeps - sweep)
-        pv = ratio(np.concatenate([b for _, probes, end in plan
+        plan = _sweep_plan(F, delta, start, improved, sweeps - sweep,
+                           pattern, depth)
+        pv = ratio(np.concatenate([b for _, probes, end, _ in plan
                                    for b in (probes, end)]))
         pos = 0
-        for first, probes, end in plan:
+        for first, probes, end, replayed in plan:
             gain = val + 1e-13 * abs(val)
             hit = np.flatnonzero(pv[pos:pos + len(probes)] > gain)
             if hit.size:
                 h = int(hit[0])
                 F, val = probes[h].copy(), float(pv[pos + h])
-                cell, improved = first + h // 2 + 1, True
+                k = first + h
+                accepts.append(k)
+                start, improved = k + 2 - k % 2, True
+                if not replayed or h < len(probes) - 1:
+                    break
+            elif replayed:  # the replayed probe did not gain
+                start = first + len(probes)
                 break
             pos += len(probes)
+            if replayed:
+                continue
             if not improved:
                 delta *= 0.5
-            sweep, cell, improved = sweep + 1, 0, False
+            sweep, start, improved = sweep + 1, 0, False
+            pattern = accepts if accepts == last else None
+            accepts, last = [], accepts
             if len(end):
                 F, val = end[0], float(pv[pos])
                 pos += 1
+        else:  # every assumption held
+            depth = min(2 * depth, _MAX_DEPTH)
+            continue
+        depth = 1
 
     etas = np.geomspace(1e-8, 1.0, 22)
     for _ in range(60):
         step = 1e-6 * max(1.0, float(np.max(np.abs(F))))
-        pv = ratio(_coordinate_probes(F, np.arange(m * n), step)
+        pv = ratio(_coordinate_probes(F, np.arange(2 * m * n), step)
                    ).reshape(m, n, 2)
         grad = (pv[:, :, 0] - pv[:, :, 1]) / (2.0 * step)
         gn = float(np.linalg.norm(grad))

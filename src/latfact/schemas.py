@@ -110,6 +110,8 @@ def load_instance(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"instance file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError(f"instance file {path} nests too deeply") from exc
     return _document(doc)
 
 

@@ -35,8 +35,8 @@ faces.  :func:`unit_rows` is the one sphere normaliser.
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
 own finite-difference line search over whole families; it evaluates each
-coordinate-sweep plan and each batch of gradient probes as one stacked
-ratio call.
+batch of gradient probes, and each coordinate-sweep plan, up to 8 sweeps
+when the sweeps repeat, as one stacked ratio call.
 """
 
 from __future__ import annotations

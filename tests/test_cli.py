@@ -337,6 +337,14 @@ class TestMainEntry:
         path.write_text("{not json")
         assert main(["constants", "--instance", str(path)]) == 2
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"schema": "latfact/1", "pairs": '
+                        + "[" * depth + "]" * depth + "}")
+        assert main(["lemma-verify", "--instance", str(path)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["check-space", "constants",
                                          "snorm-demo", "factorize", "kakutani"])
     def test_thirteen_atoms_exit_two(self, tmp_path, capsys, command):
