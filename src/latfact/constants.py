@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import ConstantEstimate, family_search, safe_ratio, seed_list
-from .search import projected_ascent, sign_patterns, signed_starts, unit_rows
+from .search import (fixed_point_ascent, projected_ascent, sign_patterns,
+                     signed_starts, unit_rows)
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _dual_is_cube,
@@ -168,13 +169,18 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     """Supremum of ``psi(h)^{1/q}`` over the positive dual ball of X_p.
 
     Curved-ball case (``s > p``), for a stack of families ``(K, m, n)``.
-    The first-order condition is the fixed point
-    ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``; five plain steps of it run
-    from canonical and seeded starts, and :func:`search.projected_ascent`
-    then polishes the best row of the fifth iterate along the dual sphere.
-    Every iterate is feasible, so the value is a lower bound on the
-    supremum, not the supremum: the fixed point can settle in a local
-    maximum, 2–3e-4 low on nine-vector families at
+    At ``sigma = s/p = 2`` and ``t = q/p = 2`` it is exact:
+    ``psi(h) = ‖P h‖^2`` with ``P = |F|^p μ`` on the positive part of the
+    ``L^2(μ)`` ball, so the supremum is ``σ_max(P diag(μ^{-1/2}))^{2/q}``,
+    attained at ``|v_1| / sqrt(μ)`` for the top right singular vector
+    ``v_1``: ``P >= 0`` gives ``‖M|v|‖ >= ‖Mv‖``, so ``|v_1|`` attains it
+    even when the top singular value repeats.  Elsewhere the first-order
+    condition is the fixed point ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``;
+    five plain steps of it run from canonical and seeded starts, and
+    :func:`search.projected_ascent` then polishes the best row of the fifth
+    iterate along the dual sphere.  Every iterate is feasible, so the value
+    is a lower bound on the supremum, not the supremum: the fixed point can
+    settle in a local maximum, 2–3e-4 low on nine-vector families at
     ``(s, p, q) = (2, 1, 3)``.  It serves ``t = q/p > 1`` only: at
     ``p = q`` the objective is linear, and :func:`family_sup_lhs` and
     :func:`attainment_point` use its closed form.  One-vector families
@@ -190,6 +196,10 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     sigma_dual = sigma / (sigma - 1.0)
     G = np.abs(F) ** p
     P = G * mu
+    if sigma == 2.0 and t == 2.0:
+        r = 1.0 / np.sqrt(mu)
+        _, sv, Vt = np.linalg.svd(P * r)
+        return _scalar_pow(sv[:, 0], 2.0 / q), np.abs(Vt[:, 0]) * r
     PT = P.transpose(0, 2, 1)
 
     def dual_sphere(H: np.ndarray) -> np.ndarray:
@@ -248,14 +258,15 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     is optimal by monotonicity).  For weighted Lebesgue domains the scaling
     supremum is eliminated exactly through conjugate-exponent duality:
     at ``s = p`` the value collapses to ``(sum_i ‖f_i‖_{L^p}^q)^{1/q}``,
-    and for ``s > p`` the remaining dual-ball supremum is computed by the
-    attainment fixed point, a lower bound.  Other domains use a
-    grid-plus-polish search on the scaling side and return a lower bound.
-    Neither search runs for a family of one vector: its scaling ball is
-    ``[-1, 1]``, so the value is exactly ``‖f‖_X``.  A stack of families
-    ``(K, m, n)`` gives the ``(K,)`` values in one pass.  For ``q > p``
-    the reduction needs a p-convex domain and raises
-    :class:`NotPConvexError` on any other.
+    and for ``s > p`` the remaining dual-ball supremum is
+    :func:`_curved_dual_sup`: a top singular value, exact, at
+    ``s/p = q/p = 2``, and elsewhere the attainment fixed point, a lower
+    bound.  Other domains use a grid-plus-polish search on the scaling
+    side and return a lower bound.  Neither search runs for a family of one
+    vector: its scaling ball is ``[-1, 1]``, so the value is exactly
+    ``‖f‖_X``.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values
+    in one pass.  For ``q > p`` the reduction needs a p-convex domain and
+    raises :class:`NotPConvexError` on any other.
     """
     if not (e.is_extreme or X.is_p_convex_one(e.p)):
         raise NotPConvexError(
@@ -319,10 +330,11 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
     objective is linear, ``∫ g h dμ`` with ``g = sum_i |f_i|^p``, and the
     exact maximizer is Hölder's ``g^(sigma-1) / ‖g^(sigma-1)‖_{sigma'}``
     (``sigma = s/p``); for a single function this is the classical norming
-    weight of ``|f|^p``.  For ``q > p`` the fixed point of
-    :func:`_curved_dual_sup` is returned.  Other domains fall back to the
-    best canonical candidate.  Raises :class:`NotPConvexError` when X is
-    not p-convex.
+    weight of ``|f|^p``.  For ``q > p`` the weight of
+    :func:`_curved_dual_sup` is returned: an exact maximizer, from the top
+    singular vector, at ``s/p = q/p = 2``, and the fixed point elsewhere.
+    Other domains fall back to the best canonical candidate.  Raises
+    :class:`NotPConvexError` when X is not p-convex.
     """
     F = _family_matrix(F, X.n)
     if _dual_is_cube(X, e.p):
@@ -560,12 +572,20 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     closed route applies, a family of one vector is settled by Köthe
     duality: its value is ``‖f‖_X``.  Anything else runs a seeded
     multistart ascent over the dual sphere.  On weighted Lebesgue domains
-    its rows are normalised by the closed-form dual norm, so the value is a
-    certified lower bound.  On other domains (the Köthe route) they are
-    divided by the numeric :func:`~latfact.spaces.dual_norm_rows`, which is
-    itself a lower bound, so a row can land outside the dual ball and the
-    value is certified from neither side.  A stack of families
-    ``(K, m, n)`` gives the ``(K,)`` values in one pass.
+    it is :func:`~latfact.search.fixed_point_ascent` of the step
+    ``h <- sign(w)|w|^{s-1}``, ``w_j = sum_i sign(u_i)|u_i|^{q-1} f_ij``
+    with ``u_i = <h, f_i>``, normalised by the closed-form dual norm: the
+    value is convex in ``h``, and the step maximises its linearisation over
+    the dual ball, so no step lowers it (Boyd's power method).  Every row
+    lies on the dual sphere, so the value is a certified lower bound.  On
+    other domains (the Köthe route) a line-searched
+    :func:`~latfact.search.projected_ascent` runs, its rows divided by the
+    numeric :func:`~latfact.spaces.dual_norm_rows`, which is itself a lower
+    bound, so a row can land outside the dual ball and the value is
+    certified from neither side.  A stack of families ``(K, m, n)`` gives
+    the ``(K,)`` values in one pass; on weighted Lebesgue domains every row
+    of every family is computed at every step, so a family's value does not
+    depend on the families stacked beside it.
     """
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
@@ -612,23 +632,11 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
         return _one_vector_norms(X, F)
 
     # multistart ascent over the signed dual sphere
-    radial_rows = None
-    if isinstance(X, WeightedLebesgue):
-        radial_rows = WeightedLebesgue(
-            space=X.space, s=X.conjugate_exponent()).norm_grad_rows
-
     def dual_sphere(H: np.ndarray) -> np.ndarray:
         return unit_rows(H, lambda H: dual_norm_rows(X, 1.0, H))
 
     def value_rows(H: np.ndarray) -> np.ndarray:
         return _lq_rows(H @ AT, q)
-
-    def grad_rows(H: np.ndarray) -> np.ndarray:
-        U = H @ AT
-        V = value_rows(H)
-        V = np.where(V == 0.0, 1.0, V)
-        W = np.sign(U) * np.abs(U) ** (q - 1.0)
-        return (W @ A) / V[..., None] ** (q - 1.0)
 
     # starts: uniform, indicators, the top right singular vector, noise
     rng = np.random.default_rng(seed_list(seed) + [3])
@@ -640,9 +648,29 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
     noise = rng.normal(size=(max(4, int(budget)), n))
     starts = np.concatenate([np.broadcast_to(head, (K, *head.shape)), top,
                              np.broadcast_to(noise, (K, *noise.shape))], axis=1)
+    if isinstance(X, WeightedLebesgue):
+        # Hölder's maximiser of the gradient's pairing: a step never lowers
+        # the convex value
+        def step_rows(H: np.ndarray) -> np.ndarray:
+            U = H @ AT
+            w = (np.sign(U) * np.abs(U) ** (q - 1.0)) @ F
+            wmax = np.abs(w).max(axis=-1, keepdims=True)
+            w = w / np.where(wmax > 0.0, wmax, 1.0)
+            return dual_sphere(np.sign(w) * np.abs(w) ** (X.s - 1.0))
+
+        _, vals = fixed_point_ascent(value_rows, step_rows,
+                                     dual_sphere(starts), iters=60)
+        return vals.max(axis=1)
+
+    def grad_rows(H: np.ndarray) -> np.ndarray:
+        U = H @ AT
+        V = value_rows(H)
+        V = np.where(V == 0.0, 1.0, V)
+        W = np.sign(U) * np.abs(U) ** (q - 1.0)
+        return (W @ A) / V[..., None] ** (q - 1.0)
+
     _, vals = projected_ascent(value_rows, grad_rows, dual_sphere,
-                               starts, iters=60, nonneg=False,
-                               radial_rows=radial_rows)
+                               starts, iters=60, nonneg=False)
     return vals.max(axis=1)
 
 

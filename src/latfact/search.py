@@ -7,21 +7,22 @@ at most ``spaces.MAX_ATOMS``) and ascends over nonnegative magnitudes on a
 unit sphere.  Batches put restarts in rows so the whole search is a
 handful of dense numpy ops.
 
-:func:`projected_ascent` is the one sphere ascent of the package.  It runs
-``‖Tf‖`` (the objective ``constants._image_norm``) on two spheres: the
-domain's, for ``constants.operator_norm_estimate``, and the mixture's,
-for ``factorization.violation_oracle``, the one search for the extension
-norm (``factorization.extension_norm_estimate`` is that search at
-``C = 0``).  It also runs the dual-sphere suprema of ``constants._weak_q``
-and the polish of ``constants._curved_dual_sup``, and the linear suprema
-of ``spaces.linear_sup_over_ball`` behind the numeric Köthe duals.  It
-iterates only live rows: a row whose line search finds no gain is never
-recomputed.  The violation oracle ascends with ``keep_signs``, so entries
-stop at zero and its rows can settle on the faces where the seminorm's
-kink at ``p = 1`` puts the maximum; it returns the best ascended row of
-every sign pattern, one cut each for the Kelley round that called it.
-The two ``constants`` callers pass a stack of problems, one per family,
-so a stack of families is one ascent.
+:func:`projected_ascent` is the one line-searched sphere ascent of the
+package.  It runs ``‖Tf‖`` (the objective ``constants._image_norm``) on
+two spheres: the domain's, for ``constants.operator_norm_estimate``, and
+the mixture's, for ``factorization.violation_oracle``, the one search for
+the extension norm (``factorization.extension_norm_estimate`` is that
+search at ``C = 0``).  It also runs the polish of
+``constants._curved_dual_sup``, the weak-q supremum of
+``constants._weak_q`` on domains that are not weighted Lebesgue (the Köthe
+route), and the linear suprema of ``spaces.linear_sup_over_ball`` behind
+the numeric Köthe duals.  It iterates only live rows: a row whose line
+search finds no gain is never recomputed.  The violation oracle ascends
+with ``keep_signs``, so entries stop at zero and its rows can settle on
+the faces where the seminorm's kink at ``p = 1`` puts the maximum; it
+returns the best ascended row of every sign pattern, one cut each for the
+Kelley round that called it.  The two ``constants`` callers pass a stack
+of problems, one per family, so a stack of families is one ascent.
 On weighted ``L^1``, and on weighted ``L^2`` into a Euclidean target,
 the maximiser of ``‖Tf‖`` is known in closed form
 (``constants._norm_maximisers``): the operator norm starts its ascent
@@ -31,6 +32,11 @@ space, returns it and runs no ascent.  Elsewhere both start from
 (a pattern times an indicator is only ``±e_i``); the oracle adds every
 2-support row ``e_i ± e_j``, since its maximisers often lie on sparse
 faces.  :func:`unit_rows` is the one sphere normaliser.
+Where a step lands on the best point of a linearisation in closed form,
+no line search is needed: :func:`fixed_point_ascent` iterates such a step
+under the same gain rule, and runs the weak-q supremum of
+``constants._weak_q`` on weighted Lebesgue domains, whose convex value
+the Hölder step never lowers (Boyd's power method).
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
@@ -47,7 +53,8 @@ import numpy as np
 
 from .estimates import seed_list
 
-__all__ = ["sign_patterns", "signed_starts", "projected_ascent", "unit_rows"]
+__all__ = ["sign_patterns", "signed_starts", "projected_ascent",
+           "fixed_point_ascent", "unit_rows"]
 
 # step ladder of the line search along the unit ascent direction
 _ETAS = np.geomspace(1e-10, 1.0, 18)
@@ -182,4 +189,33 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
         live[ks, rows] = True
     if not stacked:
         return A[0], val[0]
+    return A, val
+
+
+def fixed_point_ascent(value_rows, step_rows, A0: np.ndarray, *,
+                       iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise iteration ``a <- step(a)`` that keeps only gains.
+
+    ``A0`` holds rows on a sphere, ``(R, n)`` or a stack ``(K, R, n)``;
+    ``step_rows`` maps rows to rows on the same sphere and ``value_rows``
+    maps them to ``(R,)`` or ``(K, R)`` values.  The gain rule is that of
+    :func:`projected_ascent`: a row takes its step only when its value
+    gains more than ``1e-15`` times the largest starting value of its
+    problem, and a row that does not gain is frozen.  Every row is computed
+    at every step, so the products a problem meets have the same shapes
+    whatever problems are stacked beside it.  Monotone per row, hence a
+    certified lower bound per start; deterministic.
+    """
+    A = np.array(A0, dtype=float)
+    val = value_rows(A)
+    gain = 1e-15 * np.abs(val).max(axis=-1, initial=0.0)[..., None]
+    live = np.ones(val.shape, dtype=bool)
+    for _ in range(iters):
+        B = step_rows(A)
+        bval = value_rows(B)
+        live &= bval > val + gain
+        if not live.any():
+            break
+        A[live] = B[live]
+        val[live] = bval[live]
     return A, val

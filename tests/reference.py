@@ -20,6 +20,11 @@ Neither grid is exact: missing rows lower the constant and missing columns
 raise it.  :func:`domination_reference` reads the grid error off the
 change of the constant when the angle step halves.  The target is
 Euclidean; any exponents ``1 <= p <= q`` are allowed.
+
+:func:`weak_q_reference` gives the weak-q norm of a family, the
+denominator of the q-summing ratio, as the largest value on an angle grid
+of the unit circle of ``L^{s'}(μ)``, the dual of ``L^s(μ)``.  Its grid
+error is certified by :func:`chord_factor`.
 """
 
 from __future__ import annotations
@@ -84,6 +89,37 @@ def domination_reference(A, mu, s: float, p: float, q: float,
     coarse = domination_lp(A, mu, s, p, q, steps)
     fine = domination_lp(A, mu, s, p, q, 2 * steps)
     return fine, abs(fine - coarse)
+
+
+def weak_q_grid(F, mu, s: float, q: float, steps: int) -> float:
+    """``max (sum_i |∫ f_i h dμ|^q)^{1/q}`` over ``h`` on a circle grid.
+
+    The rows ``h`` lie on the unit circle of ``L^{s'}(μ)``, ``s' = s/(s-1)``,
+    ``steps`` angle steps per quarter circle over ``[0, π)``: ``h`` and
+    ``-h`` give the same value.  Needs ``s > 1``.
+    """
+    F = np.asarray(F, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    step = 0.5 * np.pi / steps
+    H = circle_rows(step * np.arange(2 * steps),
+                    lambda H: lebesgue_norm_rows(H, s / (s - 1.0), mu))
+    U = H @ (F * mu).T
+    return float(((np.abs(U) ** q).sum(axis=1) ** (1.0 / q)).max())
+
+
+def weak_q_reference(F, mu, s: float, q: float,
+                     steps: int = 8000) -> tuple[float, float]:
+    """``(value, err)``: the grid value at ``steps`` steps and its error.
+
+    Every grid value is attained, so the value is a lower bound on the
+    supremum.  The value is a seminorm of ``h``, so :func:`chord_factor`
+    of ``L^{s'}(μ)`` at the same step bounds how far the supremum can
+    exceed it: ``err`` is the value times that factor minus one.  A halved
+    step gives no such bound, since the finer grid often keeps the same
+    maximum and the change reads zero.
+    """
+    value = weak_q_grid(F, mu, s, q, steps)
+    return value, value * (chord_factor(s / (s - 1.0), mu, steps) - 1.0)
 
 
 def chord_factor(s: float, mu, steps: int) -> float:

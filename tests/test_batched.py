@@ -153,17 +153,18 @@ def _search_starts(ratio, n, budget, seed):
 
 
 def _polish_cases():
-    """(name, scalar ratio, starts) over flat, curved, summing and p = q
-    ratios, and two chain instances whose sweeps repeat."""
+    """(name, scalar ratio, starts) over flat, closed-form, summing and
+    p = q ratios, and two chain instances whose sweeps repeat; the second
+    takes the curved M_pq fixed point."""
     flat = random_operator(3, 3, [5], s=1.0)
-    curved = random_operator(2, 2, [6], s=2.0)
+    l2 = random_operator(2, 2, [6], s=2.0)
     hilbert = random_operator(2, 2, [7], s=1.5)
     cases = [
         ("q-concavity", lambda F: q_concavity_ratio(flat, 2.0, F), 3),
         ("pq-flat", lambda F: pq_concavity_ratio(flat, E12, F), 3),
-        ("pq-curved", lambda F: pq_concavity_ratio(curved, E12, F), 2),
-        ("q-summing-ascent", lambda F: q_summing_ratio(hilbert, 2.0, F,
-                                                       budget=4), 2),
+        ("pq-svd", lambda F: pq_concavity_ratio(l2, E12, F), 2),
+        ("q-summing-fixed-point", lambda F: q_summing_ratio(hilbert, 2.0, F,
+                                                           budget=4), 2),
     ]
     # at the full sweep count the delta stop, accepts on the last cell
     # and plans that span two sweeps all run
@@ -392,8 +393,8 @@ def _stack_cases():
     L2 = make_space(mu, 2.0)
     return [
         ("s = 1 vertex / flat", make_space(mu, 1.0), E12),
-        ("s = q = 2 SVD / curved", L2, E12),
-        ("s = 1.5 ascent / curved", make_space(mu, 1.5), E12),
+        ("s = q = 2 SVD / s/p = q/p = 2 SVD", L2, E12),
+        ("s = 1.5 fixed point / curved", make_space(mu, 1.5), E12),
         ("curved s > p, q > p", make_space(mu, 3.0), ExponentTriple(2.0, 4.0)),
         ("p = q", L2, ExponentTriple(p=2.0, q=2.0)),
         ("one-atom mixture", dirac_space(L2, ExponentTriple(p=2.0, q=2.0),
@@ -434,8 +435,6 @@ class TestStackedDenominators:
                 weak_q_norm(X, F[k], e.q, budget=4, seed=2),
                 rel=1e-12, abs=0.0), route
 
-    @pytest.mark.xfail(strict=True, reason="a weak-q value can move by an "
-                       "ulp with the families stacked beside it")
     def test_weak_q_norm_is_bitwise_stack_independent(self):
         T = random_operator(2, 2, [2026, 4, 2], s=1.5)
         F = np.random.default_rng(0).normal(size=(400, 2, 2))[257:265]

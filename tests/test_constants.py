@@ -18,6 +18,7 @@ from latfact.search import projected_ascent
 from latfact.spaces import NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
+from reference import weak_q_reference
 
 E12 = ExponentTriple(p=1.0, q=2.0)
 
@@ -200,6 +201,42 @@ class TestClosedFormAttainment:
         assert psi ** (1.0 / p) >= fixed_point * (1.0 - 1e-12)
 
 
+class TestClosedCurvedRoute:
+    """At ``sigma = s/p = 2`` and ``t = q/p = 2`` the curved dual-ball
+    supremum is a top singular value, and its weight attains it."""
+
+    @staticmethod
+    def assert_exact(X, e, F):
+        value = family_sup_lhs(X, e, F)
+        assert value == pytest.approx(brute_force_family_sup(X, e, F),
+                                      rel=1e-12, abs=0.0)
+        h = attainment_point(X, e, F)
+        assert np.all(h >= 0.0)
+        sigma = X.s / e.p
+        norm = float((h ** (sigma / (sigma - 1.0))) @ X.space.weights) ** (
+            (sigma - 1.0) / sigma)
+        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert family_sup_rhs(X, e, F, h[None]) == pytest.approx(
+            value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s, p, q", [(2.0, 1.0, 2.0), (4.0, 2.0, 4.0)])
+    def test_matches_brute_force(self, s, p, q):
+        rng = np.random.default_rng([83, int(s)])
+        X = make_space(rng.uniform(0.5, 2.0, size=3), s)
+        for m in (2, 3):
+            for _ in range(4):
+                self.assert_exact(X, ExponentTriple(p=p, q=q),
+                                  rng.normal(size=(m, 3)))
+
+    @pytest.mark.parametrize("s, p, q", [(2.0, 1.0, 2.0), (4.0, 2.0, 4.0)])
+    def test_repeated_top_value_on_disjoint_supports(self, s, p, q):
+        # |F|^p sqrt(μ) has the top singular value 1 twice, and the third
+        # vector's value is below it
+        F = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]])
+        self.assert_exact(make_space([1.0, 1.0, 2.0], s),
+                          ExponentTriple(p=p, q=q), F)
+
+
 class TestWitnessTransferInequalities:
     def test_per_family_denominator_ordering(self):
         rng = np.random.default_rng(12)
@@ -250,6 +287,22 @@ class TestWeakQNorm:
         assert got >= best - 1e-4
         assert got <= best * (1 + 5e-3)
 
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_matches_the_dense_grid_reference_at_n2(self, s, q):
+        # tests/reference.py grids the unit circle of L^{s'}(μ); its error
+        # bounds how far the supremum can lie above the grid value
+        rng = np.random.default_rng([47, int(2 * s), int(2 * q)])
+        mu = rng.uniform(0.5, 2.0, size=2)
+        X = make_space(mu, s)
+        for m in (2, 3, 4):
+            for _ in range(3):
+                F = rng.normal(size=(m, 2))
+                ref, err = weak_q_reference(F, mu, s, q)
+                eps = err / ref
+                got = weak_q_norm(X, F, q, budget=8, seed=0)
+                assert ref * (1.0 - eps) <= got <= ref * (1.0 + eps)
 
     def test_one_atom_mixture_is_its_weighted_lebesgue_space(self):
         # s(f) = (∫|f|^2 g dμ)^{1/2}: the weak-2 norm is σ_max(F √(gμ))
