@@ -197,9 +197,6 @@ class WeightedLebesgue(LatticeNorm):
     def is_p_convex_one(self, p: float) -> bool:
         return self.s >= p - 1e-12
 
-    def conjugate_exponent(self) -> float:
-        return math.inf if self.s == 1.0 else self.s / (self.s - 1.0)
-
 
 @dataclass(frozen=True)
 class ExponentTriple:

@@ -287,7 +287,6 @@ class TestWeakQNorm:
         assert got >= best - 1e-4
         assert got <= best * (1 + 5e-3)
 
-
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("s", [1.5, 3.0])
     def test_matches_the_dense_grid_reference_at_n2(self, s, q):
