@@ -7,8 +7,16 @@ constants are estimated from explicit witness families:
     operator norm  <=  M_q  <=  M_pq  <=  pi_q
 
 where M_pq replaces the q-aggregate denominator by a supremum over scaled
-families, and pi_q divides by the weak-q norm over the dual ball.  The
-scaled-family supremum itself has two faces, a scaling side and a
+families, and pi_q divides by the weak-q norm over the dual ball.  On the
+1-norm domain used here the first three are equal and come without a
+search: L^s with s <= q is q-concave with constant one (Minkowski's
+inequality in L^{s/q}), so M_q = ‖T‖, and at s = p the M_pq denominator is
+(sum_i ‖f_i‖_p^q)^{1/q}, so M_pq = ‖T‖ as well; both read the exact
+operator norm's witness, the best column.  The family search stays for
+M_q at s > q, for curved M_pq (s > p, q > p), for pi_q, and where the
+operator norm is only an ascent's lower bound.
+
+The scaled-family supremum itself has two faces, a scaling side and a
 dual-ball side, which agree; the demo checks this on a random instance by
 brute force.
 

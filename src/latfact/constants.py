@@ -12,6 +12,17 @@ denominators give an exact witness-transfer chain
 
 which :func:`constant_chain_report` checks and reports.
 
+Two middle constants are ``‖T‖`` itself on weighted ``L^s``: ``M_q`` when
+``s <= q``, by Minkowski's inequality in ``L^{s/q}`` (``L^s`` is
+q-concave with constant one), and ``M_pq`` when ``s = p``, where its
+denominator is ``(sum_i ‖f_i‖_p^q)^{1/q}``, or when ``p = q`` and
+``s <= q``, where it is the ``M_q`` one.  Where ``‖T‖`` is exact (weighted
+``L^1``, weighted ``L^2`` into a Euclidean target, and the saturated
+mixtures that collapse to them) their estimates are the operator norm's
+one-vector witness.  The seeded family search runs for ``M_q`` at
+``s > q``, for curved ``M_pq``, for ``pi_q`` and wherever ``‖T‖`` is only
+an ascent's lower bound.
+
 The ratios and the two denominators with an inner supremum
 (:func:`family_sup_lhs`, :func:`weak_q_norm`) take a family ``(m, n)`` or a
 stack of families ``(K, m, n)``; a stack is solved in one batched pass and
@@ -785,11 +796,43 @@ def _family_estimate(kind, ratio, n, budget, seed) -> ConstantEstimate:
                             budget_used=int(budget))
 
 
+def _norm_or_family_estimate(T: LinearOperator, kind, ratio, closed, budget,
+                             seed) -> ConstantEstimate:
+    """``‖T‖`` where the constant equals it and ‖T‖ is exact, else the search.
+
+    After the collapse of a saturated mixture, a weighted ``L^s`` domain
+    whose exponent passes ``closed(s)`` has the constant equal to ``‖T‖``;
+    where :func:`_norm_maximisers` knows the maximiser, the estimate is
+    :func:`operator_norm_estimate`'s one-vector witness, its value the
+    ratio replayed on it.  Everywhere else the family search runs.
+    """
+    X = _collapsed_mixture(T.domain)
+    if not (isinstance(X, WeightedLebesgue) and closed(X.s)
+            and _norm_maximisers(T, X) is not None):
+        return _family_estimate(kind, ratio, T.n, budget, seed)
+    witness = operator_norm_estimate(T, budget, seed).witness
+    value = float(ratio(np.vstack(witness))) if witness else 0.0
+    return ConstantEstimate(kind=kind, value=value, witness=witness,
+                            budget_used=int(budget))
+
+
 def q_concavity_estimate(T: LinearOperator, q: float, budget: int = 16,
                          seed=0) -> ConstantEstimate:
-    """Lower bound on the q-concavity constant ``M_q(T)`` with witness."""
-    return _family_estimate("M_q", lambda F: q_concavity_ratio(T, q, F), T.n,
-                            budget, seed)
+    """Lower bound on the q-concavity constant ``M_q(T)`` with witness.
+
+    On weighted ``L^s`` with ``s <= q``, ``L^s`` is q-concave with constant
+    one: Minkowski's inequality in ``L^{s/q}``, ``s/q <= 1``, gives
+    ``‖(sum_i |f_i|^q)^{1/q}‖_s >= (sum_i ‖f_i‖_s^q)^{1/q}`` (Lindenstrauss
+    and Tzafriri, *Classical Banach Spaces II*, 1.d), so every ratio is at
+    most ``‖T‖`` and ``M_q(T) = ‖T‖``.  Where ``‖T‖`` is exact, on
+    weighted ``L^1`` and on weighted ``L^2`` into a Euclidean target (after
+    the collapse of a saturated mixture), the estimate is the operator
+    norm's one-vector witness, exact.  Elsewhere, ``s > q`` included, the
+    seeded family search runs.
+    """
+    return _norm_or_family_estimate(
+        T, "M_q", lambda F: q_concavity_ratio(T, q, F), lambda s: s <= q,
+        budget, seed)
 
 
 def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
@@ -798,10 +841,18 @@ def pq_concavity_estimate(T: LinearOperator, e: ExponentTriple,
 
     When ``p = q`` the denominator coincides with the q-concavity one, so
     identical seeds and budgets reproduce :func:`q_concavity_estimate`
-    bit for bit.
+    bit for bit.  On weighted ``L^s`` with ``s = p`` the denominator is
+    ``(sum_i ‖f_i‖_p^q)^{1/q}`` (see :func:`family_sup_lhs`), and
+    ``‖T f_i‖ <= ‖T‖ ‖f_i‖_p`` term by term bounds every ratio by ``‖T‖``; at
+    ``p = q`` with ``s <= q`` it is the q-concavity denominator.  In both
+    cases ``M_pq(T) = ‖T‖``, and where ``‖T‖`` is exact (on weighted
+    ``L^1``, on weighted ``L^2`` into a Euclidean target) the estimate is
+    the operator norm's one-vector witness.  Curved domains (``s > p``,
+    ``q > p``) and domains without an exact ``‖T‖`` run the family search.
     """
-    return _family_estimate("M_pq", lambda F: pq_concavity_ratio(T, e, F),
-                            T.n, budget, seed)
+    return _norm_or_family_estimate(
+        T, "M_pq", lambda F: pq_concavity_ratio(T, e, F),
+        lambda s: s <= e.q if e.is_extreme else s == e.p, budget, seed)
 
 
 def q_summing_estimate(T: LinearOperator, q: float, budget: int = 16,

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      attainment_point, brute_force_family_sup,
@@ -14,6 +17,7 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
 from latfact import constants
 from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
                            UnsaturatedSpaceError, dirac_space, partition_space)
+from latfact.estimates import family_search
 from latfact.search import projected_ascent
 from latfact.spaces import NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
@@ -614,6 +618,162 @@ class TestExactOperatorNorm:
         expected = np.linalg.svd(T.matrix / np.sqrt(w), compute_uv=False)[0]
         assert extension_norm_estimate(T, S, seed=0) == pytest.approx(
             expected, rel=1e-12)
+
+
+def closed_operator_norm(T: LinearOperator) -> float:
+    """``max_j ‖Te_j‖/μ_j`` on weighted L^1, ``σ_max(T diag(μ)^{-1/2})`` on L^2."""
+    mu = T.domain.space.weights
+    if T.domain.s == 1.0:
+        return max(T.codomain.norm(T.matrix[:, j]) / mu[j] for j in range(T.n))
+    return float(np.linalg.svd(T.matrix / np.sqrt(mu), compute_uv=False)[0])
+
+
+# entries away from the underflow range, zero included
+_ENTRY = st.floats(-4.0, 4.0).map(lambda x: 0.0 if abs(x) < 1e-3 else x)
+
+
+@st.composite
+def operators_and_families(draw, s):
+    """A random ``T : L^s(μ) -> l^2`` and a family of up to four vectors."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    mu = draw(hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+    M = draw(hnp.arrays(float, (d, n), elements=_ENTRY))
+    F = draw(hnp.arrays(float, (m, n), elements=_ENTRY))
+    T = LinearOperator(matrix=M, domain=make_space(mu, s),
+                       codomain=EuclideanNorm(dim=d))
+    return T, F
+
+
+class TestNormRouteInequalities:
+    """The inequalities that make M_q (s <= q) and M_pq (s = p) equal ‖T‖.
+
+    On L^s with s <= q, Minkowski's inequality in L^{s/q} gives
+    ‖(sum_i |f_i|^q)^{1/q}‖_s >= (sum_i ‖f_i‖_s^q)^{1/q}; at s = p the M_pq
+    denominator is (sum_i ‖f_i‖_p^q)^{1/q}.  Either way ‖T f_i‖ <=
+    ‖T‖ ‖f_i‖_s bounds every ratio by ‖T‖.
+    """
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_q_concavity_ratio_is_at_most_the_norm(self, s, data):
+        T, F = data.draw(operators_and_families(s))
+        q = data.draw(st.sampled_from([s, 1.5 * s, 3.0]))
+        assert q_concavity_ratio(T, q, F) <= \
+            closed_operator_norm(T) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pq_ratio_at_s_equal_p_is_at_most_the_norm(self, s, data):
+        T, F = data.draw(operators_and_families(s))
+        e = ExponentTriple(p=s, q=data.draw(st.sampled_from([s, 1.5 * s, 3.0])))
+        assert pq_concavity_ratio(T, e, F) <= \
+            closed_operator_norm(T) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operator_norm_estimate_is_the_closed_norm(self, s, data):
+        T, _ = data.draw(operators_and_families(s))
+        assert operator_norm_estimate(T, budget=4, seed=0).value == \
+            pytest.approx(closed_operator_norm(T), rel=1e-12, abs=0.0)
+
+    def test_s_above_q_breaks_the_bound(self):
+        # the identity on L^3(1, 1): M_2 >= 2^{1/2 - 1/3} > 1 = ‖id‖, which
+        # is why s > q keeps the family search
+        T = identity_operator(make_space([1.0, 1.0], 3))
+        ratio = q_concavity_ratio(T, 2.0, np.eye(2))
+        assert ratio == pytest.approx(2.0 ** (1.0 / 6.0), rel=1e-14)
+        assert operator_norm_estimate(T, budget=4).value == pytest.approx(1.0)
+
+
+class TestNormRoutes:
+    """M_q at s <= q and M_pq at s = p (or p = q, s <= q) read ‖T‖ directly
+    where it is exact, and the family search runs everywhere else."""
+
+    BUDGET = 3
+
+    @staticmethod
+    def one_atom_mixture(T: LinearOperator) -> LinearOperator:
+        """T on a saturated one-atom mixture of L^1 at (p, q) = (1, 2)."""
+        g = np.linspace(1.0, 0.4, T.n)
+        S = SNormSpace(base=T.domain, e=E12,
+                       xi=DiscreteRadonMeasure(atoms=g[None], masses=[0.6]))
+        return LinearOperator(matrix=T.matrix, domain=S, codomain=T.codomain)
+
+    def sweep(self):
+        for s in (1.0, 2.0):
+            for q in (2.0, 3.0, 4.0):
+                for n in (2, 3, 4):
+                    seed = [int(s), int(q), n]
+                    yield s, q, random_operator(n, n, seed, s=s), seed
+        T = self.one_atom_mixture(random_operator(3, 3, [61], s=1.0))
+        for q in (2.0, 3.0):
+            yield 1.0, q, T, [61, int(q)]
+
+    def assert_closed(self, est, ratio, searched):
+        assert len(est.witness) == 1
+        assert est.budget_used == self.BUDGET
+        assert ratio(np.vstack(est.witness)) == est.value
+        assert est.value >= searched.value * (1.0 - 1e-15)
+
+    def test_closed_values_never_fall_below_the_search(self):
+        for s, q, T, seed in self.sweep():
+            def q_ratio(F):
+                return q_concavity_ratio(T, q, F)
+
+            est = q_concavity_estimate(T, q, budget=self.BUDGET, seed=seed)
+            self.assert_closed(est, q_ratio, constants._family_estimate(
+                "M_q", q_ratio, T.n, self.BUDGET, seed))
+            equal = pq_concavity_estimate(T, ExponentTriple(p=q, q=q),
+                                          budget=self.BUDGET, seed=seed)
+            assert equal.value == est.value
+            assert np.array_equal(np.vstack(equal.witness),
+                                  np.vstack(est.witness))
+            if isinstance(T.domain, SNormSpace):
+                continue  # its M_pq search runs the brute-force denominator
+            e = ExponentTriple(p=s, q=q)
+
+            def pq_ratio(F):
+                return pq_concavity_ratio(T, e, F)
+
+            est = pq_concavity_estimate(T, e, budget=self.BUDGET, seed=seed)
+            self.assert_closed(est, pq_ratio, constants._family_estimate(
+                "M_pq", pq_ratio, T.n, self.BUDGET, seed))
+
+    def test_mixture_route_reads_the_norm_of_its_collapse(self):
+        T = self.one_atom_mixture(random_operator(3, 3, [61], s=1.0))
+        est = pq_concavity_estimate(T, E12, budget=self.BUDGET, seed=0)
+        assert len(est.witness) == 1
+        assert est.value == pytest.approx(
+            operator_norm_estimate(T, budget=self.BUDGET).value, rel=1e-14)
+
+    @pytest.mark.parametrize("s, target, p, q, searches", [
+        (1.0, None, 1.0, 2.0, 0), (2.0, None, 2.0, 2.0, 0),
+        (1.0, 3.0, 1.0, 2.0, 0), (2.0, None, 1.0, 2.0, 1),
+        (2.0, None, 1.5, 1.5, 2), (2.0, 3.0, 2.0, 2.0, 2),
+        (1.5, None, 1.5, 2.0, 2), (3.0, None, 1.0, 2.0, 2)],
+        ids=["L1", "L2", "L1-L3", "L2-curved", "L2-q1.5", "L2-L3", "L1.5",
+             "L3"])
+    def test_search_runs_only_off_the_closed_routes(self, monkeypatch, s,
+                                                     target, p, q, searches):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return family_search(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "family_search", counting)
+        codomain = (EuclideanNorm(dim=2) if target is None
+                    else make_space([1.0, 0.8], target))
+        T = LinearOperator(matrix=random_operator(2, 2, [67]).matrix,
+                           domain=make_space([0.7, 1.3], s), codomain=codomain)
+        q_concavity_estimate(T, q, budget=1, seed=0)
+        pq_concavity_estimate(T, ExponentTriple(p=p, q=q), budget=1, seed=0)
+        assert len(calls) == searches
 
 
 class TestFamilySearchScale:
