@@ -26,7 +26,11 @@ an ascent's lower bound.
 The ratios and the two denominators with an inner supremum
 (:func:`family_sup_lhs`, :func:`weak_q_norm`) take a family ``(m, n)`` or a
 stack of families ``(K, m, n)``; a stack is solved in one batched pass and
-gives one value per family.  Matrix products over a stack go through
+gives one value per family.  Every denominator, and the brute-force
+reference, runs on a weighted Lebesgue space: a saturated mixture that
+collapses to one (:func:`_collapsed_mixture`) takes that space's routes,
+and any other domain is refused with ``ValueError``, since its dual ball
+has no closed form.  Matrix products over a stack go through
 ``np.matmul``, one product per family, and the last root of a value is a
 scalar power, so a family's value does not depend on the stack it is in.
 """
@@ -44,8 +48,8 @@ from .search import (fixed_point_ascent, projected_ascent, sign_patterns,
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _dual_is_cube,
-                     _family_stack, _scalar_pow, _unstack, dual_norm_rows,
-                     extreme_dual_vectors, lattice_aggregate_norm, power_mean,
+                     _family_stack, _scalar_pow, _unstack, _weighted_lebesgue,
+                     dual_norm_rows, lattice_aggregate_norm, power_mean,
                      power_mean_rows)
 
 __all__ = [
@@ -272,13 +276,15 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     and for ``s > p`` the remaining dual-ball supremum is
     :func:`_curved_dual_sup`: a top singular value, exact, at
     ``s/p = q/p = 2``, and elsewhere the attainment fixed point, a lower
-    bound.  Other domains use a grid-plus-polish search on the scaling
-    side and return a lower bound.  Neither search runs for a family of one
-    vector: its scaling ball is ``[-1, 1]``, so the value is exactly
+    bound.  A saturated mixture that collapses to a weighted ``L^p``
+    space takes that space's routes, and any other domain raises
+    ``ValueError`` (:func:`_lebesgue_domain`).  No search runs for a family
+    of one vector: its scaling ball is ``[-1, 1]``, so the value is exactly
     ``‖f‖_X``.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values
     in one pass.  For ``q > p`` the reduction needs a p-convex domain and
     raises :class:`NotPConvexError` on any other.
     """
+    X = _lebesgue_domain(X)
     if not (e.is_extreme or X.is_p_convex_one(e.p)):
         raise NotPConvexError(
             f"space is not p-convex with constant one for p={e.p}; "
@@ -287,7 +293,19 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     return _unstack(_per_family(lambda G: _sup_lhs(X, e, G), F), single)
 
 
-def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
+def _lebesgue_domain(X: LatticeNorm) -> WeightedLebesgue:
+    """The weighted Lebesgue space a value-only function runs on.
+
+    A saturated mixture that :func:`_collapsed_mixture` turns into a
+    weighted ``L^p`` space has the same norm, hence the same dual ball of
+    functionals and the same values, so it runs on that space.  Any other
+    domain raises ``ValueError``.
+    """
+    return _weighted_lebesgue(_collapsed_mixture(X))
+
+
+def _sup_lhs(X: WeightedLebesgue, e: ExponentTriple,
+             F: np.ndarray) -> np.ndarray:
     if e.is_extreme:
         return lattice_aggregate_norm(X, F, e.p)
     if _dual_is_cube(X, e.p):
@@ -296,24 +314,18 @@ def _sup_lhs(X: LatticeNorm, e: ExponentTriple, F: np.ndarray) -> np.ndarray:
         return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
     if F.shape[1] == 1:
         return _one_vector_norms(X, F)
-    if isinstance(X, WeightedLebesgue):
-        return _curved_dual_sup(X, e, F)[0]
-    return np.array([brute_force_family_sup(X, e, f, step=1.0 / 40.0)
-                     for f in F])
+    return _curved_dual_sup(X, e, F)[0]
 
 
-def _one_vector_norms(X: LatticeNorm, F: np.ndarray) -> np.ndarray:
+def _one_vector_norms(X: WeightedLebesgue, F: np.ndarray) -> np.ndarray:
     """``‖f‖_X`` for a stack of one-vector families ``(K, 1, n)``.
 
     Both dual-ball denominators of a family of one are its norm: Köthe
     duality gives ``sup_{‖h‖_{X'} <= 1} |<h, f>| = ‖f‖_X``, and the
-    scaling ball of one vector is ``[-1, 1]``.  Weighted Lebesgue norms go
-    through the stacked :func:`power_mean`, one vector's arithmetic per
-    row; an unsaturated mixture raises, as its search path does.
+    scaling ball of one vector is ``[-1, 1]``.  The norms go through the
+    stacked :func:`power_mean`, one vector's arithmetic per row.
     """
-    if isinstance(X, WeightedLebesgue):
-        return power_mean(F[:, 0], X.s, X.space.weights)
-    return X.norm_rows(F[:, 0])
+    return power_mean(F[:, 0], X.s, X.space.weights)
 
 
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
@@ -344,48 +356,29 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
     weight of ``|f|^p``.  For ``q > p`` the weight of
     :func:`_curved_dual_sup` is returned: an exact maximizer, from the top
     singular vector, at ``s/p = q/p = 2``, and the fixed point elsewhere.
-    Other domains fall back to the best canonical candidate.  Raises
-    :class:`NotPConvexError` when X is not p-convex.
+    The weight is a density against X's own measure, so X must be weighted
+    Lebesgue; any other space, a mixture included, raises ``ValueError``.
+    Raises :class:`NotPConvexError` when X is not p-convex.
     """
+    X = _weighted_lebesgue(X)
     F = _family_matrix(F, X.n)
     if _dual_is_cube(X, e.p):
         return np.ones(X.n)
-    if isinstance(X, WeightedLebesgue):
-        if not np.any(F):
-            h = np.ones(X.n)
-        elif e.is_extreme:
-            # psi(h) = ∫ g h dμ with g = sum_i |f_i|^p is linear, and
-            # Hölder's equality case h ∝ g^(sigma-1) maximizes it
-            g = (np.abs(F) ** e.p).sum(axis=0)
-            h = (g / g.max()) ** (X.s / e.p - 1.0)
-        else:
-            h = _curved_dual_sup(X, e, F[None])[1][0]
-        return h / dual_norm_rows(X, e.p, h)
-    H = extreme_dual_vectors(X, e.p)
-    P = (np.abs(F) ** e.p) * X.space.weights
-    return H[int(np.argmax(_psi_rows(H, P, e.t)))]
+    if not np.any(F):
+        h = np.ones(X.n)
+    elif e.is_extreme:
+        # psi(h) = ∫ g h dμ with g = sum_i |f_i|^p is linear, and
+        # Hölder's equality case h ∝ g^(sigma-1) maximizes it
+        g = (np.abs(F) ** e.p).sum(axis=0)
+        h = (g / g.max()) ** (X.s / e.p - 1.0)
+    else:
+        h = _curved_dual_sup(X, e, F[None])[1][0]
+    return h / dual_norm_rows(X, e.p, h)
 
 
 # ---------------------------------------------------------------------------
 # brute-force reference for the scaled-family supremum
 # ---------------------------------------------------------------------------
-
-def _scaling_objective(X: LatticeNorm, e: ExponentTriple, F: np.ndarray):
-    """Batched objective B -> ‖(sum_i b_i |f_i|^p)^{1/p}‖_X, b_i = beta_i^p."""
-    G = np.abs(F) ** e.p
-    if isinstance(X, WeightedLebesgue):
-        sigma = X.s / e.p
-        mu = X.space.weights
-
-        def value(B: np.ndarray) -> np.ndarray:
-            agg = np.maximum(B, 0.0) @ G
-            return power_mean_rows(agg, sigma, mu) ** (1.0 / e.p)
-    else:
-        def value(B: np.ndarray) -> np.ndarray:
-            agg = np.maximum(B, 0.0) @ G
-            return np.array([X.norm(row ** (1.0 / e.p)) for row in agg])
-    return value
-
 
 # largest starting grid brute_force_family_sup builds; the default step
 # 1e-3 gives 501,501 points at m = 3
@@ -441,9 +434,12 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
     space (mapped from a simplex grid of the given step), then polishes the
     best point by shrinking coordinate moves.  Slow but independent of the
     duality reduction; used as the oracle side of the equality checks.
-    A starting grid above :data:`BRUTE_FORCE_GRID_CAP` points (see
-    :func:`brute_force_grid_size`) raises ``ValueError`` before it is built.
+    It takes the domains :func:`family_sup_lhs` takes and refuses the
+    others with ``ValueError``.  A starting grid above
+    :data:`BRUTE_FORCE_GRID_CAP` points (see :func:`brute_force_grid_size`)
+    raises ``ValueError`` before it is built.
     """
+    X = _lebesgue_domain(X)
     F = _family_matrix(F, X.n)
     if not np.any(F):
         return 0.0
@@ -452,7 +448,14 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
     if size > BRUTE_FORCE_GRID_CAP:
         raise ValueError(f"brute-force grid of {size} points for {m} vectors "
                          f"exceeds the cap of {BRUTE_FORCE_GRID_CAP}")
-    value = _scaling_objective(X, e, F)
+    G = np.abs(F) ** e.p
+    sigma = X.s / e.p
+    mu = X.space.weights
+
+    def value(B: np.ndarray) -> np.ndarray:
+        """B -> ‖(sum_i b_i |f_i|^p)^{1/p}‖_X row by row, b_i = beta_i^p."""
+        agg = np.maximum(B, 0.0) @ G
+        return power_mean_rows(agg, sigma, mu) ** (1.0 / e.p)
 
     if e.is_extreme:
         # sup-ball: grid the cube, polish within it
@@ -506,27 +509,12 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
             norms = power_mean_rows(B, rp, ones)
         return B / norms[:, None]
 
-    if isinstance(X, WeightedLebesgue):
-        sigma = X.s / e.p
-        mu = X.space.weights
-        G = np.abs(F) ** e.p
-
-        def grad_rows(B: np.ndarray) -> np.ndarray:
-            A = np.maximum(B, 0.0) @ G
-            N = power_mean_rows(A, sigma, mu)
-            N = np.where(N <= 0.0, 1.0, N)
-            S = (np.maximum(A, 0.0) ** (sigma - 1.0) * mu) @ G.T
-            return (N ** (1.0 / e.p - sigma))[:, None] * S / e.p
-    else:
-        def grad_rows(B: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(B)
-            base = value(B)
-            h = 1e-7
-            for j in range(m):
-                shifted = B.copy()
-                shifted[:, j] += h
-                out[:, j] = (value(shifted) - base) / h
-            return out
+    def grad_rows(B: np.ndarray) -> np.ndarray:
+        A = np.maximum(B, 0.0) @ G
+        N = power_mean_rows(A, sigma, mu)
+        N = np.where(N <= 0.0, 1.0, N)
+        S = (np.maximum(A, 0.0) ** (sigma - 1.0) * mu) @ G.T
+        return (N ** (1.0 / e.p - sigma))[:, None] * S / e.p
 
     # polish the best grid points by steepest ascent along the tangential
     # gradient with a vectorized line search: projecting out the radial
@@ -579,25 +567,22 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     ``s = 1`` (the dual ball is a cube, and the objective is convex), and
     the top singular value when ``s = q = 2``.  A saturated mixture space
     with one atom, or with any number of atoms at ``p = q``, is the weighted
-    ``L^p`` space it collapses to and takes the same routes.  Where no
+    ``L^p`` space it collapses to and takes the same routes; any other
+    domain raises ``ValueError`` (:func:`_lebesgue_domain`).  Where no
     closed route applies, a family of one vector is settled by Köthe
     duality: its value is ``‖f‖_X``.  Anything else runs a seeded
-    multistart ascent over the dual sphere.  On weighted Lebesgue domains
-    it is :func:`~latfact.search.fixed_point_ascent` of the step
-    ``h <- sign(w)|w|^{s-1}``, ``w_j = sum_i sign(u_i)|u_i|^{q-1} f_ij``
-    with ``u_i = <h, f_i>``, normalised by the closed-form dual norm: the
-    value is convex in ``h``, and the step maximises its linearisation over
-    the dual ball, so no step lowers it (Boyd's power method).  Every row
-    lies on the dual sphere, so the value is a certified lower bound.  On
-    other domains (the Köthe route) a line-searched
-    :func:`~latfact.search.projected_ascent` runs, its rows divided by the
-    numeric :func:`~latfact.spaces.dual_norm_rows`, which is itself a lower
-    bound, so a row can land outside the dual ball and the value is
-    certified from neither side.  A stack of families ``(K, m, n)`` gives
-    the ``(K,)`` values in one pass; on weighted Lebesgue domains every row
-    of every family is computed at every step, so a family's value does not
-    depend on the families stacked beside it.
+    multistart :func:`~latfact.search.fixed_point_ascent` over the dual
+    sphere, of the step ``h <- sign(w)|w|^{s-1}``,
+    ``w_j = sum_i sign(u_i)|u_i|^{q-1} f_ij`` with ``u_i = <h, f_i>``,
+    normalised by the closed-form dual norm: the value is convex in ``h``,
+    and the step maximises its linearisation over the dual ball, so no step
+    lowers it (Boyd's power method).  Every row lies on the dual sphere, so
+    the value is a certified lower bound.  A stack of families
+    ``(K, m, n)`` gives the ``(K,)`` values in one pass; every row of every
+    family is computed at every step, so a family's value does not depend
+    on the families stacked beside it.
     """
+    X = _lebesgue_domain(X)
     F, single = _family_stack(F, X.n)
     return _unstack(_per_family(lambda G: _weak_q(X, G, q, budget, seed), F),
                     single)
@@ -627,16 +612,15 @@ def _collapsed_mixture(X: LatticeNorm) -> LatticeNorm:
                             s=X.e.p)
 
 
-def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
+def _weak_q(X: WeightedLebesgue, F: np.ndarray, q: float, budget: int,
             seed) -> np.ndarray:
-    X = _collapsed_mixture(X)
     K, _, n = F.shape
     A = F * X.space.weights  # pairing matrices: <h, f_i> = (A h)_i
     AT = A.transpose(0, 2, 1)
     if _dual_is_cube(X, 1.0):
         U = sign_patterns(n) @ AT
         return _lq_rows(U, q).max(axis=1)
-    if isinstance(X, WeightedLebesgue) and X.s == 2.0 and q == 2.0:
+    if X.s == 2.0 and q == 2.0:
         scaled = F * np.sqrt(X.space.weights)
         return np.linalg.svd(scaled, compute_uv=False)[:, 0]
     if F.shape[1] == 1:
@@ -659,29 +643,17 @@ def _weak_q(X: LatticeNorm, F: np.ndarray, q: float, budget: int,
     noise = rng.normal(size=(max(4, int(budget)), n))
     starts = np.concatenate([np.broadcast_to(head, (K, *head.shape)), top,
                              np.broadcast_to(noise, (K, *noise.shape))], axis=1)
-    if isinstance(X, WeightedLebesgue):
-        # Hölder's maximiser of the gradient's pairing: a step never lowers
-        # the convex value
-        def step_rows(H: np.ndarray) -> np.ndarray:
-            U = H @ AT
-            w = (np.sign(U) * np.abs(U) ** (q - 1.0)) @ F
-            wmax = np.abs(w).max(axis=-1, keepdims=True)
-            w = w / np.where(wmax > 0.0, wmax, 1.0)
-            return dual_sphere(np.sign(w) * np.abs(w) ** (X.s - 1.0))
-
-        _, vals = fixed_point_ascent(value_rows, step_rows,
-                                     dual_sphere(starts), iters=60)
-        return vals.max(axis=1)
-
-    def grad_rows(H: np.ndarray) -> np.ndarray:
+    # Hölder's maximiser of the gradient's pairing: a step never lowers the
+    # convex value
+    def step_rows(H: np.ndarray) -> np.ndarray:
         U = H @ AT
-        V = value_rows(H)
-        V = np.where(V == 0.0, 1.0, V)
-        W = np.sign(U) * np.abs(U) ** (q - 1.0)
-        return (W @ A) / V[..., None] ** (q - 1.0)
+        w = (np.sign(U) * np.abs(U) ** (q - 1.0)) @ F
+        wmax = np.abs(w).max(axis=-1, keepdims=True)
+        w = w / np.where(wmax > 0.0, wmax, 1.0)
+        return dual_sphere(np.sign(w) * np.abs(w) ** (X.s - 1.0))
 
-    _, vals = projected_ascent(value_rows, grad_rows, dual_sphere,
-                               starts, iters=60, nonneg=False)
+    _, vals = fixed_point_ascent(value_rows, step_rows, dual_sphere(starts),
+                                 iters=60)
     return vals.max(axis=1)
 
 
@@ -697,8 +669,9 @@ def _image_q_sum(T: LinearOperator, F: np.ndarray, q: float) -> np.ndarray:
 
 def q_concavity_ratio(T: LinearOperator, q: float, F) -> float | np.ndarray:
     F, single = _family_stack(F, T.n)
-    return _unstack(safe_ratio(_image_q_sum(T, F, q),
-                                lattice_aggregate_norm(T.domain, F, q)), single)
+    return _unstack(safe_ratio(
+        _image_q_sum(T, F, q),
+        lattice_aggregate_norm(_lebesgue_domain(T.domain), F, q)), single)
 
 
 def pq_concavity_ratio(T: LinearOperator, e: ExponentTriple,
@@ -804,11 +777,12 @@ def _norm_or_family_estimate(T: LinearOperator, kind, ratio, closed, budget,
     whose exponent passes ``closed(s)`` has the constant equal to ``‖T‖``;
     where :func:`_norm_maximisers` knows the maximiser, the estimate is
     :func:`operator_norm_estimate`'s one-vector witness, its value the
-    ratio replayed on it.  Everywhere else the family search runs.
+    ratio replayed on it.  Everywhere else the family search runs.  A
+    domain that is not weighted Lebesgue after the collapse raises
+    ``ValueError``.
     """
-    X = _collapsed_mixture(T.domain)
-    if not (isinstance(X, WeightedLebesgue) and closed(X.s)
-            and _norm_maximisers(T, X) is not None):
+    X = _lebesgue_domain(T.domain)
+    if not (closed(X.s) and _norm_maximisers(T, X) is not None):
         return _family_estimate(kind, ratio, T.n, budget, seed)
     witness = operator_norm_estimate(T, budget, seed).witness
     value = float(ratio(np.vstack(witness))) if witness else 0.0

@@ -1,8 +1,8 @@
 """Constructive domination certificates and weighted-norm factorizations.
 
-Given an operator ``T`` on a p-convex lattice-normed domain and exponents
-``p <= q``, the solver searches for a probability mixture of positive
-dual-ball weights and a constant ``C`` such that
+Given an operator ``T`` on a p-convex weighted Lebesgue domain and
+exponents ``p <= q``, the solver searches for a probability mixture of
+positive dual-ball weights and a constant ``C`` such that
 
     ‖T f‖  <=  C * ( sum_k mass_k (∫ |f|^p h_k dμ)^{q/p} )^{1/q}    for all f.
 
@@ -58,8 +58,8 @@ from .estimates import seed_list
 from .search import projected_ascent, signed_starts, unit_rows
 from .simplex import solve_max_min
 from .snorm import DiscreteRadonMeasure, SNormSpace
-from .spaces import (ExponentTriple, LatticeNorm, WeightedLebesgue,
-                     _dual_is_cube, dual_norm_of_pth_power, pairings)
+from .spaces import (ExponentTriple, LatticeNorm, _dual_is_cube,
+                     _weighted_lebesgue, dual_norm_of_pth_power, pairings)
 
 __all__ = [
     "DominationCertificate",
@@ -237,20 +237,22 @@ def find_domination_measure(T: LinearOperator, e: ExponentTriple,
       ``C = 0`` on the uniform weight.  One :func:`violation_oracle` call
       on the mixture, which takes its exact route, gives the residual and
       the witnesses; ``stop`` is ``budget`` if it reads above ``tol``.
-    - **Kelley loop.** Every other input (``s > p`` with ``q > p``,
-      ``s = p`` without exact maximisers, mixture domains) runs the
-      cutting-plane search of :func:`_kelley_solve`, which returns the
-      grid-minimal constant up to ``1 + tol``; ``budget`` bounds its
-      oracle calls.
+    - **Kelley loop.** Every other input (``s > p`` with ``q > p``, or
+      ``s = p`` without exact maximisers) runs the cutting-plane search of
+      :func:`_kelley_solve`, which returns the grid-minimal constant up to
+      ``1 + tol``; ``budget`` bounds its oracle calls.
 
     On both routes a mixture that leaves a point unseen (a column with
     ``T e_j = 0`` gives ``w_j = 0``) is repaired by mixing in ``tol`` mass
     of the uniform dual weight, paying a ``(1 + tol)^{1/q}`` inflation of
     the constant, so a converged mixture passes the saturation check.
-    Raises :class:`~latfact.spaces.NotPConvexError` when the domain is not
+    The mixture's atoms are densities against the domain's own measure, so
+    the domain must be weighted Lebesgue: any other, a mixture space
+    included, raises ``ValueError``.  Raises
+    :class:`~latfact.spaces.NotPConvexError` when the domain is not
     p-convex.
     """
-    X = T.domain
+    X = _weighted_lebesgue(T.domain)
     closed = _closed_weight(T, e)
     if closed is None:
         return _kelley_solve(T, e, tol, budget, seed)
@@ -280,8 +282,6 @@ def _closed_weight(T: LinearOperator, e: ExponentTriple):
     off the top exact maximiser of ``T : L^p(μ) → Y``.
     """
     X = T.domain
-    if not isinstance(X, WeightedLebesgue):
-        return None
     if e.p == e.q == 1.0:
         c = T.codomain.norm_rows(T.matrix.T) / X.space.weights
         C = dual_norm_of_pth_power(X, 1.0, c)

@@ -13,16 +13,16 @@ two spheres: the domain's, for ``constants.operator_norm_estimate``, and
 the mixture's, for ``factorization.violation_oracle``, the one search for
 the extension norm (``factorization.extension_norm_estimate`` is that
 search at ``C = 0``).  It also runs the polish of
-``constants._curved_dual_sup``, the weak-q supremum of
-``constants._weak_q`` on domains that are not weighted Lebesgue (the Köthe
-route), and the linear suprema of ``spaces.linear_sup_over_ball`` behind
-the numeric Köthe duals.  It iterates only live rows: a row whose line
+``constants._curved_dual_sup`` and the linear suprema of
+``spaces.linear_sup_over_ball``, the audit of the closed Köthe duals.
+Every caller knows the gradient of its sphere's norm, which the ascent
+projects out of its step.  It iterates only live rows: a row whose line
 search finds no gain is never recomputed.  The violation oracle ascends
 with ``keep_signs``, so entries stop at zero and its rows can settle on
 the faces where the seminorm's kink at ``p = 1`` puts the maximum; it
 returns the best ascended row of every sign pattern, one cut each for the
-Kelley round that called it.  The two ``constants`` callers pass a stack
-of problems, one per family, so a stack of families is one ascent.
+Kelley round that called it.  ``constants._curved_dual_sup`` passes a
+stack of problems, one per family, so a stack of families is one ascent.
 On weighted ``L^1``, and on weighted ``L^2`` into a Euclidean target,
 the maximiser of ``‖Tf‖`` is known in closed form
 (``constants._norm_maximisers``): the operator norm starts its ascent
@@ -35,8 +35,8 @@ faces.  :func:`unit_rows` is the one sphere normaliser.
 Where a step lands on the best point of a linearisation in closed form,
 no line search is needed: :func:`fixed_point_ascent` iterates such a step
 under the same gain rule, and runs the weak-q supremum of
-``constants._weak_q`` on weighted Lebesgue domains, whose convex value
-the Hölder step never lowers (Boyd's power method).
+``constants._weak_q``, whose convex value the Hölder step never lowers
+(Boyd's power method).
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
@@ -113,22 +113,22 @@ def unit_rows(A: np.ndarray, norm_rows) -> np.ndarray:
 
 
 def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
-                     iters: int, nonneg: bool = True,
-                     keep_signs: bool = False,
-                     radial_rows=None) -> tuple[np.ndarray, np.ndarray]:
+                     iters: int, radial_rows, nonneg: bool = True,
+                     keep_signs: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise gradient ascent with a geometric line search on the sphere.
 
     Each iteration evaluates every live row at a ladder of step sizes along
-    its (optionally tangentially projected) unit gradient and keeps the
-    best improvement, so progress per iteration is scale-free and rows
+    its tangentially projected unit gradient and keeps the best
+    improvement, so progress per iteration is scale-free and rows
     cannot crawl.  A step counts as a gain only above ``1e-15`` times the
     largest starting value, so rescaling the objective rescales nothing
     else.  The callbacks are row-wise and deterministic, so a row whose
     line search finds no gain would find none again: it stops being live
     and is never recomputed.  Monotone per row, hence a certified lower
-    bound per start; deterministic.  ``radial_rows``, when given, returns
-    the row-wise gradient of the normalization, which is projected out of
-    the ascent direction.  With ``keep_signs`` (and ``nonneg`` off) an
+    bound per start; deterministic.  ``radial_rows`` returns the row-wise
+    gradient of the normalization, which is projected out of the ascent
+    direction.  With ``keep_signs`` (and ``nonneg`` off) an
     entry that a step would carry across zero stops at zero, so a row can
     reach the faces ``f_i = 0`` where a kink of the objective puts its
     maximum; a zero entry may leave its face either way.
@@ -164,11 +164,10 @@ def projected_ascent(value_rows, grad_rows, normalize_rows, A0: np.ndarray, *,
         B = A[stack, order]
         flat = B.reshape(-1, n)
         G = call(grad_rows, B).reshape(-1, n)
-        if radial_rows is not None:
-            U = call(radial_rows, B).reshape(-1, n)
-            un2 = np.einsum("ij,ij->i", U, U)
-            un2[un2 == 0.0] = 1.0
-            G = G - (np.einsum("ij,ij->i", G, U) / un2)[:, None] * U
+        U = call(radial_rows, B).reshape(-1, n)
+        un2 = np.einsum("ij,ij->i", U, U)
+        un2[un2 == 0.0] = 1.0
+        G = G - (np.einsum("ij,ij->i", G, U) / un2)[:, None] * U
         gn = np.sqrt(np.einsum("ij,ij->i", G, G))
         gn[gn == 0.0] = 1.0
         cand = flat[:, None, :] + _ETAS[:, None] * (G / gn[:, None])[:, None, :]

@@ -14,8 +14,9 @@ evaluable) but refuse to act as a :class:`~latfact.spaces.LatticeNorm`.
 The atoms ``h_k`` are plain nonnegative weight rows.  A measure knows
 nothing of a base space, so :class:`SNormSpace` is where the rows are
 checked against the positive dual unit ball of ``X_p``, all in one
-:func:`~latfact.spaces.dual_norm_rows` call; its seminorm and gradients
-take the inner integrals from :func:`~latfact.spaces.pairings`.
+:func:`~latfact.spaces.dual_norm_rows` call, which admits a weighted
+Lebesgue base only; its seminorm and gradients take the inner integrals
+from :func:`~latfact.spaces.pairings`.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class SNormSpace(LatticeNorm):
     def __post_init__(self):
         if self.xi.atoms.shape[1] != self.base.n:
             raise ValueError("measure atoms do not match the base space")
-        # numeric dual norms are lower bounds, so exceeding the slack is a
-        # definite violation
+        # the closed dual norm of a weighted Lebesgue base; any other base
+        # is refused there, since its dual ball has no closed form
         norms = dual_norm_rows(self.base, self.e.p, self.xi.atoms)
         outside = np.flatnonzero(norms > 1.0 + DUAL_CERT_SLACK)
         if outside.size:

@@ -2,16 +2,19 @@
 
 A measurable function on an ``n``-atom space is a length-``n`` vector, so
 norms, Köthe duals and dual-ball geometry all reduce to dense vector
-arithmetic.  Weighted Lebesgue norms are evaluated in closed form; other
-lattice norms fall back to seeded projected-ascent searches whose results
-are certified lower bounds with a documented ~1e-9 slack.
+arithmetic.  Weighted Lebesgue norms are evaluated in closed form, and so
+are their Köthe duals.
 
 Points of a positive dual ball are plain nonnegative weight rows, and a
 set of them is a ``(k, n)`` matrix.  The duality of ``X_p`` with its
 Köthe dual lives in two functions: :func:`dual_norm_rows` (the dual norms
-of weight rows) and :func:`pairings` (``∫ |f|^p h dμ``).  Whether a row
-lies in the dual ball depends on both ``X`` and ``p``;
+of weight rows) and :func:`pairings` (``∫ |f|^p h dμ``).  The dual norm
+is closed only on weighted Lebesgue spaces, and :func:`dual_norm_rows`
+refuses every other space with ``ValueError``.  Whether a row lies in the
+dual ball depends on both ``X`` and ``p``;
 :class:`~latfact.snorm.SNormSpace` is the one place that knows both.
+:func:`linear_sup_over_ball` is a numeric lower bound on the same dual
+norm, kept as an audit of the closed form.
 """
 
 from __future__ import annotations
@@ -263,9 +266,8 @@ def linear_sup_over_ball(X: LatticeNorm, p: float, h) -> float:
     four along the sphere, projecting out a one-sided finite-difference
     gradient of the norm.  Linear objective over a convex ball, so every
     evaluation is a certified lower bound; tight to about 1e-9 on the norms
-    exercised here.  It is the dual norm of the spaces without a closed
-    form in :func:`dual_norm_rows`; on a weighted Lebesgue space it audits
-    the closed form.
+    exercised here.  It audits the closed form of :func:`dual_norm_rows`
+    and serves no value the package computes.
     """
     density = np.abs(as_vector(h, X.n))
     g = density * X.space.weights
@@ -313,25 +315,38 @@ def _dual_is_cube(X: LatticeNorm, p: float) -> bool:
     return isinstance(X, WeightedLebesgue) and X.s / p <= 1.0 + 1e-9
 
 
+def _weighted_lebesgue(X: LatticeNorm) -> WeightedLebesgue:
+    """X itself, refused with ``ValueError`` unless it is weighted Lebesgue.
+
+    The dual ball of ``X_p`` is closed only on weighted Lebesgue spaces,
+    so the routines that take or return its weight rows accept no other
+    space.  The rows are densities against X's own measure, so a mixture
+    is refused even where it collapses to a weighted ``L^p`` space: the
+    collapse would re-weight that measure.
+    """
+    if not isinstance(X, WeightedLebesgue):
+        raise ValueError(f"{type(X).__name__} is not a weighted Lebesgue "
+                         "space, the only kind whose dual ball is closed")
+    return X
+
+
 def dual_norm_rows(X: LatticeNorm, p: float, H) -> float | np.ndarray:
     """Norm of each row of ``H`` in the Köthe dual of the p-th power X_p.
 
     ``H`` is one vector ``(n,)``, giving a float, or a stack ``(..., n)``,
-    giving one norm per row.  Weighted Lebesgue spaces take the closed
-    form with ``sigma = s/p``: the sup norm at ``sigma = 1``, else the
+    giving one norm per row.  The closed form of a weighted Lebesgue
+    space, with ``sigma = s/p``: the sup norm at ``sigma = 1``, else the
     ``L^sigma'`` norm, ``sigma' = sigma/(sigma - 1)``; one vector goes
     through :func:`power_mean`, and a stack takes
     ``(|H|^sigma' μ)^(1/sigma')`` up to ``sigma' = 64`` and the scaled
-    :func:`power_mean_rows` above.  Other spaces run the numeric sup of
-    :func:`linear_sup_over_ball` row by row, a lower bound tight to about
-    1e-9.  Raises :class:`NotPConvexError` when X is not p-convex.
+    :func:`power_mean_rows` above.  Raises ``ValueError`` on any other
+    space (see :func:`_weighted_lebesgue`), and :class:`NotPConvexError`
+    when X is not p-convex.
     """
+    X = _weighted_lebesgue(X)
     H = np.asarray(H, dtype=float)
     if _dual_is_cube(X, p):
         norms = np.abs(H).max(axis=-1, initial=0.0)
-    elif not isinstance(X, WeightedLebesgue):
-        norms = np.array([linear_sup_over_ball(X, p, h)
-                          for h in H.reshape(-1, X.n)]).reshape(H.shape[:-1])
     else:
         sigma = X.s / p
         sigma_dual = sigma / (sigma - 1.0)

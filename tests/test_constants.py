@@ -15,8 +15,8 @@ from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
                      q_concavity_estimate, q_concavity_ratio,
                      q_summing_estimate, q_summing_ratio, weak_q_norm)
 from latfact import constants
-from latfact.snorm import (DiscreteRadonMeasure, SNormSpace,
-                           UnsaturatedSpaceError, dirac_space, partition_space)
+from latfact.snorm import (DiscreteRadonMeasure, SNormSpace, dirac_space,
+                           partition_space)
 from latfact.estimates import family_search
 from latfact.search import projected_ascent
 from latfact.spaces import NotPConvexError, extreme_dual_vectors
@@ -342,13 +342,9 @@ class TestOneVectorDenominators:
             ("L^3", make_space(mu, 3.0), E12),
             ("L^3, (p, q) = (2, 4)", make_space(mu, 3.0),
              ExponentTriple(p=2.0, q=4.0)),
-            # weak-q: Köthe dual route; sup side: brute-force fallback
-            ("2-atom partition", partition_space(
-                make_space(mu, 1.5), E12, np.full(3, 0.5), [[0], [1, 2]],
-                [0.5, 0.5]), E12),
         ]
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(3))
     def test_both_denominators_are_the_norm(self, case):
         route, X, e = self.cases()[case]
         rng = np.random.default_rng(71)
@@ -360,21 +356,45 @@ class TestOneVectorDenominators:
             assert family_sup_lhs(X, e, f[None, :]) == pytest.approx(
                 norm, rel=1e-12), route
 
-    def test_unsaturated_mixture_still_raises(self):
+    def test_unsaturated_mixture_is_refused(self):
+        # an unsaturated one-atom mixture collapses to no weighted L^p
+        # space, so both denominators refuse it, the zero family included
         X = make_space([1.0, 1.0, 1.0], 1.0)
         S = SNormSpace(base=X, e=E12, xi=DiscreteRadonMeasure.from_pairs(
             [([1.0, 1.0, 0.0], 1.0)]))
         assert not S.saturated
         rng = np.random.default_rng(72)
         for F in (rng.normal(size=(1, 3)), rng.normal(size=(2, 3)),
-                  rng.normal(size=(4, 1, 3))):
-            with pytest.raises(UnsaturatedSpaceError):
+                  rng.normal(size=(4, 1, 3)), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="not a weighted Lebesgue"):
                 weak_q_norm(S, F, 2.0, budget=4)
-            with pytest.raises(UnsaturatedSpaceError):
+            with pytest.raises(ValueError, match="not a weighted Lebesgue"):
                 family_sup_lhs(S, E12, F)
-        # a zero family is 0 without touching the norm
-        assert weak_q_norm(S, np.zeros((1, 3)), 2.0) == 0.0
-        assert family_sup_lhs(S, E12, np.zeros((1, 3))) == 0.0
+
+
+class TestCollapsedMixtureDenominators:
+    """A mixture at its own p = q is a weighted L^p space, and both
+    denominators on it are that space's closed values, bit for bit."""
+
+    def test_partition_mixture_reads_its_weighted_lebesgue_space(self):
+        mu = np.array([1.0, 0.5, 2.0])
+        g = np.array([0.5, 1.0, 0.8])
+        S = partition_space(make_space(mu, 2.0), ExponentTriple(p=2.0, q=2.0),
+                            g, [[0], [1, 2]], [0.3, 0.7])
+        # (sum_k c_k ∫|f|^2 h_k dμ)^{1/2} = ‖f‖ in L^2((sum_k c_k h_k) μ)
+        Y = make_space((S.xi.masses @ S.xi.atoms) * mu, 2.0)
+        # (p, q) = (1, 2) on L^2: sigma = t = 2, the SVD routes of both
+        F = np.random.default_rng(74).normal(size=(6, 2, 3))
+        for got, closed in ((family_sup_lhs(S, E12, F),
+                             family_sup_lhs(Y, E12, F)),
+                            (weak_q_norm(S, F, 2.0, budget=4),
+                             weak_q_norm(Y, F, 2.0, budget=4))):
+            assert got.tobytes() == closed.tobytes()
+        # the σ = t = 2 closed form σ_max(|F| diag(w μ)^{1/2}), no search
+        top = np.linalg.svd(np.abs(F) * np.sqrt(Y.space.weights),
+                            compute_uv=False)[:, 0]
+        np.testing.assert_allclose(family_sup_lhs(S, E12, F), top,
+                                   rtol=1e-12)
 
 
 class TestSingletonIdentity:
@@ -733,8 +753,6 @@ class TestNormRoutes:
             assert equal.value == est.value
             assert np.array_equal(np.vstack(equal.witness),
                                   np.vstack(est.witness))
-            if isinstance(T.domain, SNormSpace):
-                continue  # its M_pq search runs the brute-force denominator
             e = ExponentTriple(p=s, q=q)
 
             def pq_ratio(F):

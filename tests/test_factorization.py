@@ -110,18 +110,14 @@ class TestFindDominationMeasure:
         assert verify_domination(cert, T, sample_count=10000) <= tol
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
-    def test_mixture_domain_solves_on_canonical_dual_weights(self, q):
-        # a partition mixture is neither weighted Lebesgue nor cube-dual, so
-        # its attainment points are the best canonical dual candidates
+    def test_mixture_domain_is_refused(self, q):
+        # the mixture's atoms are densities against the domain's measure, so
+        # a mixture domain is refused even where it collapses (at p = q)
         X = make_space([1.0, 2.0, 0.5], 1.5)
-        S = partition_space(X, E12, np.full(3, 0.5), [[0], [1, 2]],
-                            [0.5, 0.5])
-        T = identity_operator(S)
         e = ExponentTriple(p=1.0, q=q)
-        tol = 1e-6
-        cert = find_domination_measure(T, e, tol=tol, budget=40, seed=0)
-        assert cert.converged
-        assert verify_domination(cert, T, sample_count=10000) <= tol
+        S = partition_space(X, e, np.full(3, 0.5), [[0], [1, 2]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="not a weighted Lebesgue"):
+            find_domination_measure(identity_operator(S), e, budget=4)
 
     def test_lp_progress_is_nonincreasing_between_witness_cuts(self):
         rng = np.random.default_rng(11)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from latfact import (DimensionMismatchError, DiscreteRadonMeasure,
                      EuclideanNorm, ExponentTriple, MeasureSpace,
                      NotPConvexError, SNormSpace, WeightedLebesgue,
-                     attainment_point, dirac_space, dual_norm_rows,
-                     extreme_dual_vectors, p_convexity_estimate,
-                     pth_power_norm)
+                     attainment_point, brute_force_family_sup, dirac_space,
+                     dual_norm_rows, extreme_dual_vectors,
+                     family_sup_lhs, find_domination_measure,
+                     identity_operator, p_convexity_estimate,
+                     partition_space, pth_power_norm, weak_q_norm)
 from latfact.spaces import (MAX_ATOMS, dual_norm_of_pth_power,
                             linear_sup_over_ball, power_mean)
 from conftest import make_space
@@ -199,19 +201,23 @@ class TestDualNormRows:
             assert dual_norm_rows(X, p, h) == power_mean(
                 h, sigma / (sigma - 1.0), X.space.weights)
 
-    def test_dirac_mixture_is_a_weighted_sup_norm(self):
-        # the p-th power of the dirac space with weight g is L^1(g μ), whose
-        # Köthe dual norm is max |h| / g; the numeric route runs here
+    def test_dirac_mixture_is_refused_although_it_collapses(self):
+        # the p-th power of the dirac space with weight g is f -> ∫|f| g dμ,
+        # whose Köthe dual norm against μ is max(h / g); the weighted L^p
+        # space it collapses to pairs against g μ instead and reads max |h|,
+        # so a weight row of the mixture has no closed norm and is refused
         rng = np.random.default_rng(29)
         X = make_space(rng.uniform(0.5, 2.0, size=3), 2.0)
         g0 = rng.uniform(0.5, 2.0, size=3)
-        S = dirac_space(X, ExponentTriple(p=2.0, q=3.0), g0 / g0.max())
+        g = g0 / g0.max()
+        S = dirac_space(X, ExponentTriple(p=2.0, q=3.0), g)
         H = np.abs(rng.normal(size=(4, 3)))
-        stacked = dual_norm_rows(S, 2.0, H)
-        single = [dual_norm_rows(S, 2.0, h) for h in H]
-        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0.0)
-        exact = (H * g0.max() / g0).max(axis=1)
-        np.testing.assert_allclose(stacked, exact, rtol=1e-9)
+        with pytest.raises(ValueError, match="not a weighted Lebesgue"):
+            dual_norm_rows(S, 2.0, H)
+        collapsed = make_space(g * X.space.weights, 2.0)
+        assert np.array_equal(dual_norm_rows(collapsed, 2.0, H),
+                              H.max(axis=1))
+        assert not np.allclose(H.max(axis=1), (H / g).max(axis=1))
 
 
 E23 = ExponentTriple(p=2.0, q=3.0)
@@ -234,6 +240,34 @@ def test_dual_ball_entry_points_reject_a_domain_that_is_not_p_convex(entry):
     # L^1 is not 2-convex: its square-root power is no norm, so no dual ball
     with pytest.raises(NotPConvexError):
         entry(make_space([1.0, 2.0], 1.0))
+
+
+E12 = ExponentTriple(p=1.0, q=2.0)
+_FAMILY = np.array([[1.0, -0.5, 0.25], [0.3, 0.8, -1.0]])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda S: dual_norm_rows(S, 1.0, np.ones((2, 3))),
+    lambda S: attainment_point(S, E12, _FAMILY),
+    lambda S: family_sup_lhs(S, E12, _FAMILY),
+    lambda S: family_sup_lhs(S, E12, _FAMILY[:1]),
+    lambda S: weak_q_norm(S, _FAMILY, 2.0, budget=4),
+    lambda S: weak_q_norm(S, _FAMILY[:1], 2.0, budget=4),
+    lambda S: brute_force_family_sup(S, E12, _FAMILY, step=0.1),
+    lambda S: find_domination_measure(identity_operator(S), E12),
+    lambda S: SNormSpace(base=S, e=E12, xi=DiscreteRadonMeasure(
+        atoms=[[0.5, 0.5, 0.5]], masses=[1.0])),
+], ids=["dual_norm_rows", "attainment_point", "family_sup_lhs",
+        "family_sup_lhs-one-vector", "weak_q_norm", "weak_q_norm-one-vector",
+        "brute_force_family_sup", "find_domination_measure",
+        "SNormSpace-on-a-mixture"])
+def test_dual_ball_entry_points_reject_a_domain_that_is_not_lebesgue(entry):
+    # a two-block mixture at q > p is no weighted L^p space: its dual ball
+    # has no closed form, so no value or weight row is computed on it
+    X = make_space([1.0, 2.0, 0.5], 1.5)
+    S = partition_space(X, E12, np.full(3, 0.5), [[0], [1, 2]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="not a weighted Lebesgue"):
+        entry(S)
 
 
 class TestExponentTriple:
