@@ -576,11 +576,13 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     ``w_j = sum_i sign(u_i)|u_i|^{q-1} f_ij`` with ``u_i = <h, f_i>``,
     normalised by the closed-form dual norm: the value is convex in ``h``,
     and the step maximises its linearisation over the dual ball, so no step
-    lowers it (Boyd's power method).  Every row lies on the dual sphere, so
-    the value is a certified lower bound.  A stack of families
+    lowers it (Boyd's power method).  A family's ascent stops once its best
+    start stops gaining, or after 60 steps.  Every row lies on the dual
+    sphere, so the value is a certified lower bound.  A stack of families
     ``(K, m, n)`` gives the ``(K,)`` values in one pass; every row of every
-    family is computed at every step, so a family's value does not depend
-    on the families stacked beside it.
+    family is computed at every step, and each family stops on its own
+    rows, so a family's value does not depend on the families stacked
+    beside it.
     """
     X = _lebesgue_domain(X)
     F, single = _family_stack(F, X.n)

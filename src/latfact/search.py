@@ -36,7 +36,10 @@ Where a step lands on the best point of a linearisation in closed form,
 no line search is needed: :func:`fixed_point_ascent` iterates such a step
 under the same gain rule, and runs the weak-q supremum of
 ``constants._weak_q``, whose convex value the Hölder step never lowers
-(Boyd's power method).
+(Boyd's power method).  It ends each problem of a stack once that
+problem's best row stops gaining: the trailing starts it would otherwise
+keep stepping climb toward lower maxima, and on a seeded weak-q sweep none
+passed the frozen leader by more than 1.5e-15 relative.
 ``constants.brute_force_family_sup`` keeps its own ascent and normaliser:
 it is the independent oracle of acceptance criterion 1, against which the
 duality reduction is checked.  ``estimates._polish_family`` still runs its
@@ -200,10 +203,16 @@ def fixed_point_ascent(value_rows, step_rows, A0: np.ndarray, *,
     maps them to ``(R,)`` or ``(K, R)`` values.  The gain rule is that of
     :func:`projected_ascent`: a row takes its step only when its value
     gains more than ``1e-15`` times the largest starting value of its
-    problem, and a row that does not gain is frozen.  Every row is computed
-    at every step, so the products a problem meets have the same shapes
-    whatever problems are stacked beside it.  Monotone per row, hence a
-    certified lower bound per start; deterministic.
+    problem, and a row that does not gain is frozen.  A problem none of
+    whose rows at its largest value gains freezes all its rows: its value
+    is the leader's, which the rows behind it would only approach or pass
+    in the last bits.  The loop ends when no row of any problem is live,
+    or after ``iters`` steps.  While it runs, every row is computed at
+    every step, so the products a problem meets have the same shapes
+    whatever problems are stacked beside it; the freeze is decided per
+    problem, so a problem's rows and values do not depend on the problems
+    stacked beside it either.  Monotone per row, hence a certified lower
+    bound per start; deterministic.
     """
     A = np.array(A0, dtype=float)
     val = value_rows(A)
@@ -213,8 +222,11 @@ def fixed_point_ascent(value_rows, step_rows, A0: np.ndarray, *,
         B = step_rows(A)
         bval = value_rows(B)
         live &= bval > val + gain
-        if not live.any():
-            break
         A[live] = B[live]
         val[live] = bval[live]
+        # a problem is done once its best row has stopped gaining
+        live &= (live & (val >= val.max(axis=-1, keepdims=True))).any(
+            axis=-1, keepdims=True)
+        if not live.any():
+            break
     return A, val

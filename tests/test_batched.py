@@ -8,8 +8,13 @@ have stalled three times, and the start rows with every repeat of the
 pattern × start product.  The batched versions must give the same bits.
 The ascent reference has one addition since: the ``keep_signs`` step,
 which stops an entry at zero instead of letting it change sign.  The polish
-reference can list the probes it accepts.
+reference can list the probes it accepts.  ``reference_fixed_point_ascent``
+is the fixed point that steps every gaining row until none gains; the one
+that stops a problem once its best row stops gaining must agree with it to
+the last bits.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,8 @@ from latfact import constants, estimates, factorization
 from latfact.search import _ETAS, sign_patterns, signed_starts
 from latfact.suite import random_operator
 from conftest import make_space, two_atom_space
+
+WEAK_Q_CAP_WITNESS = Path(__file__).parent / "data" / "weak_q_cap_witness.npz"
 
 
 def reference_polish_family(ratio, F, sweeps, accepts=None):
@@ -122,6 +129,22 @@ def reference_projected_ascent(value_rows, grad_rows, normalize_rows, A0, *,
         stall = np.where(better, 0, stall + 1)
         if stall.min() >= 3:
             break
+    return A, val
+
+
+def reference_fixed_point_ascent(value_rows, step_rows, A0, *, iters):
+    A = np.array(A0, dtype=float)
+    val = value_rows(A)
+    gain = 1e-15 * np.abs(val).max(axis=-1, initial=0.0)[..., None]
+    live = np.ones(val.shape, dtype=bool)
+    for _ in range(iters):
+        B = step_rows(A)
+        bval = value_rows(B)
+        live &= bval > val + gain
+        if not live.any():
+            break
+        A[live] = B[live]
+        val[live] = bval[live]
     return A, val
 
 
@@ -338,6 +361,68 @@ class TestProjectedAscent:
         ref_F, ref_values = violation_oracle(T, S, C=C, seed=1)
         assert values[0] == ref_values[0]
         assert np.array_equal(F[0], ref_F[0])
+
+
+def _counted_fixed_point(monkeypatch, ascent) -> list[int]:
+    """Route ``weak_q_norm`` through ``ascent``; list its ``step_rows`` calls.
+
+    One entry per ascent, its number of steps.
+    """
+    steps = []
+
+    def run(value_rows, step_rows, A0, *, iters):
+        steps.append(0)
+
+        def counted(H):
+            steps[-1] += 1
+            return step_rows(H)
+
+        return ascent(value_rows, counted, A0, iters=iters)
+
+    monkeypatch.setattr(constants, "fixed_point_ascent", run)
+    return steps
+
+
+class TestFixedPointStop:
+    """Ending a problem at its leader's last gain keeps the exhaustive values."""
+
+    def test_sweep_agrees_with_the_exhaustive_loop(self, monkeypatch):
+        fixed_point = constants.fixed_point_ascent
+        cases = []
+        for s in (1.5, 3.0):
+            for q in (1.5, 2.0, 3.0):
+                rng = np.random.default_rng([48, int(2 * s), int(2 * q)])
+                for n in range(2, 6):
+                    X = make_space(rng.uniform(0.5, 2.0, size=n), s)
+                    for m in range(2, 9):
+                        cases.append((X, rng.normal(size=(3, m, n)), q))
+
+        def sweep(ascent):
+            steps = _counted_fixed_point(monkeypatch, ascent)
+            values = [weak_q_norm(X, F, q, budget=8, seed=[7, k])
+                      for k, (X, F, q) in enumerate(cases)]
+            return np.concatenate(values), sum(steps)
+
+        got, steps = sweep(fixed_point)
+        ref, ref_steps = sweep(reference_fixed_point_ascent)
+        assert np.all(np.abs(got - ref) <= 4e-15 * ref)
+        assert steps < ref_steps
+
+    def test_early_leader_beside_a_capped_family_keeps_its_bits(
+            self, monkeypatch):
+        T = random_operator(4, 4, [4], s=2.0)
+        capped = np.load(WEAK_Q_CAP_WITNESS)["F"]
+        early = np.random.default_rng(0).normal(size=(7, 8, 4))[6]
+        steps = _counted_fixed_point(monkeypatch, constants.fixed_point_ascent)
+
+        def value(F):
+            return weak_q_norm(T.domain, F, 3.0, budget=8, seed=[0, 3])
+
+        alone = [value(early), value(capped)]
+        stacked = value(np.stack([early, capped]))
+        assert steps[0] < 60 and steps[1:] == [60, 60]
+        assert stacked[0] == alone[0]
+        assert stacked[1] == alone[1]
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from conftest import make_space
 from reference import weak_q_reference
 
 E12 = ExponentTriple(p=1.0, q=2.0)
+WEAK_Q_CAP_WITNESS = Path(__file__).parent / "data" / "weak_q_cap_witness.npz"
 
 
 class TestFamilySupLhs:
@@ -279,14 +281,12 @@ class TestWeakQNorm:
         F = rng.normal(size=(2, 3))
         # oracle: dense sampling of the dual sphere (s' = 1.5)
         s_dual = 1.5
-        best = 0.0
-        for _ in range(200000):
-            h = rng.normal(size=3)
-            nrm = float(np.sum(np.abs(h) ** s_dual
-                               * X.space.weights) ** (1 / s_dual))
-            h = h / nrm
-            val = float(np.sum(np.abs((F * X.space.weights) @ h) ** 2) ** 0.5)
-            best = max(best, val)
+        H = rng.normal(size=(200000, 3))
+        nrm = np.sum(np.abs(H) ** s_dual * X.space.weights,
+                     axis=1) ** (1 / s_dual)
+        H = H / nrm[:, None]
+        best = float(np.max(np.sum(np.abs(H @ (F * X.space.weights).T) ** 2,
+                                   axis=1) ** 0.5))
         got = weak_q_norm(X, F, 2.0, seed=1)
         assert got >= best - 1e-4
         assert got <= best * (1 + 5e-3)
@@ -306,6 +306,18 @@ class TestWeakQNorm:
                 eps = err / ref
                 got = weak_q_norm(X, F, q, budget=8, seed=0)
                 assert ref * (1.0 - eps) <= got <= ref * (1.0 + eps)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 60-step cap of the weak-q fixed point stops this family "
+        "1.76e-3 below the value it reaches after 155 steps (ROADMAP item 8)"))
+    def test_cap_reaches_the_uncapped_fixed_point(self):
+        # the 8-vector π_q witness of
+        # q_summing_estimate(random_operator(4, 4, [4], s=2.0), 3.0,
+        # budget=24, seed=[0, 3]); tests/data/README.md
+        T = random_operator(4, 4, [4], s=2.0)
+        F = np.load(WEAK_Q_CAP_WITNESS)["F"]
+        got = weak_q_norm(T.domain, F, 3.0, budget=8, seed=[0, 3])
+        assert got >= 1.6525772984820815 * (1.0 - 1e-12)
 
     def test_one_atom_mixture_is_its_weighted_lebesgue_space(self):
         # s(f) = (∫|f|^2 g dμ)^{1/2}: the weak-2 norm is σ_max(F √(gμ))
