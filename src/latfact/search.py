@@ -204,15 +204,13 @@ def fixed_point_ascent(value_rows, step_rows, A0: np.ndarray, *,
     :func:`projected_ascent`: a row takes its step only when its value
     gains more than ``1e-15`` times the largest starting value of its
     problem, and a row that does not gain is frozen.  A problem none of
-    whose rows at its largest value gains freezes all its rows: its value
-    is the leader's, which the rows behind it would only approach or pass
-    in the last bits.  The loop ends when no row of any problem is live,
-    or after ``iters`` steps.  While it runs, every row is computed at
-    every step, so the products a problem meets have the same shapes
-    whatever problems are stacked beside it; the freeze is decided per
-    problem, so a problem's rows and values do not depend on the problems
-    stacked beside it either.  Monotone per row, hence a certified lower
-    bound per start; deterministic.
+    whose rows at its largest value gains freezes all its rows, and the
+    loop ends when no row is live, or after ``iters`` steps.  While it
+    runs, every row is computed at every step, so the products a problem
+    meets have the same shapes whatever problems are stacked beside it;
+    the freeze is decided per problem, so a problem's values do not depend
+    on the problems stacked beside it either.  Monotone per row, hence a
+    certified lower bound per start; deterministic.
     """
     A = np.array(A0, dtype=float)
     val = value_rows(A)
