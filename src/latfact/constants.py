@@ -31,8 +31,10 @@ reference, runs on a weighted Lebesgue space: a saturated mixture that
 collapses to one (:func:`_collapsed_mixture`) takes that space's routes,
 and any other domain is refused with ``ValueError``, since its dual ball
 has no closed form.  Matrix products over a stack go through
-``np.matmul``, one product per family, and the last root of a value is a
-scalar power, so a family's value does not depend on the stack it is in.
+``np.matmul``, one product per family; norms take the per-vector product
+of :func:`~latfact.spaces.power_mean`, and powers and roots act entry by
+entry on arrays, so a family's value does not depend on the stack it is
+in.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ from .search import (fixed_point_ascent, projected_ascent, sign_patterns,
 from .snorm import SNormSpace
 from .spaces import (ExponentTriple, LatticeNorm, MeasureSpace,
                      NotPConvexError, WeightedLebesgue, _dual_is_cube,
-                     _family_stack, _scalar_pow, _unstack, _weighted_lebesgue,
-                     dual_norm_rows, lattice_aggregate_norm, power_mean,
-                     power_mean_rows)
+                     _family_stack, _unstack, _weighted_lebesgue,
+                     dual_norm_rows, lattice_aggregate_norm, power_mean)
 
 __all__ = [
     "EuclideanNorm",
@@ -83,7 +84,7 @@ class EuclideanNorm:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}")
-        return float(np.linalg.norm(v))
+        return float(self.norm_rows(v)[0])
 
     def norm_rows(self, V) -> np.ndarray:
         V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -214,7 +215,7 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     if sigma == 2.0 and t == 2.0:
         r = 1.0 / np.sqrt(mu)
         _, sv, Vt = np.linalg.svd(P * r)
-        return _scalar_pow(sv[:, 0], 2.0 / q), np.abs(Vt[:, 0]) * r
+        return sv[:, 0] ** (2.0 / q), np.abs(Vt[:, 0]) * r
     PT = P.transpose(0, 2, 1)
 
     def dual_sphere(H: np.ndarray) -> np.ndarray:
@@ -261,7 +262,7 @@ def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
     gained = val[:, 0] > best_val
     best_val = np.where(gained, val[:, 0], best_val)
     best_h = np.where(gained[:, None], h[:, 0], best_h)
-    return _scalar_pow(best_val, 1.0 / q), best_h
+    return best_val ** (1.0 / q), best_h
 
 
 def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
@@ -279,8 +280,9 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     bound.  A saturated mixture that collapses to a weighted ``L^p``
     space takes that space's routes, and any other domain raises
     ``ValueError`` (:func:`_lebesgue_domain`).  No search runs for a family
-    of one vector: its scaling ball is ``[-1, 1]``, so the value is exactly
-    ``‖f‖_X``.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values
+    of one vector: its scaling ball is ``[-1, 1]``, so the value is
+    ``‖f‖_X``, and where the dual ball is curved it is ``X.norm(f)`` bit
+    for bit.  A stack of families ``(K, m, n)`` gives the ``(K,)`` values
     in one pass.  For ``q > p`` the reduction needs a p-convex domain and
     raises :class:`NotPConvexError` on any other.
     """
@@ -310,22 +312,10 @@ def _sup_lhs(X: WeightedLebesgue, e: ExponentTriple,
         return lattice_aggregate_norm(X, F, e.p)
     if _dual_is_cube(X, e.p):
         # s = p; family_sup_lhs has ruled out s < p
-        row_norms = power_mean_rows(F, e.p, X.space.weights)
-        return _scalar_pow((row_norms ** e.q).sum(axis=1), 1.0 / e.q)
+        return _lq_rows(power_mean(F, e.p, X.space.weights), e.q)
     if F.shape[1] == 1:
-        return _one_vector_norms(X, F)
+        return X.norm_rows(F[:, 0])
     return _curved_dual_sup(X, e, F)[0]
-
-
-def _one_vector_norms(X: WeightedLebesgue, F: np.ndarray) -> np.ndarray:
-    """``‖f‖_X`` for a stack of one-vector families ``(K, 1, n)``.
-
-    Both dual-ball denominators of a family of one are its norm: Köthe
-    duality gives ``sup_{‖h‖_{X'} <= 1} |<h, f>| = ‖f‖_X``, and the
-    scaling ball of one vector is ``[-1, 1]``.  The norms go through the
-    stacked :func:`power_mean`, one vector's arithmetic per row.
-    """
-    return power_mean(F[:, 0], X.s, X.space.weights)
 
 
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
@@ -455,7 +445,7 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
     def value(B: np.ndarray) -> np.ndarray:
         """B -> ‖(sum_i b_i |f_i|^p)^{1/p}‖_X row by row, b_i = beta_i^p."""
         agg = np.maximum(B, 0.0) @ G
-        return power_mean_rows(agg, sigma, mu) ** (1.0 / e.p)
+        return power_mean(agg, sigma, mu) ** (1.0 / e.p)
 
     if e.is_extreme:
         # sup-ball: grid the cube, polish within it
@@ -501,17 +491,17 @@ def brute_force_family_sup(X: LatticeNorm, e: ExponentTriple, F, *,
 
     def normalize(B: np.ndarray) -> np.ndarray:
         B = np.maximum(B, 0.0)
-        norms = power_mean_rows(B, rp, ones)
+        norms = power_mean(B, rp, ones)
         bad = norms <= 0.0
         if np.any(bad):
             B = B.copy()
             B[bad] = 1.0
-            norms = power_mean_rows(B, rp, ones)
+            norms = power_mean(B, rp, ones)
         return B / norms[:, None]
 
     def grad_rows(B: np.ndarray) -> np.ndarray:
         A = np.maximum(B, 0.0) @ G
-        N = power_mean_rows(A, sigma, mu)
+        N = power_mean(A, sigma, mu)
         N = np.where(N <= 0.0, 1.0, N)
         S = (np.maximum(A, 0.0) ** (sigma - 1.0) * mu) @ G.T
         return (N ** (1.0 / e.p - sigma))[:, None] * S / e.p
@@ -570,9 +560,9 @@ def weak_q_norm(X: LatticeNorm, F, q: float, budget: int = 16,
     ``L^p`` space it collapses to and takes the same routes; any other
     domain raises ``ValueError`` (:func:`_lebesgue_domain`).  Where no
     closed route applies, a family of one vector is settled by Köthe
-    duality: its value is ``‖f‖_X``.  Anything else runs a seeded
-    multistart :func:`~latfact.search.fixed_point_ascent` over the dual
-    sphere, of the step ``h <- sign(w)|w|^{s-1}``,
+    duality: its value is ``‖f‖_X``, bit for bit ``X.norm(f)``.  Anything
+    else runs a seeded multistart :func:`~latfact.search.fixed_point_ascent`
+    over the dual sphere, of the step ``h <- sign(w)|w|^{s-1}``,
     ``w_j = sum_i sign(u_i)|u_i|^{q-1} f_ij`` with ``u_i = <h, f_i>``,
     normalised by the closed-form dual norm: the value is convex in ``h``,
     and the step maximises its linearisation over the dual ball, so no step
@@ -626,7 +616,7 @@ def _weak_q(X: WeightedLebesgue, F: np.ndarray, q: float, budget: int,
         scaled = F * np.sqrt(X.space.weights)
         return np.linalg.svd(scaled, compute_uv=False)[:, 0]
     if F.shape[1] == 1:
-        return _one_vector_norms(X, F)
+        return X.norm_rows(F[:, 0])
 
     # multistart ascent over the signed dual sphere
     def dual_sphere(H: np.ndarray) -> np.ndarray:
@@ -665,8 +655,7 @@ def _weak_q(X: WeightedLebesgue, F: np.ndarray, q: float, budget: int,
 
 def _image_q_sum(T: LinearOperator, F: np.ndarray, q: float) -> np.ndarray:
     """``(sum_i ‖T f_i‖^q)^{1/q}`` for each family of a stack ``(K, m, n)``."""
-    norms = T.codomain.norm_rows(F @ T.matrix.T)
-    return _scalar_pow((norms ** q).sum(axis=1), 1.0 / q)
+    return _lq_rows(T.codomain.norm_rows(F @ T.matrix.T), q)
 
 
 def q_concavity_ratio(T: LinearOperator, q: float, F) -> float | np.ndarray:

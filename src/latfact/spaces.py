@@ -72,36 +72,23 @@ def as_vector(f, n: int) -> np.ndarray:
     return arr
 
 
-def _scalar_pow(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` by scalar ``pow``; numpy's array power can differ by an ulp."""
-    return np.array([v ** y for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def power_mean(values, exponent: float,
                weights: np.ndarray) -> float | np.ndarray:
     """(sum |v|^e w)^(1/e), computed stably for large exponents.
 
     ``values`` is one vector ``(n,)``, giving a float, or a stack
-    ``(..., n)``, giving one value per vector; one vector is a stack of
-    one.  A stack keeps one vector's arithmetic: a dot product per vector
-    (a stacked matmul of ``(1, n)`` by ``(n, 1)``) and the root as a scalar
-    ``pow``, so a vector's value does not depend on the stack it is in.
+    ``(..., n)``, giving one value per vector.  Each vector is scaled by
+    its largest entry, takes one product ``np.einsum("...j,j->...")``,
+    whose order does not depend on how many vectors the stack holds (a
+    BLAS ``@`` can), and an array root.  One vector is a stack of one, so
+    its value is bit for bit its value in any stack.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    if v.ndim == 1:
-        return float(power_mean(v[None], exponent, weights)[0])
-    m = v.max(axis=-1, initial=0.0)
-    scaled = v / np.where(m > 0.0, m, 1.0)[..., None]
-    dots = (scaled ** exponent)[..., None, :] @ np.asarray(weights)[:, None]
-    return m * _scalar_pow(dots, 1.0 / exponent).reshape(m.shape)
-
-
-def power_mean_rows(V, exponent: float, weights: np.ndarray) -> np.ndarray:
-    """Row-wise version of :func:`power_mean`; ``(..., n)`` to ``(...)``."""
-    V = np.abs(np.atleast_2d(np.asarray(V, dtype=float)))
-    m = V.max(axis=-1)
+    V = np.atleast_2d(v)
+    m = V.max(axis=-1, initial=0.0)
     scaled = V / np.where(m > 0.0, m, 1.0)[..., None]
-    return m * (scaled ** exponent @ weights) ** (1.0 / exponent)
+    sums = np.einsum("...j,j->...", scaled ** exponent, weights)
+    return _unstack(m * sums ** (1.0 / exponent), v.ndim == 1)
 
 
 def _family_stack(F, n: int) -> tuple[np.ndarray, bool]:
@@ -188,7 +175,7 @@ class WeightedLebesgue(LatticeNorm):
         return power_mean(f, self.s, self.space.weights)
 
     def norm_rows(self, F) -> np.ndarray:
-        return power_mean_rows(F, self.s, self.space.weights)
+        return power_mean(np.atleast_2d(F), self.s, self.space.weights)
 
     def norm_grad_rows(self, F) -> np.ndarray:
         F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -334,30 +321,30 @@ def dual_norm_rows(X: LatticeNorm, p: float, H) -> float | np.ndarray:
     """Norm of each row of ``H`` in the Köthe dual of the p-th power X_p.
 
     ``H`` is one vector ``(n,)``, giving a float, or a stack ``(..., n)``,
-    giving one norm per row.  The closed form of a weighted Lebesgue
-    space, with ``sigma = s/p``: the sup norm at ``sigma = 1``, else the
-    ``L^sigma'`` norm, ``sigma' = sigma/(sigma - 1)``; one vector goes
-    through :func:`power_mean`, and a stack takes
-    ``(|H|^sigma' μ)^(1/sigma')`` up to ``sigma' = 64`` and the scaled
-    :func:`power_mean_rows` above.  Raises ``ValueError`` on any other
-    space (see :func:`_weighted_lebesgue`), and :class:`NotPConvexError`
-    when X is not p-convex.
+    giving one norm per row; one vector is a stack of one.  The closed form
+    of a weighted Lebesgue space, with ``sigma = s/p``: the sup norm at
+    ``sigma = 1``, else the ``L^sigma'`` norm, ``sigma' = sigma/(sigma - 1)``.
+    Up to ``sigma' = 64`` it is ``(|H|^sigma' μ)^(1/sigma')`` unscaled,
+    with :func:`power_mean`'s per-vector product; above, where the powers
+    could overflow, it is the scaled :func:`power_mean`.  Raises
+    ``ValueError`` on any other space (see :func:`_weighted_lebesgue`), and
+    :class:`NotPConvexError` when X is not p-convex.
     """
     X = _weighted_lebesgue(X)
     H = np.asarray(H, dtype=float)
+    R = np.abs(np.atleast_2d(H))
     if _dual_is_cube(X, p):
-        norms = np.abs(H).max(axis=-1, initial=0.0)
+        norms = R.max(axis=-1, initial=0.0)
     else:
         sigma = X.s / p
         sigma_dual = sigma / (sigma - 1.0)
         mu = X.space.weights
-        if H.ndim == 1:
-            norms = power_mean(H, sigma_dual, mu)
-        elif sigma_dual <= 64.0:
-            norms = (np.abs(H) ** sigma_dual @ mu) ** (1.0 / sigma_dual)
+        if sigma_dual <= 64.0:
+            norms = (np.einsum("...j,j->...", R ** sigma_dual, mu)
+                     ** (1.0 / sigma_dual))
         else:
-            norms = power_mean_rows(H, sigma_dual, mu)
-    return float(norms) if H.ndim == 1 else norms
+            norms = power_mean(R, sigma_dual, mu)
+    return _unstack(norms, H.ndim == 1)
 
 
 def pairings(X: LatticeNorm, p: float, F, H) -> np.ndarray:

@@ -23,8 +23,10 @@ Euclidean; any exponents ``1 <= p <= q`` are allowed.
 
 :func:`weak_q_reference` gives the weak-q norm of a family, the
 denominator of the q-summing ratio, as the largest value on an angle grid
-of the unit circle of ``L^{s'}(μ)``, the dual of ``L^s(μ)``.  Its grid
-error is certified by :func:`chord_factor`.
+of the unit circle of ``L^{s'}(μ)``, the dual of ``L^s(μ)``, and
+:func:`operator_norm_reference` gives ``‖A‖`` as the largest ``‖A f‖`` on
+an angle grid of the unit circle of ``L^s(μ)``.  Their grid errors are
+certified by :func:`chord_factor`.
 """
 
 from __future__ import annotations
@@ -120,6 +122,25 @@ def weak_q_reference(F, mu, s: float, q: float,
     """
     value = weak_q_grid(F, mu, s, q, steps)
     return value, value * (chord_factor(s / (s - 1.0), mu, steps) - 1.0)
+
+
+def operator_norm_reference(A, mu, s: float,
+                            steps: int = 4000) -> tuple[float, float]:
+    """``(value, err)``: the largest ``‖A f‖`` over the rows of
+    :func:`domination_lp` at ``steps`` steps, and its grid error.
+
+    Every grid value is attained, so the value is a lower bound on ``‖A‖``
+    from ``L^s(μ)`` into the Euclidean target; :func:`chord_factor` bounds
+    how far ``‖A‖`` can exceed it, and ``err`` is the value times that
+    factor minus one.
+    """
+    A = np.asarray(A, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    step = 0.5 * np.pi / steps
+    F = circle_rows(step * np.arange(2 * steps),
+                    lambda F: lebesgue_norm_rows(F, s, mu))
+    value = float(np.linalg.norm(F @ A.T, axis=1).max())
+    return value, value * (chord_factor(s, mu, steps) - 1.0)
 
 
 def chord_factor(s: float, mu, steps: int) -> float:

