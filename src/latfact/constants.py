@@ -180,42 +180,200 @@ def _psi_rows(H: np.ndarray, P: np.ndarray, t: float) -> np.ndarray:
     return (c ** t).sum(axis=-1)
 
 
-def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple,
-                     F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Perron-side route of _curved_dual_sup: plain power steps from the uniform
+# weight before the Newton steps, the cap on all steps, and the relative gap
+# of the certified bracket that ends a family
+_POWER_STEPS = 3
+_PERRON_STEPS = 40
+_PERRON_GAP = 1e-12
+
+
+def _curved_dual_sup(X: WeightedLebesgue, e: ExponentTriple, F: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Supremum of ``psi(h)^{1/q}`` over the positive dual ball of X_p.
 
     Curved-ball case (``s > p``), for a stack of families ``(K, m, n)``.
-    At ``sigma = s/p = 2`` and ``t = q/p = 2`` it is exact:
-    ``psi(h) = ‖P h‖^2`` with ``P = |F|^p μ`` on the positive part of the
-    ``L^2(μ)`` ball, so the supremum is ``σ_max(P diag(μ^{-1/2}))^{2/q}``,
-    attained at ``|v_1| / sqrt(μ)`` for the top right singular vector
-    ``v_1``: ``P >= 0`` gives ``‖M|v|‖ >= ‖Mv‖``, so ``|v_1|`` attains it
-    even when the top singular value repeats.  Elsewhere the first-order
-    condition is the fixed point ``h ∝ (sum_i c_i^{t-1} g_i)^{sigma-1}``;
-    five plain steps of it run from canonical and seeded starts, and
-    :func:`search.projected_ascent` then polishes the best row of the fifth
-    iterate along the dual sphere.  Every iterate is feasible, so the value
-    is a lower bound on the supremum, not the supremum: the fixed point can
-    settle in a local maximum, 2–3e-4 low on nine-vector families at
-    ``(s, p, q) = (2, 1, 3)``.  It serves ``t = q/p > 1`` only: at
-    ``p = q`` the objective is linear, and :func:`family_sup_lhs` and
-    :func:`attainment_point` use its closed form.  One-vector families
-    never reach it in :func:`family_sup_lhs`, whose value there is the
-    norm.  Returns the values ``(K,)`` and the maximizing weights
-    ``(K, n)``.
+    With ``sigma = s/p``, ``sigma' = sigma/(sigma - 1)``, ``t = q/p``,
+    ``G = |F|^p`` and ``P = G μ``, the supremum is ``sup ‖P h‖_t^{t/q}``
+    over ``h >= 0`` with ``‖h‖_{L^sigma'(μ)} <= 1``, a norm of a
+    nonnegative matrix, and ``t <= sigma'`` holds exactly when ``s <= r``.
+    Returns the lower values ``(K,)``, the upper values ``(K,)`` and the
+    weights ``(K, n)``, whose value is the lower one.
+
+    - At ``sigma = t = 2`` it is exact: the supremum is
+      ``σ_max(P diag(μ^{-1/2}))^{2/q}``, attained at ``|v_1| / sqrt(μ)`` for
+      the top right singular vector ``v_1`` (``P >= 0`` gives
+      ``‖M|v|‖ >= ‖Mv‖``, so ``|v_1|`` attains it even when the top
+      singular value repeats).  Both values are that one.
+    - On the rest of the Perron side ``t <= sigma'``,
+      :func:`_perron_dual_sup` brackets it with a certified gap.
+    - On the hard side ``t > sigma'`` it is :func:`_hard_dual_sup`'s lower
+      bound, given as both values: no upper bound is known there (ROADMAP
+      item 2).
+
+    :func:`family_sup_lhs` and :func:`attainment_point` call it at
+    ``t = q/p > 1`` only: at ``p = q`` the objective is linear and they use
+    its closed form, which the Perron side, ``t = 1``, brackets too.
+    One-vector families never reach it in :func:`family_sup_lhs`, whose
+    value there is the norm.
     """
     mu = X.space.weights
-    n = X.n
-    K = F.shape[0]
-    p, q, t = e.p, e.q, e.t
-    sigma = X.s / p
-    sigma_dual = sigma / (sigma - 1.0)
-    G = np.abs(F) ** p
+    q, t = e.q, e.t
+    sigma = X.s / e.p
+    G = np.abs(F) ** e.p
     P = G * mu
     if sigma == 2.0 and t == 2.0:
         r = 1.0 / np.sqrt(mu)
         _, sv, Vt = np.linalg.svd(P * r)
-        return sv[:, 0] ** (2.0 / q), np.abs(Vt[:, 0]) * r
+        value = sv[:, 0] ** (2.0 / q)
+        return value, value, np.abs(Vt[:, 0]) * r
+    if t <= sigma / (sigma - 1.0):
+        return _perron_dual_sup(X, e, G, P)
+    value, h = _hard_dual_sup(X, e, G, P)
+    return value, value, h
+
+
+def _perron_dual_sup(X: WeightedLebesgue, e: ExponentTriple, G: np.ndarray,
+                     P: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """Certified bracket of the curved dual supremum on ``t <= sigma'``.
+
+    The first-order condition is the fixed point ``g(h) = λ h`` of the
+    power map ``g(h) = w^{sigma-1}``, ``w = Gᵀ c^{t-1}``, ``c = P h``, on
+    the dual sphere, and ``h <- g(h)`` is Boyd's power method (1974, "The
+    power method for ℓ^p norms", *Linear Algebra Appl.* 9).  On
+    ``t <= sigma'`` the map is order-preserving and homogeneous of degree
+    ``(t-1)(sigma-1) <= 1``.  From the uniform weight the route takes
+    ``_POWER_STEPS`` plain steps, then bordered Newton steps on
+    ``g(h) = λ h``, ``‖h‖_{sigma'} = 1`` (:func:`_bordered_newton`).  An
+    atom where every ``f_i`` vanishes gets ``h_j = 0`` at the first step
+    and keeps it.  The route rests on no convergence theorem: the bracket
+    below certifies every iterate, and a family that does not close its
+    gap keeps a valid, wider one.
+
+    At every iterate the lower value is ``‖c‖_t^{t/q}`` and the upper value
+    is ``R^{1/q}``, with the Collatz–Wielandt ratio
+    ``R = max_j w_j / h_j^{sigma'-1}`` over the atoms where some ``f_i`` is
+    nonzero.  For every ``z >= 0`` of the ball, Jensen's inequality in each
+    row, with the weights ``P_ij h_j / c_i`` and ``t >= 1``, gives
+    ``(P z)_i^t <= c_i^{t-1} sum_j P_ij h_j^{1-t} z_j^t``; summing,
+    ``‖P z‖_t^t <= R sum_j μ_j h_j^{sigma'-t} z_j^t``, and Hölder's
+    inequality with the exponents ``sigma'/(sigma'-t)`` and ``sigma'/t``,
+    which needs ``t <= sigma'``, bounds the sum by ``‖h‖^{sigma'-t}``.
+    That factor, ``(sum_j μ_j h_j^{sigma'})^{(sigma'-t)/sigma'}``, is 1 up
+    to rounding, and the bound keeps it: at ``sigma' = 101`` an error of
+    one ulp in ``‖h‖`` moves ``R`` by a hundred.  Each family stops on its
+    own once its upper value is within ``_PERRON_GAP`` of its lower one,
+    or after ``_PERRON_STEPS`` steps with the bracket it holds then.
+    Products and solves run per family through ``np.matmul`` and
+    ``np.linalg.solve``, and the norms through :func:`dual_norm_rows`, so
+    a family's values do not depend on the stack.
+    """
+    K, _, n = G.shape
+    mu = X.space.weights
+    q, t = e.q, e.t
+    sigma = X.s / e.p
+    sigma_dual = sigma / (sigma - 1.0)
+    live = G.any(axis=1)
+
+    def dual_sphere(H: np.ndarray) -> np.ndarray:
+        return H / dual_norm_rows(X, e.p, H)[:, None]
+
+    lower, upper, H = np.empty(K), np.empty(K), np.empty((K, n))
+    rows = np.arange(K)
+    h = dual_sphere(np.ones((K, n)))
+    for step in range(_PERRON_STEPS + 1):
+        c = np.matmul(P, h[:, :, None])[:, :, 0]
+        w = np.matmul(c[:, None, :] ** (t - 1.0), G)[:, 0]
+        scale = w.max(axis=1, keepdims=True)
+        w = w / scale
+        if step < min(_POWER_STEPS, _PERRON_STEPS):
+            h = dual_sphere(w ** (sigma - 1.0))
+            continue
+        hp = h ** (sigma_dual - 1.0)
+        ratio = (w / np.where(live, hp, 1.0)).max(axis=1)
+        radius = np.einsum("kj,j->k", hp * h, mu)
+        low = (c ** t).sum(axis=1) ** (1.0 / q)
+        # the supremum is at least the value at h; at a zero gap the two
+        # roundings may put the bound an ulp below it
+        up = np.maximum(low, (scale[:, 0] * ratio * radius ** (
+            (sigma_dual - t) / sigma_dual)) ** (1.0 / q))
+        lower[rows], upper[rows], H[rows] = low, up, h
+        done = up <= low * (1.0 + _PERRON_GAP)
+        if step == _PERRON_STEPS or done.all():
+            break
+        if done.any():
+            rows, h, hp, c, w, scale, G, P, live = (
+                a[~done] for a in (rows, h, hp, c, w, scale, G, P, live))
+        h = dual_sphere(_bordered_newton(h, hp, w ** (sigma - 1.0), c, w,
+                                         scale, G, P, live, mu, sigma, t))
+    return lower, upper, H
+
+
+def _bordered_newton(h, hp, g, c, w, scale, G, P, live, mu, sigma,
+                     t) -> np.ndarray:
+    """Bordered Newton candidates for ``g(h) = λ h``, ``‖h‖_{sigma'} = 1``.
+
+    ``w`` is ``Gᵀ c^{t-1}`` over ``scale`` and ``g = w^{sigma-1}``: with the
+    scale held fixed the map has the fixed points of the unscaled one.  The
+    Jacobian of the system is ``[[J_g - λI, -h], [sigma' μ h^{sigma'-1},
+    0]]`` with ``J_g = diag((sigma-1) w^{sigma-2}) Gᵀ diag((t-1) c^{t-2}) P``
+    and ``λ = <g, h^{sigma'-1}>_μ``.  The border keeps it regular at
+    ``s = r``, where ``g`` is homogeneous of degree 1 and ``J_g h = g``.
+    An atom where every ``f_i`` vanishes has a zero row and column in
+    ``J_g``, so its entry stays 0.  A family whose system is singular, or
+    whose candidate is not positive on the other atoms, gets its power step
+    ``g`` back instead.
+    """
+    k, n = h.shape
+    sigma_dual = sigma / (sigma - 1.0)
+    lam = np.einsum("kj,j->k", g * hp, mu)
+    # the derivatives at w_j = 0 and c_i = 0 multiply a zero column and a
+    # zero row of G, so any finite value serves there
+    d_w = (sigma - 1.0) / scale * np.where(live, w, 1.0) ** (sigma - 2.0)
+    d_c = (t - 1.0) * np.where(c > 0.0, c, 1.0) ** (t - 2.0)
+    A = np.zeros((k, n + 1, n + 1))
+    A[:, :n, :n] = d_w[:, :, None] * np.matmul(
+        G.transpose(0, 2, 1) * d_c[:, None, :], P)
+    diagonal = np.arange(n)
+    A[:, diagonal, diagonal] -= lam[:, None]
+    A[:, :n, n] = -h
+    A[:, n, :n] = sigma_dual * mu * hp
+    b = np.zeros((k, n + 1, 1))
+    b[:, :n, 0] = lam[:, None] * h - g
+    try:
+        step = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        step = np.full(b.shape, np.nan)
+        for i in range(k):
+            try:
+                step[i] = np.linalg.solve(A[i:i + 1], b[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+    cand = h + step[:, :n, 0]
+    good = np.where(live, cand > 0.0, cand == 0.0).all(axis=1)
+    return np.where(good[:, None], cand, g)
+
+
+def _hard_dual_sup(X: WeightedLebesgue, e: ExponentTriple, G: np.ndarray,
+                   P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bound of the curved dual supremum on the hard side ``t > sigma'``.
+
+    The first-order condition is the fixed point ``h ∝ (sum_i c_i^{t-1}
+    g_i)^{sigma-1}``; five plain steps of it run from canonical and seeded
+    starts, and :func:`search.projected_ascent` then polishes the best row
+    of the fifth iterate along the dual sphere.  Every iterate is feasible,
+    so the value is a lower bound on the supremum, not the supremum: the
+    fixed point can settle in a local maximum, 2–3e-4 low on nine-vector
+    families at ``(s, p, q) = (2, 1, 3)`` (ROADMAP item 2).  Returns the
+    values ``(K,)`` and the maximizing weights ``(K, n)``.
+    """
+    mu = X.space.weights
+    n = X.n
+    K = G.shape[0]
+    p, q, t = e.p, e.q, e.t
+    sigma = X.s / p
+    sigma_dual = sigma / (sigma - 1.0)
     PT = P.transpose(0, 2, 1)
 
     def dual_sphere(H: np.ndarray) -> np.ndarray:
@@ -275,9 +433,13 @@ def family_sup_lhs(X: LatticeNorm, e: ExponentTriple,
     supremum is eliminated exactly through conjugate-exponent duality:
     at ``s = p`` the value collapses to ``(sum_i ‖f_i‖_{L^p}^q)^{1/q}``,
     and for ``s > p`` the remaining dual-ball supremum is
-    :func:`_curved_dual_sup`: a top singular value, exact, at
-    ``s/p = q/p = 2``, and elsewhere the attainment fixed point, a lower
-    bound.  A saturated mixture that collapses to a weighted ``L^p``
+    :func:`_curved_dual_sup`'s upper value: a top singular value, exact,
+    at ``s/p = q/p = 2``; on the rest of the Perron side ``s <= r`` the
+    Collatz–Wielandt bound, never below the supremum, so a ratio over it
+    is a certified lower bound, and within ``1e-12`` of a feasible value
+    once the route closes its gap; and on the hard side ``s > r`` the
+    fixed point's lower bound, which can sit below the supremum (ROADMAP
+    item 2).  A saturated mixture that collapses to a weighted ``L^p``
     space takes that space's routes, and any other domain raises
     ``ValueError`` (:func:`_lebesgue_domain`).  No search runs for a family
     of one vector: its scaling ball is ``[-1, 1]``, so the value is
@@ -315,7 +477,7 @@ def _sup_lhs(X: WeightedLebesgue, e: ExponentTriple,
         return _lq_rows(power_mean(F, e.p, X.space.weights), e.q)
     if F.shape[1] == 1:
         return X.norm_rows(F[:, 0])
-    return _curved_dual_sup(X, e, F)[0]
+    return _curved_dual_sup(X, e, F)[1]
 
 
 def family_sup_rhs(X: LatticeNorm, e: ExponentTriple, F, grid) -> float:
@@ -345,7 +507,10 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
     (``sigma = s/p``); for a single function this is the classical norming
     weight of ``|f|^p``.  For ``q > p`` the weight of
     :func:`_curved_dual_sup` is returned: an exact maximizer, from the top
-    singular vector, at ``s/p = q/p = 2``, and the fixed point elsewhere.
+    singular vector, at ``s/p = q/p = 2``; on the rest of the Perron side
+    ``s <= r`` the iterate the route ends on, within ``1e-12`` of the
+    supremum once its gap closes; and the fixed point on the hard side
+    ``s > r``.
     The weight is a density against X's own measure, so X must be weighted
     Lebesgue; any other space, a mixture included, raises ``ValueError``.
     Raises :class:`NotPConvexError` when X is not p-convex.
@@ -362,7 +527,7 @@ def attainment_point(X: LatticeNorm, e: ExponentTriple, F) -> np.ndarray:
         g = (np.abs(F) ** e.p).sum(axis=0)
         h = (g / g.max()) ** (X.s / e.p - 1.0)
     else:
-        h = _curved_dual_sup(X, e, F[None])[1][0]
+        h = _curved_dual_sup(X, e, F[None])[2][0]
     return h / dual_norm_rows(X, e.p, h)
 
 

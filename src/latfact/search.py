@@ -13,15 +13,17 @@ two spheres: the domain's, for ``constants.operator_norm_estimate``, and
 the mixture's, for ``factorization.violation_oracle``, the one search for
 the extension norm (``factorization.extension_norm_estimate`` is that
 search at ``C = 0``).  It also runs the polish of
-``constants._curved_dual_sup`` and the linear suprema of
-``spaces.linear_sup_over_ball``, the audit of the closed Köthe duals.
+``constants._curved_dual_sup`` on the hard side ``s > r`` only (ROADMAP
+item 2; on ``s <= r`` a certified power-and-Newton route replaces it), and
+the linear suprema of ``spaces.linear_sup_over_ball``, the audit of the
+closed Köthe duals.
 Every caller knows the gradient of its sphere's norm, which the ascent
 projects out of its step.  It iterates only live rows: a row whose line
 search finds no gain is never recomputed.  The violation oracle ascends
 with ``keep_signs``, so entries stop at zero and its rows can settle on
 the faces where the seminorm's kink at ``p = 1`` puts the maximum; it
 returns the best ascended row of every sign pattern, one cut each for the
-Kelley round that called it.  ``constants._curved_dual_sup`` passes a
+Kelley round that called it.  ``constants._hard_dual_sup`` passes a
 stack of problems, one per family, so a stack of families is one ascent.
 On weighted ``L^1``, and on weighted ``L^2`` into a Euclidean target,
 the maximiser of ``‖Tf‖`` is known in closed form

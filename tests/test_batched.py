@@ -181,7 +181,7 @@ def _search_starts(ratio, n, budget, seed):
 def _polish_cases():
     """(name, scalar ratio, starts) over flat, closed-form, summing and
     p = q ratios, and two chain instances whose sweeps repeat; the second
-    takes the curved M_pq fixed point."""
+    takes the curved M_pq Perron-side route."""
     flat = random_operator(3, 3, [5], s=1.0)
     l2 = random_operator(2, 2, [6], s=2.0)
     hilbert = random_operator(2, 2, [7], s=1.5)
@@ -482,12 +482,14 @@ def _stack_cases(n=3):
     return [
         ("s = 1 vertex / flat", make_space(mu, 1.0), E12),
         ("s = q = 2 SVD / s/p = q/p = 2 SVD", L2, E12),
-        ("s = 1.5 fixed point / curved", make_space(mu, 1.5), E12),
-        ("curved s > p, q > p", make_space(mu, 3.0), ExponentTriple(2.0, 4.0)),
+        ("s = 1.5 fixed point / Perron side s < r", make_space(mu, 1.5),
+         E12),
+        ("Perron side s < r", make_space(mu, 3.0), ExponentTriple(2.0, 4.0)),
         ("p = q", L2, ExponentTriple(p=2.0, q=2.0)),
         ("one-atom mixture", dirac_space(L2, ExponentTriple(p=2.0, q=2.0),
                                          np.resize([0.5, 1.0, 0.8], n)),
          ExponentTriple(p=2.0, q=2.0)),
+        ("hard side s > r", make_space(mu, 3.0), E12),
     ]
 
 
@@ -502,7 +504,7 @@ class TestStackedDenominators:
         F[3, 1] = 0.0  # and a family with a zero vector
         return F
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_family_sup_lhs(self, case):
         route, X, e = _stack_cases()[case]
         F = self.stack()
@@ -511,7 +513,7 @@ class TestStackedDenominators:
         for k in range(5):
             assert got[k] == family_sup_lhs(X, e, F[k]), route
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_weak_q_norm(self, case):
         route, X, e = _stack_cases()[case]
         F = self.stack()
@@ -528,7 +530,7 @@ class TestStackedDenominators:
         alone = weak_q_norm(T.domain, F[:1], 2.0, budget=8, seed=[0, 3])
         assert alone[0] == stacked[0]
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_one_vector_families(self, case):
         route, X, e = _stack_cases()[case]
         F = np.random.default_rng(46).normal(size=(5, 1, 3))
@@ -581,7 +583,7 @@ class TestStackProperty:
     """Bit-stable stacks: in a random stack, in any order, a family reads
     its lone value, and one vector reads its value as a stack of one."""
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_families_read_their_lone_values(self, case, data):

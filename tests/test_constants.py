@@ -203,8 +203,11 @@ class TestClosedFormAttainment:
         psi = float((g * mu) @ h)
         g_norm = float((g ** sigma) @ mu) ** (1.0 / sigma)
         assert abs(psi - g_norm) <= 1e-12 * g_norm
-        fixed_point = float(constants._curved_dual_sup(X, e, F[None])[0][0])
-        assert psi ** (1.0 / p) >= fixed_point * (1.0 - 1e-12)
+        # p = q is the Perron side t = 1 <= sigma', where the route
+        # brackets the same supremum
+        lower, upper, _ = constants._curved_dual_sup(X, e, F[None])
+        assert psi ** (1.0 / p) >= lower[0] * (1.0 - 1e-12)
+        assert psi ** (1.0 / p) <= upper[0] * (1.0 + 1e-12)
 
 
 class TestClosedCurvedRoute:
@@ -241,6 +244,130 @@ class TestClosedCurvedRoute:
         F = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.5]])
         self.assert_exact(make_space([1.0, 1.0, 2.0], s),
                           ExponentTriple(p=p, q=q), F)
+
+
+# (s, p, q) on the Perron side s <= r of the curved dual supremum: (1.5, 1, 3)
+# is s = r with sigma = s/p != 2, and (1.01, 1, 2) has sigma' = 101
+PERRON_SIDE = [(1.5, 1.0, 2.0), (3.0, 2.0, 4.0), (3.0, 1.0, 1.4),
+               (1.5, 1.0, 3.0), (1.01, 1.0, 2.0)]
+
+
+class TestPerronSideRoute:
+    """On ``s <= r`` the curved dual supremum comes as a certified bracket
+    ``(lower, upper)`` whose upper value ``family_sup_lhs`` reads."""
+
+    @staticmethod
+    def families(s, q, count, m_max=4, n_max=6):
+        rng = np.random.default_rng([113, int(100 * s), int(10 * q)])
+        for _ in range(count):
+            n = int(rng.integers(2, n_max + 1))
+            X = make_space(rng.uniform(0.5, 2.0, size=n), s)
+            yield X, rng.normal(size=(int(rng.integers(2, m_max + 1)), n))
+
+    @staticmethod
+    def bracket(X, e, F):
+        lower, upper, H = constants._curved_dual_sup(X, e, F[None])
+        return float(lower[0]), float(upper[0]), H[0]
+
+    @pytest.mark.parametrize("s, p, q", PERRON_SIDE)
+    def test_bracket_holds_the_brute_force_value(self, s, p, q):
+        e = ExponentTriple(p=p, q=q)
+        for X, F in self.families(s, q, 6):
+            lower, upper, _ = self.bracket(X, e, F)
+            assert lower <= upper <= lower * (1.0 + 1e-12)
+            ref = brute_force_family_sup(X, e, F, step=1e-2)
+            assert upper >= ref * (1.0 - 1e-14)
+            assert ref >= lower * (1.0 - 1e-9)
+            assert family_sup_lhs(X, e, F) == upper
+            h = attainment_point(X, e, F)
+            assert family_sup_rhs(X, e, F, h[None]) == pytest.approx(
+                lower, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s, p, q", PERRON_SIDE)
+    def test_six_steps_close_the_gap(self, s, p, q, monkeypatch):
+        monkeypatch.setattr(constants, "_PERRON_STEPS", 6)
+        e = ExponentTriple(p=p, q=q)
+        for X, F in self.families(s, q, 40, m_max=8, n_max=12):
+            lower, upper, _ = self.bracket(X, e, F)
+            assert upper <= lower * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s, p, q", PERRON_SIDE)
+    def test_zero_column_stays_out(self, s, p, q):
+        # an atom where every f_i vanishes gets h_j = 0, and the value is
+        # that of the space without the atom
+        e = ExponentTriple(p=p, q=q)
+        for X, F in self.families(s, q, 4):
+            j = F.shape[1] // 2
+            F[:, j] = 0.0
+            lower, upper, H = self.bracket(X, e, F)
+            assert H[j] == 0.0 and attainment_point(X, e, F)[j] == 0.0
+            assert upper <= lower * (1.0 + 1e-12)
+            Y = make_space(np.delete(X.space.weights, j), s)
+            assert upper == pytest.approx(
+                family_sup_lhs(Y, e, np.delete(F, j, axis=1)), rel=1e-12,
+                abs=0.0)
+            assert upper >= brute_force_family_sup(X, e, F, step=1e-2) * (
+                1.0 - 1e-14)
+
+    @pytest.mark.parametrize("s, p, q", PERRON_SIDE)
+    def test_zero_row_drops_out(self, s, p, q):
+        e = ExponentTriple(p=p, q=q)
+        for X, F in self.families(s, q, 4):
+            F = np.vstack([F, np.zeros(X.n), F[:1] * 0.5])
+            lower, upper, _ = self.bracket(X, e, F)
+            assert upper <= lower * (1.0 + 1e-12)
+            kept = np.delete(F, -2, axis=0)
+            assert upper == pytest.approx(family_sup_lhs(X, e, kept),
+                                          rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s, p, q", PERRON_SIDE)
+    def test_singular_systems_fall_back_to_the_power_step(self, s, p, q,
+                                                          monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        e = ExponentTriple(p=p, q=q)
+        families = list(self.families(s, q, 3))
+        newton = [self.bracket(X, e, F) for X, F in families]
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        for (X, F), (n_lower, n_upper, _) in zip(families, newton):
+            lower, upper, _ = self.bracket(X, e, F)
+            assert lower <= n_upper * (1.0 + 1e-14)
+            assert upper >= n_lower * (1.0 - 1e-14)
+            assert upper <= lower * (1.0 + 1e-6)
+
+    def test_no_polish_and_no_noise_starts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the Perron side")
+
+        rng = np.random.default_rng(117)
+        families = [rng.normal(size=(3, 4)) for _ in range(3)]
+        monkeypatch.setattr(constants, "projected_ascent", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for s, p, q in PERRON_SIDE:
+            X = make_space([1.0, 0.5, 2.0, 1.5], s)
+            family_sup_lhs(X, ExponentTriple(p=p, q=q), np.stack(families))
+        # the hard side still polishes from seeded starts
+        with pytest.raises(AssertionError, match="Perron"):
+            family_sup_lhs(make_space([1.0, 0.5, 2.0, 1.5], 3.0), E12,
+                           families[0])
+
+    def test_hard_side_has_no_collatz_wielandt_bound(self, monkeypatch):
+        # at (s, p, q) = (3, 1, 2), t = 2 > sigma' = 1.5: the Perron route's
+        # upper value at its uniform start lies 6.9 % below the supremum, so
+        # the route stops at s = r
+        rng = np.random.default_rng([97, 30])
+        F = rng.normal(size=(int(rng.integers(2, 4)), int(rng.integers(2, 5))))
+        X = make_space(rng.uniform(0.5, 2.0, size=F.shape[1]), 3.0)
+        G = np.abs(F)[None]
+        monkeypatch.setattr(constants, "_PERRON_STEPS", 0)
+        _, upper, _ = constants._perron_dual_sup(X, E12, G,
+                                                 G * X.space.weights)
+        ref = brute_force_family_sup(X, E12, F)
+        assert upper[0] < ref * (1.0 - 0.05)
+        # the hard-side route gives a lower value, no bracket
+        lower, high, _ = constants._curved_dual_sup(X, E12, F[None])
+        assert lower[0] == high[0] <= ref * (1.0 + 1e-12)
 
 
 class TestWitnessTransferInequalities:
